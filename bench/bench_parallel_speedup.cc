@@ -1,5 +1,5 @@
 // Parallel engine scaling: rows/sec of ExecuteParallel at 1/2/4/8 worker
-// threads against the serial engines, on a large (~70-activity, §4.2)
+// threads against the serial engine, on a large (~70-activity, §4.2)
 // generated scenario with a scaled-up input. The headline check is
 // >= 2x rows/sec at 4 threads vs. 1; every run also re-verifies that the
 // parallel output is byte-identical to the materializing engine's.
@@ -21,7 +21,6 @@
 
 #include "engine/executor.h"
 #include "engine/parallel.h"
-#include "engine/pipeline.h"
 #include "suite_runner.h"
 #include "workload/generator.h"
 
@@ -66,15 +65,11 @@ int Run() {
 
   const int repeats = quick ? 1 : 3;
 
-  // Serial baselines (and the reference output for the identity check).
+  // Serial baseline (and the reference output for the identity check).
   StatusOr<ExecutionResult> batch = ExecutionResult{};
   double batch_ms = MillisOf(
       [&] { batch = ExecuteWorkflow(g->workflow, input); }, repeats);
   ETLOPT_CHECK_OK(batch.status());
-  StatusOr<ExecutionResult> piped = ExecutionResult{};
-  double piped_ms = MillisOf(
-      [&] { piped = ExecutePipelined(g->workflow, input); }, repeats);
-  ETLOPT_CHECK_OK(piped.status());
 
   JsonReport report("parallel_speedup");
   report.Add("activities", static_cast<double>(g->activity_count),
@@ -82,12 +77,8 @@ int Run() {
   report.Add("source_rows", static_cast<double>(total_rows), "rows");
   report.Add("materializing.rows_per_sec", 1000.0 * total_rows / batch_ms,
              "rows/s");
-  report.Add("pipelined.rows_per_sec", 1000.0 * total_rows / piped_ms,
-             "rows/s");
   std::printf("  %-18s %8.1f ms  %12.0f rows/s\n", "materializing", batch_ms,
               1000.0 * total_rows / batch_ms);
-  std::printf("  %-18s %8.1f ms  %12.0f rows/s\n", "pipelined", piped_ms,
-              1000.0 * total_rows / piped_ms);
 
   double t1_ms = 0, t4_ms = 0;
   for (size_t threads : {1u, 2u, 4u, 8u}) {

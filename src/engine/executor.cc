@@ -1,9 +1,9 @@
 #include "engine/executor.h"
 
+#include "columnar/kernels.h"
 #include "common/macros.h"
-#include "common/string_util.h"
+#include "engine/node_driver.h"
 #include "engine/shared_cache_exec.h"
-#include "fault/fault_injector.h"
 
 namespace etlopt {
 
@@ -11,15 +11,8 @@ StatusOr<std::vector<Record>> RealignRecords(const std::vector<Record>& rows,
                                              const Schema& from,
                                              const Schema& to) {
   if (from == to) return rows;
-  std::vector<size_t> mapping;
-  mapping.reserve(to.size());
-  for (const auto& a : to.attributes()) {
-    auto idx = from.IndexOf(a.name);
-    if (!idx.has_value()) {
-      return Status::Internal("realign: missing attribute " + a.name);
-    }
-    mapping.push_back(*idx);
-  }
+  ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> mapping,
+                          kernels::ColumnMapping(from, to));
   std::vector<Record> out;
   out.reserve(rows.size());
   for (const auto& r : rows) {
@@ -38,65 +31,10 @@ StatusOr<ExecutionResult> ExecuteWorkflow(const Workflow& workflow,
 StatusOr<ExecutionResult> ExecuteWorkflow(const Workflow& workflow,
                                           const ExecutionInput& input,
                                           const CacheOptions& cache_options) {
-  if (!workflow.fresh()) {
-    return Status::FailedPrecondition(
-        "workflow must pass Refresh() before execution");
-  }
-  ExecutionResult result;
+  ETLOPT_RETURN_NOT_OK(RequireFresh(workflow));
   CachePlan plan(workflow, input, cache_options);
-  std::map<NodeId, std::vector<Record>> flows;
-  for (NodeId id : workflow.TopoOrder()) {
-    if (plan.Skip(id)) continue;
-    if (const CachedSubgraphResult* served = plan.Served(id)) {
-      flows[id] = served->rows;
-      continue;
-    }
-    std::vector<NodeId> providers = workflow.Providers(id);
-    if (workflow.IsRecordSet(id)) {
-      const RecordSetDef& def = workflow.recordset(id);
-      if (providers.empty()) {
-        auto it = input.source_data.find(def.name);
-        if (it == input.source_data.end()) {
-          return Status::NotFound("no data bound for source recordset '" +
-                                  def.name + "'");
-        }
-        for (const auto& r : it->second) {
-          if (r.size() != def.schema.size()) {
-            return Status::InvalidArgument(StrFormat(
-                "source '%s': record arity %zu != schema arity %zu",
-                def.name.c_str(), r.size(), def.schema.size()));
-          }
-        }
-        flows[id] = it->second;
-      } else {
-        // Staging or target recordset: realign to the declared schema.
-        ETLOPT_ASSIGN_OR_RETURN(
-            flows[id],
-            RealignRecords(flows.at(providers[0]),
-                           workflow.OutputSchema(providers[0]), def.schema));
-      }
-      if (workflow.Consumers(id).empty()) {
-        result.target_data.emplace(def.name, flows[id]);
-      }
-    } else {
-      ETLOPT_FAULT_HIT(FaultSite::kActivityExecute);
-      std::vector<std::vector<Record>> inputs;
-      inputs.reserve(providers.size());
-      for (NodeId p : providers) inputs.push_back(flows.at(p));
-      auto rows = workflow.chain(id).Execute(workflow.InputSchemas(id),
-                                             inputs, input.context);
-      if (!rows.ok()) {
-        return rows.status().WithContext(
-            StrFormat("executing node %d ('%s')", id,
-                      workflow.chain(id).label().c_str()));
-      }
-      result.rows_out[id] = rows->size();
-      flows[id] = std::move(rows).value();
-      plan.OnActivityComputed(id, flows[id], result.rows_out);
-    }
-  }
-  plan.Finalize(result);
-  return result;
+  SerialStrategy strategy(input.context);
+  return DriveNodes(workflow, input, strategy, plan);
 }
 
 Status ExecuteWorkflowInto(const Workflow& workflow,

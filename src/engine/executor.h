@@ -39,14 +39,12 @@ enum class CutPointPolicy : int {
 };
 
 /// Shared-result-cache knobs, off by default: with `cache == nullptr`
-/// every engine takes exactly its legacy code path, bit for bit.
+/// no node is served, skipped or published, and every engine computes
+/// every node.
 struct CacheOptions {
   /// Not owned; must outlive the run. nullptr disables caching.
   SharedResultCache* cache = nullptr;
   CutPointPolicy cut_points = CutPointPolicy::kAuto;
-  /// When false the run only consumes (Lookup) and never leases or
-  /// publishes — e.g. speculative or admission-throttled executions.
-  bool publish = true;
 };
 
 /// Per-run shared-result-cache bookkeeping. `rows_computed` versus the
@@ -87,9 +85,9 @@ StatusOr<ExecutionResult> ExecuteWorkflow(const Workflow& workflow,
                                           const ExecutionInput& input,
                                           const CacheOptions& cache_options);
 
-/// The independent engine implementations. All produce byte-identical
-/// results on every workflow (the engine-agreement property); they differ
-/// only in execution strategy.
+/// The engines. All run the same node driver (engine/node_driver.h) and
+/// produce byte-identical results on every workflow (the engine-agreement
+/// property); they differ only in how they compute one node's rows.
 enum class EngineKind : int {
   kSerial = 0,      // materializing row engine (ExecuteWorkflow)
   kParallel = 1,    // morsel-driven parallel row engine (ExecuteParallel)
@@ -130,8 +128,7 @@ StatusOr<bool> ProduceSameOutput(const Workflow& a, const Workflow& b,
                                  const ExecutionInput& input);
 
 /// Reorders `rows` (laid out by `from`) into `to`'s attribute order —
-/// the staging/target realignment step, shared with the recoverable
-/// executor.
+/// the staging/target realignment step, shared with the stream executor.
 StatusOr<std::vector<Record>> RealignRecords(const std::vector<Record>& rows,
                                              const Schema& from,
                                              const Schema& to);

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <map>
 
+#include "columnar/kernels.h"
 #include "common/macros.h"
-#include "common/string_util.h"
+#include "engine/node_driver.h"
 #include "engine/partition.h"
 #include "engine/shared_cache_exec.h"
 #include "engine/thread_pool.h"
-#include "fault/fault_injector.h"
 
 namespace etlopt {
 
@@ -30,26 +30,16 @@ struct Engine {
   }
 };
 
-StatusOr<std::vector<size_t>> AttrIndices(
-    const Schema& schema, const std::vector<std::string>& attrs) {
-  std::vector<size_t> idx;
-  idx.reserve(attrs.size());
-  for (const auto& a : attrs) {
-    auto i = schema.IndexOf(a);
-    if (!i.has_value()) {
-      return Status::Internal("parallel: missing attribute " + a);
-    }
-    idx.push_back(*i);
+// Concatenates per-task outputs in task order.
+std::vector<Record> Concat(std::vector<std::vector<Record>>& parts) {
+  size_t total = 0;
+  for (const auto& p : parts) total += p.size();
+  std::vector<Record> out;
+  out.reserve(total);
+  for (auto& p : parts) {
+    for (auto& r : p) out.push_back(std::move(r));
   }
-  return idx;
-}
-
-std::vector<Value> ExtractKey(const Record& row,
-                              const std::vector<size_t>& idx) {
-  std::vector<Value> key;
-  key.reserve(idx.size());
-  for (size_t i : idx) key.push_back(row.value(i));
-  return key;
+  return out;
 }
 
 // Copies (and optionally re-lays-out) `rows` morsel-parallel. With
@@ -62,9 +52,7 @@ StatusOr<std::vector<Record>> ParallelRealign(const Engine& eng,
   const bool identity = from == to;
   std::vector<size_t> mapping;
   if (!identity) {
-    std::vector<std::string> to_names;
-    for (const auto& a : to.attributes()) to_names.push_back(a.name);
-    ETLOPT_ASSIGN_OR_RETURN(mapping, AttrIndices(from, to_names));
+    ETLOPT_ASSIGN_OR_RETURN(mapping, kernels::ColumnMapping(from, to));
   }
   std::vector<Record> out(rows.size());
   std::vector<Morsel> morsels = MakeMorsels(rows.size(), eng.morsel_size);
@@ -88,8 +76,8 @@ StatusOr<std::vector<Record>> ParallelRealign(const Engine& eng,
 }
 
 // Streaming unary activity: data-parallel over morsels, per-morsel
-// batches delegated to Activity::Execute (the same idiom the pipelined
-// engine uses, so the engines cannot diverge on per-row behaviour).
+// batches delegated to Activity::Execute (the reference semantics, so
+// the engines cannot diverge on per-row behaviour).
 // Filters and 1:1 transforms preserve input order within a morsel, and
 // morsel outputs concatenate in morsel order, so the result is exactly
 // the serial output.
@@ -111,14 +99,7 @@ StatusOr<std::vector<Record>> RunStreaming(const Engine& eng,
         eng.CountRows(worker, morsels[m].size());
         return Status::OK();
       }));
-  size_t total = 0;
-  for (const auto& o : outs) total += o.size();
-  std::vector<Record> out;
-  out.reserve(total);
-  for (auto& o : outs) {
-    for (auto& r : o) out.push_back(std::move(r));
-  }
-  return out;
+  return Concat(outs);
 }
 
 // Union: left rows followed by the right rows realigned into the output
@@ -128,10 +109,8 @@ StatusOr<std::vector<Record>> RunUnion(const Engine& eng,
                                        const Schema& out_schema,
                                        const std::vector<Record>& left,
                                        const std::vector<Record>& right) {
-  std::vector<std::string> out_names;
-  for (const auto& a : out_schema.attributes()) out_names.push_back(a.name);
   ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> right_map,
-                          AttrIndices(in_schemas[1], out_names));
+                          kernels::ColumnMapping(in_schemas[1], out_schema));
   std::vector<Record> out(left.size() + right.size());
   std::vector<Morsel> lm = MakeMorsels(left.size(), eng.morsel_size);
   std::vector<Morsel> rm = MakeMorsels(right.size(), eng.morsel_size);
@@ -272,15 +251,8 @@ StatusOr<std::vector<Record>> RunJoin(const Engine& eng,
                           AttrIndices(in_schemas[0], p.key_attrs));
   ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> right_key,
                           AttrIndices(in_schemas[1], p.key_attrs));
-  // Passthrough: right attributes that are not join keys, in schema order.
-  std::vector<size_t> right_pass;
-  for (size_t i = 0; i < in_schemas[1].size(); ++i) {
-    const auto& name = in_schemas[1].attribute(i).name;
-    if (std::find(p.key_attrs.begin(), p.key_attrs.end(), name) ==
-        p.key_attrs.end()) {
-      right_pass.push_back(i);
-    }
-  }
+  const std::vector<size_t> right_pass =
+      JoinPassthrough(in_schemas[1], p.key_attrs);
 
   ETLOPT_ASSIGN_OR_RETURN(
       PartitionIndices parts,
@@ -295,11 +267,7 @@ StatusOr<std::vector<Record>> RunJoin(const Engine& eng,
       parts.size(), [&](size_t pt, size_t worker) -> Status {
         for (uint32_t i : parts[pt]) {
           std::vector<Value> key = ExtractKey(right[i], right_key);
-          // NULL keys never join (SQL semantics).
-          if (std::any_of(key.begin(), key.end(),
-                          [](const Value& v) { return v.is_null(); })) {
-            continue;
-          }
+          if (HasNull(key)) continue;  // NULL keys never join
           shards[pt][std::move(key)].push_back(i);
         }
         eng.CountRows(worker, parts[pt].size());
@@ -314,10 +282,7 @@ StatusOr<std::vector<Record>> RunJoin(const Engine& eng,
         std::vector<Record>& out = outs[m];
         for (size_t i = morsels[m].begin; i < morsels[m].end; ++i) {
           std::vector<Value> key = ExtractKey(left[i], left_key);
-          if (std::any_of(key.begin(), key.end(),
-                          [](const Value& v) { return v.is_null(); })) {
-            continue;
-          }
+          if (HasNull(key)) continue;
           const ShardIndex& shard =
               shards[PartitionOfKey(left[i], left_key, parts.size())];
           auto hit = shard.find(key);
@@ -331,14 +296,7 @@ StatusOr<std::vector<Record>> RunJoin(const Engine& eng,
         eng.CountRows(worker, morsels[m].size());
         return Status::OK();
       }));
-  size_t total = 0;
-  for (const auto& o : outs) total += o.size();
-  std::vector<Record> out;
-  out.reserve(total);
-  for (auto& o : outs) {
-    for (auto& r : o) out.push_back(std::move(r));
-  }
-  return out;
+  return Concat(outs);
 }
 
 // Bag difference / intersection: realign the right side into the output
@@ -413,16 +371,58 @@ StatusOr<std::vector<Record>> RunMember(const Engine& eng,
   }
 }
 
+// The parallel engine's per-node strategy for the node driver: rows
+// move between nodes as materialized vectors, but sources and realigns
+// copy morsel-parallel and chain members run through RunMember.
+class ParallelStrategy {
+ public:
+  using Flow = std::vector<Record>;
+
+  explicit ParallelStrategy(const Engine& eng) : eng_(eng) {}
+
+  StatusOr<Flow> Source(const Schema& schema, const Flow& rows) {
+    return ParallelRealign(eng_, rows, schema, schema);
+  }
+  StatusOr<Flow> FromRows(const Schema&, Flow rows) { return rows; }
+  StatusOr<Flow> Realign(Flow rows, const Schema& from, const Schema& to) {
+    if (from == to) return rows;
+    return ParallelRealign(eng_, rows, from, to);
+  }
+  // Runs the chain member by member; the first member may be binary,
+  // later members are unary by the chain invariant.
+  StatusOr<Flow> RunChain(const ActivityChain& chain,
+                          const std::vector<Schema>& in_schemas,
+                          const std::vector<Flow>& inputs) {
+    Flow cur;
+    Schema cur_schema;
+    for (size_t m = 0; m < chain.size(); ++m) {
+      const Activity& member = chain.members()[m].activity;
+      std::vector<Schema> member_schemas =
+          m == 0 ? in_schemas : std::vector<Schema>{cur_schema};
+      const Flow& left = m == 0 ? inputs[0] : cur;
+      const Flow* right =
+          (m == 0 && member.is_binary()) ? &inputs[1] : nullptr;
+      ETLOPT_ASSIGN_OR_RETURN(
+          Flow rows, RunMember(eng_, member, member_schemas, left, right));
+      ETLOPT_ASSIGN_OR_RETURN(cur_schema,
+                              member.ComputeOutputSchema(member_schemas));
+      cur = std::move(rows);
+    }
+    return cur;
+  }
+  static size_t Rows(const Flow& rows) { return rows.size(); }
+
+ private:
+  const Engine& eng_;
+};
+
 }  // namespace
 
 StatusOr<ExecutionResult> ExecuteParallel(const Workflow& workflow,
                                           const ExecutionInput& input,
                                           const ParallelOptions& options,
                                           ParallelStats* stats) {
-  if (!workflow.fresh()) {
-    return Status::FailedPrecondition(
-        "workflow must pass Refresh() before execution");
-  }
+  ETLOPT_RETURN_NOT_OK(RequireFresh(workflow));
   const size_t threads = options.num_threads != 0
                              ? options.num_threads
                              : ThreadPool::DefaultThreads();
@@ -444,101 +444,9 @@ StatusOr<ExecutionResult> ExecuteParallel(const Workflow& workflow,
   eng.ctx = &input.context;
   eng.stats = stats;
 
-  ExecutionResult result;
   CachePlan plan(workflow, input, options.cache);
-  std::map<NodeId, std::vector<Record>> flows;
-  std::map<NodeId, size_t> remaining_consumers;
-  for (NodeId id : workflow.NodeIds()) {
-    remaining_consumers[id] = workflow.Consumers(id).size();
-  }
-  // Hands a provider's rows to one consumer: the last consumer takes the
-  // buffer by move so peak memory tracks live edges, earlier ones copy.
-  auto take_input = [&](NodeId p) {
-    auto it = flows.find(p);
-    if (--remaining_consumers[p] == 0) {
-      std::vector<Record> rows = std::move(it->second);
-      flows.erase(it);
-      return rows;
-    }
-    return it->second;
-  };
-
-  for (NodeId id : workflow.TopoOrder()) {
-    if (plan.Skip(id)) continue;
-    if (const CachedSubgraphResult* served = plan.Served(id)) {
-      flows[id] = served->rows;
-      continue;
-    }
-    std::vector<NodeId> providers = workflow.Providers(id);
-    if (workflow.IsRecordSet(id)) {
-      const RecordSetDef& def = workflow.recordset(id);
-      std::vector<Record> rows;
-      if (providers.empty()) {
-        auto it = input.source_data.find(def.name);
-        if (it == input.source_data.end()) {
-          return Status::NotFound("no data bound for source recordset '" +
-                                  def.name + "'");
-        }
-        for (const auto& r : it->second) {
-          if (r.size() != def.schema.size()) {
-            return Status::InvalidArgument(StrFormat(
-                "source '%s': record arity %zu != schema arity %zu",
-                def.name.c_str(), r.size(), def.schema.size()));
-          }
-        }
-        ETLOPT_ASSIGN_OR_RETURN(
-            rows, ParallelRealign(eng, it->second, def.schema, def.schema));
-      } else {
-        std::vector<Record> upstream = take_input(providers[0]);
-        const Schema& from = workflow.OutputSchema(providers[0]);
-        if (from == def.schema) {
-          rows = std::move(upstream);
-        } else {
-          ETLOPT_ASSIGN_OR_RETURN(
-              rows, ParallelRealign(eng, upstream, from, def.schema));
-        }
-      }
-      if (workflow.Consumers(id).empty()) {
-        result.target_data.emplace(def.name, std::move(rows));
-      } else {
-        flows[id] = std::move(rows);
-      }
-      continue;
-    }
-
-    // Activity node: run the chain member by member; the first member may
-    // be binary, later members are unary by the chain invariant.
-    ETLOPT_FAULT_HIT(FaultSite::kActivityExecute);
-    std::vector<std::vector<Record>> inputs;
-    inputs.reserve(providers.size());
-    for (NodeId p : providers) inputs.push_back(take_input(p));
-    const ActivityChain& chain = workflow.chain(id);
-    std::vector<Schema> in_schemas = workflow.InputSchemas(id);
-    std::vector<Record> cur;
-    Schema cur_schema;
-    for (size_t m = 0; m < chain.size(); ++m) {
-      const Activity& member = chain.members()[m].activity;
-      std::vector<Schema> member_schemas =
-          m == 0 ? in_schemas : std::vector<Schema>{cur_schema};
-      const std::vector<Record>& left = m == 0 ? inputs[0] : cur;
-      const std::vector<Record>* right =
-          (m == 0 && member.is_binary()) ? &inputs[1] : nullptr;
-      auto rows = RunMember(eng, member, member_schemas, left, right);
-      if (!rows.ok()) {
-        return rows.status().WithContext(
-            StrFormat("executing node %d ('%s')", id,
-                      chain.label().c_str()));
-      }
-      ETLOPT_ASSIGN_OR_RETURN(cur_schema,
-                              member.ComputeOutputSchema(member_schemas));
-      cur = std::move(rows).value();
-    }
-    result.rows_out[id] = cur.size();
-    flows[id] = std::move(cur);
-    plan.OnActivityComputed(id, flows[id], result.rows_out);
-  }
-  plan.Finalize(result);
-  return result;
+  ParallelStrategy strategy(eng);
+  return DriveNodes(workflow, input, strategy, plan);
 }
 
 }  // namespace etlopt

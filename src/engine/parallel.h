@@ -1,8 +1,8 @@
 // Parallel executor: a morsel-driven, partition-parallel engine.
 //
-// The third independent implementation of the activity semantics (after
-// the materializing and pipelined engines). Nodes still execute in
-// topological order, but inside a node the data is parallel:
+// Nodes execute in topological order on the shared node driver
+// (node_driver.h); this engine supplies only how one node's rows are
+// computed, and inside a node the data is parallel:
 //
 //  * streaming activities (filter, project, function, surrogate key,
 //    union) run data-parallel over fixed-size morsels of the input, and

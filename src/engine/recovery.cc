@@ -1,17 +1,14 @@
 #include "engine/recovery.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/file_util.h"
 #include "common/macros.h"
 #include "common/string_util.h"
+#include "engine/node_driver.h"
 #include "fault/fault_injector.h"
 #include "records/record_io.h"
 
@@ -22,7 +19,7 @@ namespace {
 namespace fs = std::filesystem;
 using Clock = std::chrono::steady_clock;
 
-const char kCheckpointMagic[8] = {'E', 'T', 'L', 'C', 'K', 'P', 'T', '1'};
+constexpr std::string_view kCheckpointMagic = "ETLCKPT1";
 
 // Whether `id` is a recovery-point node under `policy`. `plan_nodes` is
 // the resolved kRecoveryPlan node set (ignored for other policies).
@@ -57,46 +54,6 @@ std::unordered_set<NodeId> ResolvePlanNodes(const Workflow& workflow,
     if (wanted.count(workflow.PriorityLabelOf(id)) != 0) nodes.insert(id);
   }
   return nodes;
-}
-
-// Bounded retention GC: after a successful run, only the
-// `max_retained` most recently written *stale* sibling run_* directories
-// under `checkpoint_dir` survive (oldest pruned first); `current_run_dir`
-// is never touched here. Best-effort — GC failures never fail the run.
-size_t PruneStaleRunDirs(const std::string& checkpoint_dir,
-                         const std::string& current_run_dir,
-                         size_t max_retained) {
-  std::error_code ec;
-  fs::directory_iterator it(
-      checkpoint_dir, fs::directory_options::skip_permission_denied, ec);
-  if (ec) return 0;
-  std::vector<std::pair<fs::file_time_type, fs::path>> stale;
-  for (fs::directory_iterator end; it != end; it.increment(ec)) {
-    if (ec) return 0;
-    const fs::directory_entry& entry = *it;
-    std::error_code entry_ec;
-    if (!entry.is_directory(entry_ec) || entry_ec) continue;
-    const std::string name = entry.path().filename().string();
-    if (!StartsWith(name, "run_")) continue;
-    if (entry.path() == fs::path(current_run_dir)) continue;
-    fs::file_time_type mtime = entry.last_write_time(entry_ec);
-    if (entry_ec) mtime = fs::file_time_type::min();
-    stale.emplace_back(mtime, entry.path());
-  }
-  if (stale.size() <= max_retained) return 0;
-  // Oldest first; path as tie-break so equal mtimes prune predictably.
-  std::sort(stale.begin(), stale.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second < b.second;
-            });
-  size_t pruned = 0;
-  for (size_t i = 0; i + max_retained < stale.size(); ++i) {
-    std::error_code rm_ec;
-    fs::remove_all(stale[i].second, rm_ec);
-    if (!rm_ec) ++pruned;
-  }
-  return pruned;
 }
 
 std::string CheckpointPath(const std::string& run_dir, NodeId id) {
@@ -154,6 +111,25 @@ uint64_t ExecutionInputFingerprint(const ExecutionInput& input) {
   return h;
 }
 
+void PutRowsOut(std::string& out, const std::map<NodeId, size_t>& rows_out) {
+  PutU32(out, static_cast<uint32_t>(rows_out.size()));
+  for (const auto& [node, count] : rows_out) {
+    PutU32(out, static_cast<uint32_t>(node));
+    PutU64(out, count);
+  }
+}
+
+StatusOr<std::map<NodeId, size_t>> ReadRowsOut(BinaryReader& reader) {
+  std::map<NodeId, size_t> rows_out;
+  ETLOPT_ASSIGN_OR_RETURN(uint32_t n, reader.U32());
+  for (uint32_t i = 0; i < n; ++i) {
+    ETLOPT_ASSIGN_OR_RETURN(uint32_t node, reader.U32());
+    ETLOPT_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
+    rows_out[static_cast<NodeId>(node)] = static_cast<size_t>(count);
+  }
+  return rows_out;
+}
+
 // Same bytes as SerializeCheckpoint, but from borrowed pieces — the hot
 // write path serializes a node's rows in place instead of copying them
 // into a Checkpoint first.
@@ -165,19 +141,9 @@ std::string SerializeCheckpointParts(uint64_t workflow_hash,
   PutU64(payload, workflow_hash);
   PutU64(payload, input_hash);
   PutU32(payload, static_cast<uint32_t>(node));
-  PutU32(payload, static_cast<uint32_t>(rows_out.size()));
-  for (const auto& [out_node, count] : rows_out) {
-    PutU32(payload, static_cast<uint32_t>(out_node));
-    PutU64(payload, count);
-  }
-  PutU64(payload, rows.size());
-  for (const Record& r : rows) PutRecord(payload, r);
-
-  std::string out(kCheckpointMagic, sizeof(kCheckpointMagic));
-  PutU64(out, payload.size());
-  out += payload;
-  PutU64(out, Fnv1a64(payload));
-  return out;
+  PutRowsOut(payload, rows_out);
+  PutRecords(payload, rows);
+  return SealPayload(kCheckpointMagic, payload);
 }
 
 std::string SerializeCheckpoint(const Checkpoint& checkpoint) {
@@ -187,58 +153,127 @@ std::string SerializeCheckpoint(const Checkpoint& checkpoint) {
 }
 
 StatusOr<Checkpoint> ParseCheckpoint(std::string_view bytes) {
-  if (bytes.size() < sizeof(kCheckpointMagic) + 16 ||
-      std::memcmp(bytes.data(), kCheckpointMagic,
-                  sizeof(kCheckpointMagic)) != 0) {
-    return Status::InvalidArgument("checkpoint: bad magic or truncated file");
-  }
-  BinaryReader header(bytes.substr(sizeof(kCheckpointMagic)));
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t payload_size, header.U64());
-  if (payload_size != header.remaining() - 8 || header.remaining() < 8) {
-    return Status::InvalidArgument("checkpoint: length mismatch (truncated)");
-  }
-  std::string_view payload =
-      bytes.substr(sizeof(kCheckpointMagic) + 8, payload_size);
-  BinaryReader checksum_reader(
-      bytes.substr(sizeof(kCheckpointMagic) + 8 + payload_size));
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t recorded_checksum, checksum_reader.U64());
-  if (Fnv1a64(payload) != recorded_checksum) {
-    return Status::InvalidArgument("checkpoint: checksum mismatch");
-  }
-
+  ETLOPT_ASSIGN_OR_RETURN(std::string_view payload,
+                          UnsealPayload(bytes, kCheckpointMagic, "checkpoint"));
   BinaryReader reader(payload);
   Checkpoint checkpoint;
   ETLOPT_ASSIGN_OR_RETURN(checkpoint.workflow_hash, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(checkpoint.input_hash, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(uint32_t node, reader.U32());
   checkpoint.node = static_cast<NodeId>(node);
-  ETLOPT_ASSIGN_OR_RETURN(uint32_t rows_out_size, reader.U32());
-  for (uint32_t i = 0; i < rows_out_size; ++i) {
-    ETLOPT_ASSIGN_OR_RETURN(uint32_t out_node, reader.U32());
-    ETLOPT_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
-    checkpoint.rows_out[static_cast<NodeId>(out_node)] =
-        static_cast<size_t>(count);
-  }
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t row_count, reader.U64());
-  // Bound the reserve by what the payload could possibly hold (each row
-  // costs at least 4 bytes), so a corrupt count cannot force a huge
-  // allocation before the per-row bounds checks fire.
-  checkpoint.rows.reserve(static_cast<size_t>(
-      std::min<uint64_t>(row_count, reader.remaining() / 4)));
-  for (uint64_t i = 0; i < row_count; ++i) {
-    ETLOPT_ASSIGN_OR_RETURN(uint32_t arity, reader.U32());
-    Record record;
-    for (uint32_t c = 0; c < arity; ++c) {
-      ETLOPT_ASSIGN_OR_RETURN(Value v, ReadValue(reader));
-      record.Append(std::move(v));
-    }
-    checkpoint.rows.push_back(std::move(record));
-  }
+  ETLOPT_ASSIGN_OR_RETURN(checkpoint.rows_out, ReadRowsOut(reader));
+  ETLOPT_ASSIGN_OR_RETURN(checkpoint.rows, ReadRecords(reader));
   if (!reader.AtEnd()) {
     return Status::InvalidArgument("checkpoint: trailing content");
   }
   return checkpoint;
 }
+
+namespace {
+
+// Recovery as a node policy on the driver: loaded recovery points are
+// served, nodes outside the need set are skipped, every computed node's
+// step runs under the deadline and the retry policy, and every computed
+// recovery-point node gets a checkpoint write. Execute() fills `need`
+// and `loaded` before the driver runs.
+struct RecoveryPolicy : NodePolicy {
+  RecoveryPolicy(const Workflow& w, const RecoveryOptions& o)
+      : workflow(w), options(o), rng(o.retry_seed) {}
+
+  bool Skip(NodeId id) override {
+    if (need.count(id) != 0) return false;
+    if (!workflow.IsRecordSet(id)) ++stats.nodes_skipped;
+    return true;
+  }
+
+  bool Serve(NodeId id, ExecutionResult& result,
+             std::vector<Record>* rows) override {
+    auto it = loaded.find(id);
+    if (it == loaded.end()) return false;
+    *rows = std::move(it->second.rows);
+    stats.resumed = true;
+    ++stats.checkpoints_loaded;
+    stats.checkpoint_rows_read += rows->size();
+    if (!workflow.IsRecordSet(id)) ++stats.nodes_skipped;
+    // Fold the recovery point's rows_out bookkeeping in now (nodes
+    // recomputed in this run win), so checkpoints written later in this
+    // run snapshot complete state — a second crash must not lose the
+    // counts of nodes this resume skipped.
+    for (const auto& [node, count] : it->second.rows_out) {
+      result.rows_out.emplace(node, count);
+    }
+    return true;
+  }
+
+  Status Attempt(NodeId id, const std::function<Status()>& step) override {
+    if (options.deadline_millis != 0 &&
+        std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
+                                                              start)
+                .count() >= options.deadline_millis) {
+      return Status::DeadlineExceeded(StrFormat(
+          "recoverable execution exceeded its %lld ms deadline",
+          static_cast<long long>(options.deadline_millis)));
+    }
+    ETLOPT_RETURN_NOT_OK(RetryWithBackoff(options.retry, rng,
+                                          StrFormat("node %d", id).c_str(),
+                                          step, &stats.retries));
+    if (!workflow.IsRecordSet(id)) {
+      ++stats.nodes_executed;
+      ++stats.node_executions[id];
+    }
+    return Status::OK();
+  }
+
+  bool WantsRows(NodeId id) const override {
+    return checkpointing && IsCheckpointNode(workflow, id,
+                                             options.checkpoint_policy,
+                                             plan_nodes);
+  }
+
+  Status OnComputed(NodeId id, const std::vector<Record>& rows,
+                    const ExecutionResult& result) override {
+    // Serialized once, straight from the flow — no row copy, and retries
+    // rewrite the same bytes.
+    const std::string checkpoint_bytes = SerializeCheckpointParts(
+        workflow_hash, input_hash, id, result.rows_out, rows);
+    auto write_attempt = [&]() -> Status {
+      if (options.checkpoint_policy == CheckpointPolicy::kRecoveryPlan) {
+        ETLOPT_FAULT_HIT(FaultSite::kRecoveryPlaceCheckpoint);
+      }
+      ETLOPT_FAULT_HIT(FaultSite::kCheckpointWrite);
+      return WriteFileAtomic(CheckpointPath(run_dir, id), checkpoint_bytes);
+    };
+    Status write_status =
+        RetryWithBackoff(options.retry, rng, "checkpoint write",
+                         write_attempt, &stats.retries);
+    if (IsInjectedCrash(write_status)) return write_status;
+    if (write_status.ok()) {
+      ++stats.checkpoints_written;
+      stats.checkpoint_rows_written += rows.size();
+    } else {
+      // Checkpointing is best-effort: a run that cannot persist a
+      // recovery point still completes, it just resumes from an earlier
+      // point if it later crashes.
+      ++stats.checkpoint_write_failures;
+    }
+    return Status::OK();
+  }
+
+  const Workflow& workflow;
+  const RecoveryOptions& options;
+  Rng rng;
+  const Clock::time_point start = Clock::now();
+  bool checkpointing = false;
+  uint64_t workflow_hash = 0;
+  uint64_t input_hash = 0;
+  std::string run_dir;
+  std::unordered_set<NodeId> plan_nodes;
+  std::unordered_set<NodeId> need;
+  std::unordered_map<NodeId, Checkpoint> loaded;
+  RecoveryStats stats;
+};
+
+}  // namespace
 
 RecoverableExecutor::RecoverableExecutor(RecoveryOptions options)
     : options_(std::move(options)) {}
@@ -255,50 +290,38 @@ StatusOr<ExecutionResult> RecoverableExecutor::Execute(
     const Workflow& workflow, const ExecutionInput& input,
     RecoveryStats* stats_out) {
   ETLOPT_RETURN_NOT_OK(ValidateRecoveryOptions(options_));
-  if (!workflow.fresh()) {
-    return Status::FailedPrecondition(
-        "workflow must pass Refresh() before execution");
-  }
-  RecoveryStats stats;
-  if (stats_out != nullptr) *stats_out = stats;
-  const Clock::time_point start = Clock::now();
-  auto over_deadline = [&]() {
-    if (options_.deadline_millis == 0) return false;
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               Clock::now() - start)
-               .count() >= options_.deadline_millis;
-  };
-  Rng rng(options_.retry_seed);
-  const bool checkpointing =
+  ETLOPT_RETURN_NOT_OK(RequireFresh(workflow));
+  if (stats_out != nullptr) *stats_out = RecoveryStats{};
+  RecoveryPolicy policy(workflow, options_);
+  policy.checkpointing =
       !options_.checkpoint_dir.empty() &&
       options_.checkpoint_policy != CheckpointPolicy::kNone;
-  const uint64_t workflow_hash = workflow.SignatureHash();
-  const uint64_t input_hash = ExecutionInputFingerprint(input);
-  const std::string run_dir = RunDir(workflow_hash, input_hash);
-  const std::unordered_set<NodeId> plan_nodes =
-      options_.checkpoint_policy == CheckpointPolicy::kRecoveryPlan
-          ? ResolvePlanNodes(workflow, options_.recovery_plan)
-          : std::unordered_set<NodeId>();
+  policy.workflow_hash = workflow.SignatureHash();
+  policy.input_hash = ExecutionInputFingerprint(input);
+  policy.run_dir = RunDir(policy.workflow_hash, policy.input_hash);
+  if (options_.checkpoint_policy == CheckpointPolicy::kRecoveryPlan) {
+    policy.plan_nodes = ResolvePlanNodes(workflow, options_.recovery_plan);
+  }
+  const std::string& run_dir = policy.run_dir;
+  std::unordered_set<NodeId>& need = policy.need;
+  std::unordered_map<NodeId, Checkpoint>& loaded = policy.loaded;
 
   const std::vector<NodeId>& topo = workflow.TopoOrder();
 
-  // Phases 1+2: decide which nodes must be produced and lazily load the
-  // recovery points that decision rests on. Targets are always needed; a
-  // needed node without a recovery point needs all its providers. Only
-  // *needed* checkpoint files are read and parsed — a resume that can
-  // serve from a shallow frontier must not pay for deserializing every
-  // file a crashed run left behind. A needed checkpoint that fails to
-  // read or validate is rejected (its node gets recomputed), which can
-  // widen the needed set, so the two steps iterate until stable; each
-  // round either finishes or permanently rejects a file, so the loop
-  // terminates.
-  std::unordered_map<NodeId, Checkpoint> loaded;
+  // Decide which nodes must be produced and lazily load the recovery
+  // points that decision rests on. Targets are always needed; a needed
+  // node without a recovery point needs all its providers. Only *needed*
+  // checkpoint files are read and parsed — a resume that can serve from
+  // a shallow frontier must not pay for deserializing every file a
+  // crashed run left behind. A needed checkpoint that fails to read or
+  // validate is rejected (its node gets recomputed), which can widen the
+  // needed set, so the two steps iterate until stable; each round either
+  // finishes or permanently rejects a file, so the loop terminates.
   std::unordered_set<NodeId> on_disk;
-  std::unordered_set<NodeId> need;
-  if (checkpointing) {
+  if (policy.checkpointing) {
     for (NodeId id : topo) {
       if (!IsCheckpointNode(workflow, id, options_.checkpoint_policy,
-                            plan_nodes)) {
+                            policy.plan_nodes)) {
         continue;
       }
       std::error_code ec;
@@ -328,7 +351,7 @@ StatusOr<ExecutionResult> RecoverableExecutor::Execute(
         // never resumed from. The node is recomputed and the file
         // overwritten.
         on_disk.erase(id);
-        ++stats.checkpoints_rejected;
+        ++policy.stats.checkpoints_rejected;
         stable = false;
       };
       Status hook;
@@ -344,16 +367,17 @@ StatusOr<ExecutionResult> RecoverableExecutor::Execute(
         reject();
         break;
       }
-      std::ifstream in(CheckpointPath(run_dir, id), std::ios::binary);
-      std::ostringstream buffer;
-      if (in) buffer << in.rdbuf();
-      if (!in || in.bad()) {
+      StatusOr<std::string> bytes =
+          ReadFileToString(CheckpointPath(run_dir, id));
+      if (!bytes.ok()) {
         reject();
         break;
       }
-      StatusOr<Checkpoint> checkpoint = ParseCheckpoint(buffer.str());
-      if (!checkpoint.ok() || checkpoint->workflow_hash != workflow_hash ||
-          checkpoint->input_hash != input_hash || checkpoint->node != id) {
+      StatusOr<Checkpoint> checkpoint = ParseCheckpoint(*bytes);
+      if (!checkpoint.ok() ||
+          checkpoint->workflow_hash != policy.workflow_hash ||
+          checkpoint->input_hash != policy.input_hash ||
+          checkpoint->node != id) {
         reject();
         break;
       }
@@ -361,149 +385,26 @@ StatusOr<ExecutionResult> RecoverableExecutor::Execute(
     }
   }
 
-  // Phase 3: execute. Mirrors ExecuteWorkflow node for node; recovery
-  // points substitute for whole subgraphs.
-  ExecutionResult result;
-  std::map<NodeId, std::vector<Record>> flows;
-  for (NodeId id : topo) {
-    if (over_deadline()) {
-      return Status::DeadlineExceeded(StrFormat(
-          "recoverable execution exceeded its %lld ms deadline",
-          static_cast<long long>(options_.deadline_millis)));
-    }
-    const bool is_recordset = workflow.IsRecordSet(id);
-    auto loaded_it = loaded.find(id);
-    if (loaded_it != loaded.end()) {
-      if (need.count(id) != 0) {
-        flows[id] = std::move(loaded_it->second.rows);
-        stats.resumed = true;
-        ++stats.checkpoints_loaded;
-        stats.checkpoint_rows_read += flows[id].size();
-        if (!is_recordset) ++stats.nodes_skipped;
-        // Fold the recovery point's rows_out bookkeeping in now (nodes
-        // recomputed in this run win), so checkpoints written later in
-        // this run snapshot complete state — a second crash must not
-        // lose the counts of nodes this resume skipped.
-        for (const auto& [node, count] : loaded_it->second.rows_out) {
-          result.rows_out.emplace(node, count);
-        }
-      }
-    } else if (need.count(id) == 0) {
-      if (!is_recordset) ++stats.nodes_skipped;
-      continue;
-    } else {
-      std::vector<NodeId> providers = workflow.Providers(id);
-      std::vector<Record> rows;
-      auto attempt = [&]() -> Status {
-        rows.clear();
-        if (is_recordset) {
-          const RecordSetDef& def = workflow.recordset(id);
-          if (providers.empty()) {
-            auto it = input.source_data.find(def.name);
-            if (it == input.source_data.end()) {
-              return Status::NotFound(
-                  "no data bound for source recordset '" + def.name + "'");
-            }
-            for (const auto& r : it->second) {
-              if (r.size() != def.schema.size()) {
-                return Status::InvalidArgument(StrFormat(
-                    "source '%s': record arity %zu != schema arity %zu",
-                    def.name.c_str(), r.size(), def.schema.size()));
-              }
-            }
-            rows = it->second;
-            return Status::OK();
-          }
-          ETLOPT_ASSIGN_OR_RETURN(
-              rows,
-              RealignRecords(flows.at(providers[0]),
-                             workflow.OutputSchema(providers[0]), def.schema));
-          return Status::OK();
-        }
-        ETLOPT_FAULT_HIT(FaultSite::kActivityExecute);
-        std::vector<std::vector<Record>> inputs;
-        inputs.reserve(providers.size());
-        for (NodeId p : providers) inputs.push_back(flows.at(p));
-        auto produced = workflow.chain(id).Execute(workflow.InputSchemas(id),
-                                                   inputs, input.context);
-        if (!produced.ok()) {
-          return produced.status().WithContext(
-              StrFormat("executing node %d ('%s')", id,
-                        workflow.chain(id).label().c_str()));
-        }
-        rows = std::move(produced).value();
-        return Status::OK();
-      };
-      Status status =
-          RetryWithBackoff(options_.retry, rng,
-                           StrFormat("node %d", id).c_str(), attempt,
-                           &stats.retries);
-      if (!status.ok()) {
-        if (stats_out != nullptr) *stats_out = stats;
-        return status;
-      }
-      if (!is_recordset) {
-        result.rows_out[id] = rows.size();
-        ++stats.nodes_executed;
-        ++stats.node_executions[id];
-      }
-      flows[id] = std::move(rows);
-
-      if (checkpointing &&
-          IsCheckpointNode(workflow, id, options_.checkpoint_policy,
-                           plan_nodes)) {
-        // Serialized once, straight from the flow — no row copy, and
-        // retries rewrite the same bytes.
-        const std::string checkpoint_bytes = SerializeCheckpointParts(
-            workflow_hash, input_hash, id, result.rows_out, flows[id]);
-        auto write_attempt = [&]() -> Status {
-          if (options_.checkpoint_policy == CheckpointPolicy::kRecoveryPlan) {
-            ETLOPT_FAULT_HIT(FaultSite::kRecoveryPlaceCheckpoint);
-          }
-          ETLOPT_FAULT_HIT(FaultSite::kCheckpointWrite);
-          std::error_code ec;
-          fs::create_directories(run_dir, ec);
-          if (ec) {
-            return Status::IOError("cannot create checkpoint dir: " +
-                                   run_dir + ": " + ec.message());
-          }
-          return WriteFileAtomic(CheckpointPath(run_dir, id),
-                                 checkpoint_bytes);
-        };
-        Status write_status =
-            RetryWithBackoff(options_.retry, rng, "checkpoint write",
-                             write_attempt, &stats.retries);
-        if (IsInjectedCrash(write_status)) {
-          if (stats_out != nullptr) *stats_out = stats;
-          return write_status;
-        }
-        if (write_status.ok()) {
-          ++stats.checkpoints_written;
-          stats.checkpoint_rows_written += flows[id].size();
-        } else {
-          // Checkpointing is best-effort: a run that cannot persist a
-          // recovery point still completes, it just resumes from an
-          // earlier point if it later crashes.
-          ++stats.checkpoint_write_failures;
-        }
-      }
-    }
-
-    if (workflow.IsRecordSet(id) && workflow.Consumers(id).empty() &&
-        need.count(id) != 0) {
-      result.target_data.emplace(workflow.recordset(id).name, flows[id]);
-    }
-  }
-
-  if (checkpointing) {
+  // Execute: recovery points substitute for whole subgraphs.
+  SerialStrategy strategy(input.context);
+  StatusOr<ExecutionResult> result =
+      DriveNodes(workflow, input, strategy, policy);
+  if (result.ok() && policy.checkpointing) {
     if (options_.remove_checkpoints_on_success) {
       std::error_code ec;
       fs::remove_all(run_dir, ec);  // best-effort cleanup
     }
-    stats.stale_runs_pruned = PruneStaleRunDirs(
-        options_.checkpoint_dir, run_dir, options_.max_retained_runs);
+    // Bounded retention of stale sibling run_* directories (crashed runs
+    // over other workflows/inputs); GC failures never fail the run.
+    policy.stats.stale_runs_pruned = PruneOldest(
+        options_.checkpoint_dir, run_dir, options_.max_retained_runs,
+        [](const fs::directory_entry& entry) {
+          std::error_code ec;
+          return entry.is_directory(ec) && !ec &&
+                 StartsWith(entry.path().filename().string(), "run_");
+        });
   }
-  if (stats_out != nullptr) *stats_out = stats;
+  if (stats_out != nullptr) *stats_out = policy.stats;
   return result;
 }
 

@@ -38,6 +38,8 @@
 
 namespace etlopt {
 
+class BinaryReader;
+
 /// Where recovery points are taken.
 enum class CheckpointPolicy : int {
   /// No checkpoints (retry + deadline only).
@@ -129,6 +131,11 @@ uint64_t ExecutionInputFingerprint(const ExecutionInput& input);
 /// a clean Status.
 std::string SerializeCheckpoint(const Checkpoint& checkpoint);
 StatusOr<Checkpoint> ParseCheckpoint(std::string_view bytes);
+
+/// The rows_out section of ETLCKPT1 and ETLSTRM1: u32 count, then
+/// (u32 node, u64 rows) per entry.
+void PutRowsOut(std::string& out, const std::map<NodeId, size_t>& rows_out);
+StatusOr<std::map<NodeId, size_t>> ReadRowsOut(BinaryReader& reader);
 
 class RecoverableExecutor {
  public:

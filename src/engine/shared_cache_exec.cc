@@ -93,7 +93,6 @@ CachePlan::CachePlan(const Workflow& workflow, const ExecutionInput& input,
       options_cut_points_(options.cut_points) {
   if (cache_ == nullptr) return;
   enabled_ = true;
-  publish_ = options.publish;
   stats_.enabled = true;
 
   SubgraphSignatureInputs sig_in;
@@ -125,28 +124,19 @@ CachePlan::CachePlan(const Workflow& workflow, const ExecutionInput& input,
       ++stats_.misses;  // injected cache failure: recompute locally
       continue;
     }
-    std::shared_ptr<const CachedSubgraphResult> entry;
-    if (publish_) {
-      // Waiting on another run's in-flight lease is only deadlock-free
-      // while this run holds no leases of its own.
-      auto r = cache_->Acquire(signatures_[id], /*may_wait=*/leases_.empty());
-      if (r.kind == SharedResultCache::Outcome::kLeased) {
-        leases_[id] = signatures_[id];
-        ++stats_.misses;
-        continue;
-      }
-      if (r.kind == SharedResultCache::Outcome::kBusy) {
-        ++stats_.misses;
-        continue;
-      }
-      entry = std::move(r.value);
-    } else {
-      entry = cache_->Lookup(signatures_[id]);
-      if (entry == nullptr) {
-        ++stats_.misses;
-        continue;
-      }
+    // Waiting on another run's in-flight lease is only deadlock-free
+    // while this run holds no leases of its own.
+    auto r = cache_->Acquire(signatures_[id], /*may_wait=*/leases_.empty());
+    if (r.kind == SharedResultCache::Outcome::kLeased) {
+      leases_[id] = signatures_[id];
+      ++stats_.misses;
+      continue;
     }
+    if (r.kind == SharedResultCache::Outcome::kBusy) {
+      ++stats_.misses;
+      continue;
+    }
+    std::shared_ptr<const CachedSubgraphResult> entry = std::move(r.value);
     // Transfer the publisher's per-node bookkeeping by canonical DFS
     // position. Equal signatures guarantee positionally matching cones;
     // a size mismatch means a collision — treat as a miss.
@@ -189,26 +179,26 @@ CachePlan::~CachePlan() {
   for (const auto& [id, sig] : leases_) cache_->Abort(sig);
 }
 
-bool CachePlan::Skip(NodeId id) const {
-  return enabled_ && !needed_[id];
-}
+bool CachePlan::Skip(NodeId id) { return enabled_ && !needed_[id]; }
 
-const CachedSubgraphResult* CachePlan::Served(NodeId id) const {
-  if (!enabled_) return nullptr;
+bool CachePlan::Serve(NodeId id, ExecutionResult& /*result*/,
+                      std::vector<Record>* rows) {
+  if (!enabled_) return false;
   auto it = served_.find(id);
-  return it == served_.end() ? nullptr : it->second.get();
+  if (it == served_.end()) return false;
+  *rows = it->second->rows;
+  return true;
 }
 
-void CachePlan::OnActivityComputed(NodeId id, const std::vector<Record>& rows,
-                                   const std::map<NodeId, size_t>& rows_out) {
-  if (!enabled_) return;
+Status CachePlan::OnComputed(NodeId id, const std::vector<Record>& rows,
+                             const ExecutionResult& result) {
   auto lease = leases_.find(id);
-  if (lease == leases_.end()) return;
+  if (lease == leases_.end()) return Status::OK();
   uint64_t sig = lease->second;
   leases_.erase(lease);
   if (!CacheFaultOk(FaultSite::kCacheMaterialize)) {
     cache_->Abort(sig);  // injected failure: others recompute
-    return;
+    return Status::OK();
   }
   auto entry = std::make_shared<CachedSubgraphResult>();
   entry->rows = rows;
@@ -225,14 +215,16 @@ void CachePlan::OnActivityComputed(NodeId id, const std::vector<Record>& rows,
     if (tr != transferred_rows_out_.end()) {
       entry->subtree_rows_out.push_back(tr->second);
     } else {
-      auto ro = rows_out.find(n);
-      entry->subtree_rows_out.push_back(ro == rows_out.end() ? 0 : ro->second);
+      auto ro = result.rows_out.find(n);
+      entry->subtree_rows_out.push_back(
+          ro == result.rows_out.end() ? 0 : ro->second);
     }
   }
   entry->bytes = ApproxRowsBytes(entry->rows) +
                  entry->subtree_rows_out.size() * sizeof(size_t) + 64;
   cache_->Publish(sig, std::move(entry));
   ++stats_.published;
+  return Status::OK();
 }
 
 void CachePlan::Finalize(ExecutionResult& result) {

@@ -1,9 +1,8 @@
-// CachePlan: the shared-result-cache integration all three engines use.
+// CachePlan: the shared-result-cache policy on the node driver.
 //
-// The serial, morsel-parallel and vectorized executors share one topo-
-// loop shape; this helper factors the cache logic out of it so the loops
-// stay engine-specific only in how they move rows. A plan is built once
-// per run:
+// Every engine runs the one topo-order loop in engine/node_driver.h;
+// CachePlan is the NodePolicy that plugs the shared result cache into
+// it. A plan is built once per run:
 //
 //  1. signature pass — subgraph result signatures for every node, with
 //     source/lookup fingerprints bound from the run's ExecutionInput;
@@ -19,16 +18,15 @@
 //  4. needed-set pruning — reverse reachability from the targets that
 //     stops descending at served nodes. Skip(id) nodes never execute.
 //
-// During the loop the engine asks Served(id) (inject these rows instead
-// of computing), calls OnActivityComputed after every computed activity
-// node (publishes if leased), and Finalize at the end (merges transferred
+// During the loop the driver asks Serve(id) (inject the cached rows
+// instead of computing), hands leased nodes' rows to OnComputed (which
+// publishes them), and calls Finalize at the end (merges transferred
 // rows_out, fills ExecutionResult::cache). The destructor aborts any
 // lease the run did not get to publish — error paths and injected faults
 // degrade to other runs recomputing, never to a hang.
 //
-// With CacheOptions::cache == nullptr the plan is inert: every query
-// returns the legacy answer and the engine takes its old path bit for
-// bit.
+// With CacheOptions::cache == nullptr the plan is inert: it skips,
+// serves and publishes nothing.
 
 #ifndef ETLOPT_ENGINE_SHARED_CACHE_EXEC_H_
 #define ETLOPT_ENGINE_SHARED_CACHE_EXEC_H_
@@ -38,46 +36,41 @@
 #include <vector>
 
 #include "engine/executor.h"
+#include "engine/node_driver.h"
 #include "service/shared_result_cache.h"
 
 namespace etlopt {
 
-class CachePlan {
+class CachePlan : public NodePolicy {
  public:
   /// Builds the plan (signature, acquire, pruning passes). `workflow`
   /// must be fresh and must outlive the plan; `input` is only read
   /// during construction.
   CachePlan(const Workflow& workflow, const ExecutionInput& input,
             const CacheOptions& options);
-  ~CachePlan();
+  ~CachePlan() override;
 
-  CachePlan(const CachePlan&) = delete;
-  CachePlan& operator=(const CachePlan&) = delete;
+  /// True iff every path from `id` to a target passes through a
+  /// cache-served cut point.
+  bool Skip(NodeId id) override;
 
-  bool enabled() const { return enabled_; }
+  /// True iff `id` is a served cut point: copies the cached rows into
+  /// *rows instead of executing the node's cone.
+  bool Serve(NodeId id, ExecutionResult& result,
+             std::vector<Record>* rows) override;
 
-  /// True iff the node need not run at all: every path from it to a
-  /// target passes through a cache-served cut point.
-  bool Skip(NodeId id) const;
+  /// True iff the run holds an unpublished lease on `id`.
+  bool WantsRows(NodeId id) const override {
+    return enabled_ && leases_.count(id) != 0;
+  }
 
-  /// Non-null iff `id` is a served cut point: the engine injects
-  /// entry->rows as the node's output instead of executing its cone.
-  const CachedSubgraphResult* Served(NodeId id) const;
-
-  /// True iff the run holds an unpublished lease on `id`. Engines whose
-  /// flows are not plain rows (vectorized) use this to materialize rows
-  /// only where a publication will actually happen.
-  bool Leased(NodeId id) const { return enabled_ && leases_.count(id) != 0; }
-
-  /// Engines call this after computing any activity node's rows (with
-  /// the run's rows_out filled for every node computed so far). If the
-  /// run holds a lease on `id`, the rows are published for other runs.
-  void OnActivityComputed(NodeId id, const std::vector<Record>& rows,
-                          const std::map<NodeId, size_t>& rows_out);
+  /// Publishes the rows of a leased node for other runs.
+  Status OnComputed(NodeId id, const std::vector<Record>& rows,
+                    const ExecutionResult& result) override;
 
   /// Merges cache-transferred rows_out entries into `result` and fills
-  /// `result.cache`. Call once, after the loop, before returning.
-  void Finalize(ExecutionResult& result);
+  /// `result.cache`.
+  void Finalize(ExecutionResult& result) override;
 
  private:
   bool IsCutPoint(NodeId id) const;
@@ -86,7 +79,6 @@ class CachePlan {
   SharedResultCache* cache_ = nullptr;
   CutPointPolicy options_cut_points_ = CutPointPolicy::kAuto;
   bool enabled_ = false;
-  bool publish_ = false;
   std::vector<uint64_t> signatures_;  // NodeId-indexed
   std::vector<char> needed_;          // NodeId-indexed
   std::map<NodeId, std::shared_ptr<const CachedSubgraphResult>> served_;

@@ -8,7 +8,7 @@
 #include "columnar/record_batch.h"
 #include "columnar/vector_eval.h"
 #include "common/macros.h"
-#include "common/string_util.h"
+#include "engine/node_driver.h"
 #include "engine/parallel.h"
 #include "engine/partition.h"
 #include "engine/shared_cache_exec.h"
@@ -180,19 +180,12 @@ StatusOr<BatchVec> RunAggregation(const VEngine& eng, const Activity& activity,
                                   const Schema& in_schema,
                                   const Schema& out_schema, BatchVec batches) {
   const auto& p = activity.params_as<AggregationParams>();
-  std::vector<size_t> group_cols, arg_cols;
-  for (const auto& g : p.group_by) {
-    auto idx = in_schema.IndexOf(g);
-    if (!idx.has_value()) return Status::Internal("missing group attr: " + g);
-    group_cols.push_back(*idx);
-  }
-  for (const auto& a : p.aggregates) {
-    auto idx = in_schema.IndexOf(a.arg);
-    if (!idx.has_value()) {
-      return Status::Internal("missing agg attr: " + a.arg);
-    }
-    arg_cols.push_back(*idx);
-  }
+  ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> group_cols,
+                          AttrIndices(in_schema, p.group_by));
+  std::vector<std::string> args;
+  for (const auto& a : p.aggregates) args.push_back(a.arg);
+  ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> arg_cols,
+                          AttrIndices(in_schema, args));
 
   const size_t parts = p.group_by.empty() ? 1 : eng.num_partitions;
   if (!p.group_by.empty()) {
@@ -253,23 +246,12 @@ StatusOr<BatchVec> RunJoin(const VEngine& eng, const Activity& activity,
                            const Schema& out_schema, BatchVec left,
                            BatchVec right) {
   const auto& p = activity.params_as<JoinParams>();
-  std::vector<size_t> left_key, right_key, right_pass;
-  for (const auto& k : p.key_attrs) {
-    auto li = in_schemas[0].IndexOf(k);
-    auto ri = in_schemas[1].IndexOf(k);
-    if (!li.has_value() || !ri.has_value()) {
-      return Status::Internal("missing join key: " + k);
-    }
-    left_key.push_back(*li);
-    right_key.push_back(*ri);
-  }
-  for (size_t i = 0; i < in_schemas[1].size(); ++i) {
-    const auto& name = in_schemas[1].attribute(i).name;
-    if (std::find(p.key_attrs.begin(), p.key_attrs.end(), name) ==
-        p.key_attrs.end()) {
-      right_pass.push_back(i);
-    }
-  }
+  ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> left_key,
+                          AttrIndices(in_schemas[0], p.key_attrs));
+  ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> right_key,
+                          AttrIndices(in_schemas[1], p.key_attrs));
+  const std::vector<size_t> right_pass =
+      JoinPassthrough(in_schemas[1], p.key_attrs);
 
   ETLOPT_RETURN_NOT_OK(PrecomputeKeyHashes(eng, right, right_key));
   ETLOPT_RETURN_NOT_OK(PrecomputeKeyHashes(eng, left, left_key));
@@ -347,15 +329,9 @@ StatusOr<BatchVec> RunMemberVec(const VEngine& eng, const Activity& activity,
     case ActivityKind::kProjection:
       return vectorized(RealignBatches(eng, std::move(left), in, out_schema));
     case ActivityKind::kPrimaryKeyCheck: {
-      const auto& p = activity.params_as<PrimaryKeyParams>();
-      std::vector<size_t> key_cols;
-      for (const auto& k : p.key_attrs) {
-        auto idx = in.IndexOf(k);
-        if (!idx.has_value()) {
-          return Status::Internal("missing key attr: " + k);
-        }
-        key_cols.push_back(*idx);
-      }
+      ETLOPT_ASSIGN_OR_RETURN(
+          std::vector<size_t> key_cols,
+          AttrIndices(in, activity.params_as<PrimaryKeyParams>().key_attrs));
       return vectorized(RunPkCheck(eng, key_cols, std::move(left)));
     }
     case ActivityKind::kAggregation:
@@ -373,16 +349,63 @@ StatusOr<BatchVec> RunMemberVec(const VEngine& eng, const Activity& activity,
   return RunFallback(eng, activity, in_schemas, out_schema, left, right);
 }
 
+// The vectorized engine's per-node strategy for the node driver: flows
+// are batch lists, batched once at every source and flattened back to
+// rows only at targets (and where the node policy asks for rows).
+class VectorizedStrategy {
+ public:
+  using Flow = BatchVec;
+
+  explicit VectorizedStrategy(const VEngine& eng) : eng_(eng) {}
+
+  StatusOr<Flow> Source(const Schema& schema,
+                        const std::vector<Record>& rows) {
+    return MakeBatches(eng_, schema, rows);
+  }
+  StatusOr<Flow> FromRows(const Schema& schema, std::vector<Record> rows) {
+    return MakeBatches(eng_, schema, rows);
+  }
+  StatusOr<Flow> Realign(Flow batches, const Schema& from, const Schema& to) {
+    return RealignBatches(eng_, std::move(batches), from, to);
+  }
+  // Runs the chain member by member; the first member may be binary,
+  // later members are unary by the chain invariant. Consumes `inputs`.
+  StatusOr<Flow> RunChain(const ActivityChain& chain,
+                          const std::vector<Schema>& in_schemas,
+                          std::vector<Flow>& inputs) {
+    Flow cur;
+    Schema cur_schema;
+    for (size_t m = 0; m < chain.size(); ++m) {
+      const Activity& member = chain.members()[m].activity;
+      std::vector<Schema> member_schemas =
+          m == 0 ? in_schemas : std::vector<Schema>{cur_schema};
+      Flow left = m == 0 ? std::move(inputs[0]) : std::move(cur);
+      const Flow* right =
+          (m == 0 && member.is_binary()) ? &inputs[1] : nullptr;
+      ETLOPT_ASSIGN_OR_RETURN(
+          cur, RunMemberVec(eng_, member, member_schemas, std::move(left),
+                            right));
+      ETLOPT_ASSIGN_OR_RETURN(cur_schema,
+                              member.ComputeOutputSchema(member_schemas));
+    }
+    return cur;
+  }
+  static size_t Rows(const Flow& batches) { return TotalRows(batches); }
+  static std::vector<Record> ToRows(const Flow& batches) {
+    return FlattenBatches(batches);
+  }
+
+ private:
+  const VEngine& eng_;
+};
+
 }  // namespace
 
 StatusOr<ExecutionResult> ExecuteVectorized(const Workflow& workflow,
                                             const ExecutionInput& input,
                                             const VectorizedOptions& options,
                                             VectorizedStats* stats) {
-  if (!workflow.fresh()) {
-    return Status::FailedPrecondition(
-        "workflow must pass Refresh() before execution");
-  }
+  ETLOPT_RETURN_NOT_OK(RequireFresh(workflow));
   const size_t threads = options.num_threads != 0
                              ? options.num_threads
                              : ThreadPool::DefaultThreads();
@@ -403,100 +426,9 @@ StatusOr<ExecutionResult> ExecuteVectorized(const Workflow& workflow,
   eng.ctx = &input.context;
   eng.stats = stats;
 
-  ExecutionResult result;
   CachePlan plan(workflow, input, options.cache);
-  std::map<NodeId, BatchVec> flows;
-  std::map<NodeId, size_t> remaining_consumers;
-  for (NodeId id : workflow.NodeIds()) {
-    remaining_consumers[id] = workflow.Consumers(id).size();
-  }
-  auto take_input = [&](NodeId p) {
-    auto it = flows.find(p);
-    if (--remaining_consumers[p] == 0) {
-      BatchVec batches = std::move(it->second);
-      flows.erase(it);
-      return batches;
-    }
-    return it->second;
-  };
-
-  for (NodeId id : workflow.TopoOrder()) {
-    if (plan.Skip(id)) continue;
-    if (const CachedSubgraphResult* served = plan.Served(id)) {
-      ETLOPT_ASSIGN_OR_RETURN(
-          flows[id], MakeBatches(eng, workflow.OutputSchema(id), served->rows));
-      continue;
-    }
-    std::vector<NodeId> providers = workflow.Providers(id);
-    if (workflow.IsRecordSet(id)) {
-      const RecordSetDef& def = workflow.recordset(id);
-      BatchVec batches;
-      if (providers.empty()) {
-        auto it = input.source_data.find(def.name);
-        if (it == input.source_data.end()) {
-          return Status::NotFound("no data bound for source recordset '" +
-                                  def.name + "'");
-        }
-        for (const auto& r : it->second) {
-          if (r.size() != def.schema.size()) {
-            return Status::InvalidArgument(StrFormat(
-                "source '%s': record arity %zu != schema arity %zu",
-                def.name.c_str(), r.size(), def.schema.size()));
-          }
-        }
-        ETLOPT_ASSIGN_OR_RETURN(batches,
-                                MakeBatches(eng, def.schema, it->second));
-      } else {
-        ETLOPT_ASSIGN_OR_RETURN(
-            batches,
-            RealignBatches(eng, take_input(providers[0]),
-                           workflow.OutputSchema(providers[0]), def.schema));
-      }
-      if (workflow.Consumers(id).empty()) {
-        result.target_data.emplace(def.name, FlattenBatches(batches));
-      } else {
-        flows[id] = std::move(batches);
-      }
-      continue;
-    }
-
-    // Activity node: run the chain member by member; the first member may
-    // be binary, later members are unary by the chain invariant.
-    ETLOPT_FAULT_HIT(FaultSite::kActivityExecute);
-    std::vector<BatchVec> inputs;
-    inputs.reserve(providers.size());
-    for (NodeId p : providers) inputs.push_back(take_input(p));
-    const ActivityChain& chain = workflow.chain(id);
-    std::vector<Schema> in_schemas = workflow.InputSchemas(id);
-    BatchVec cur;
-    Schema cur_schema;
-    for (size_t m = 0; m < chain.size(); ++m) {
-      const Activity& member = chain.members()[m].activity;
-      std::vector<Schema> member_schemas =
-          m == 0 ? in_schemas : std::vector<Schema>{cur_schema};
-      BatchVec left = m == 0 ? std::move(inputs[0]) : std::move(cur);
-      const BatchVec* right =
-          (m == 0 && member.is_binary()) ? &inputs[1] : nullptr;
-      auto batches =
-          RunMemberVec(eng, member, member_schemas, std::move(left), right);
-      if (!batches.ok()) {
-        return batches.status().WithContext(
-            StrFormat("executing node %d ('%s')", id,
-                      chain.label().c_str()));
-      }
-      ETLOPT_ASSIGN_OR_RETURN(cur_schema,
-                              member.ComputeOutputSchema(member_schemas));
-      cur = std::move(batches).value();
-    }
-    result.rows_out[id] = TotalRows(cur);
-    if (plan.Leased(id)) {
-      // Materialize rows only where a publication happens.
-      plan.OnActivityComputed(id, FlattenBatches(cur), result.rows_out);
-    }
-    flows[id] = std::move(cur);
-  }
-  plan.Finalize(result);
-  return result;
+  VectorizedStrategy strategy(eng);
+  return DriveNodes(workflow, input, strategy, plan);
 }
 
 StatusOr<ExecutionResult> ExecuteWith(const Workflow& workflow,

@@ -1,11 +1,12 @@
 // Vectorized executor: columnar batch execution with the row engines as
 // the correctness oracle.
 //
-// The fourth independent implementation of the activity semantics (after
-// the materializing, pipelined and morsel-parallel engines). Data flows
-// between nodes as ordered lists of RecordBatches (src/columnar/): rows
-// are batched once at every source, kernels process whole batches, and
-// targets flatten back to rows only at the very end. Hot activity kinds
+// Nodes execute in topological order on the shared node driver
+// (node_driver.h); this engine supplies only how one node's rows are
+// computed. Data flows between nodes as ordered lists of RecordBatches
+// (src/columnar/): rows are batched once at every source, kernels
+// process whole batches, and targets flatten back to rows only at the
+// very end. Hot activity kinds
 // — Selection (for predicates vector_eval can compile), NotNull,
 // DomainCheck, Projection, PrimaryKeyCheck, Aggregation, Union and Join
 // — run through the vectorized kernels; everything else (Function,
@@ -24,7 +25,7 @@
 //
 // Output contract: byte-identical to ExecuteWorkflow — same rows, same
 // order, same rows_out — for every workflow, at any thread count, batch
-// size or partition count. The four-way engine-agreement property test
+// size or partition count. The engine-agreement property test
 // (tests/engine/vectorized_agreement_test.cc) enforces this against the
 // serial and morsel-parallel engines.
 

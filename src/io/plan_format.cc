@@ -14,7 +14,7 @@ namespace etlopt {
 namespace {
 
 const char kBinaryMagic[8] = {'E', 'T', 'L', 'P', 'L', 'A', 'N', '1'};
-const char kCacheFileMagic[8] = {'E', 'T', 'L', 'P', 'L', 'N', 'S', '1'};
+constexpr std::string_view kCacheFileMagic = "ETLPLNS1";
 
 std::string_view KindToWord(TransitionRecord::Kind kind) {
   switch (kind) {
@@ -382,15 +382,15 @@ StatusOr<OptimizedPlan> ParsePlanBinary(std::string_view bytes) {
       std::memcmp(bytes.data(), kBinaryMagic, sizeof(kBinaryMagic)) != 0) {
     return Status::InvalidArgument("plan: bad binary magic");
   }
-  WireReader reader(bytes.substr(sizeof(kBinaryMagic)));
+  BinaryReader reader(bytes.substr(sizeof(kBinaryMagic)));
   OptimizedPlan plan;
   ETLOPT_ASSIGN_OR_RETURN(plan.algorithm, reader.String());
   ETLOPT_RETURN_NOT_OK(SearchAlgorithmFromString(plan.algorithm).status());
   ETLOPT_ASSIGN_OR_RETURN(plan.cost_model, reader.String());
   ETLOPT_ASSIGN_OR_RETURN(plan.options, reader.String());
   ETLOPT_ASSIGN_OR_RETURN(plan.merges, reader.String());
-  ETLOPT_ASSIGN_OR_RETURN(plan.initial_cost, reader.Double());
-  ETLOPT_ASSIGN_OR_RETURN(plan.best_cost, reader.Double());
+  ETLOPT_ASSIGN_OR_RETURN(plan.initial_cost, ReadDouble(reader));
+  ETLOPT_ASSIGN_OR_RETURN(plan.best_cost, ReadDouble(reader));
   ETLOPT_ASSIGN_OR_RETURN(plan.signature_hash, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(plan.visited_states, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(uint8_t exhausted, reader.U8());
@@ -428,16 +428,18 @@ StatusOr<OptimizedPlan> ParsePlanBinary(std::string_view bytes) {
       ETLOPT_ASSIGN_OR_RETURN(std::string label, reader.String());
       plan.recovery.labels.push_back(std::move(label));
     }
-    ETLOPT_ASSIGN_OR_RETURN(plan.recovery.execution_cost, reader.Double());
-    ETLOPT_ASSIGN_OR_RETURN(plan.recovery.checkpoint_cost, reader.Double());
+    ETLOPT_ASSIGN_OR_RETURN(plan.recovery.execution_cost,
+                            ReadDouble(reader));
+    ETLOPT_ASSIGN_OR_RETURN(plan.recovery.checkpoint_cost,
+                            ReadDouble(reader));
     ETLOPT_ASSIGN_OR_RETURN(plan.recovery.expected_recovery_cost,
-                            reader.Double());
+                            ReadDouble(reader));
     ETLOPT_ASSIGN_OR_RETURN(plan.recovery.expected_total_cost,
-                            reader.Double());
+                            ReadDouble(reader));
     ETLOPT_ASSIGN_OR_RETURN(plan.recovery.failure_rate_per_cost,
-                            reader.Double());
+                            ReadDouble(reader));
     ETLOPT_ASSIGN_OR_RETURN(plan.recovery.stream_checkpoint_unit_cost,
-                            reader.Double());
+                            ReadDouble(reader));
     ETLOPT_ASSIGN_OR_RETURN(plan.recovery.rationale, reader.String());
   }
   if (!reader.AtEnd()) {
@@ -454,35 +456,16 @@ std::string SerializePlansBinary(const std::vector<OptimizedPlan>& plans) {
     PutU64(payload, bytes.size());
     payload += bytes;
   }
-  std::string out(kCacheFileMagic, sizeof(kCacheFileMagic));
-  PutU64(out, payload.size());
-  out += payload;
-  PutU64(out, Fnv1a64(payload));
-  return out;
+  return SealPayload(kCacheFileMagic, payload);
 }
 
 StatusOr<std::vector<OptimizedPlan>> ParsePlansBinary(std::string_view bytes) {
-  if (bytes.size() < sizeof(kCacheFileMagic) + 16 ||
-      std::memcmp(bytes.data(), kCacheFileMagic,
-                  sizeof(kCacheFileMagic)) != 0) {
-    return Status::InvalidArgument(
-        "plan cache: bad magic or truncated file");
-  }
-  WireReader header(bytes.substr(sizeof(kCacheFileMagic)));
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t payload_size, header.U64());
-  if (header.remaining() < 8 || payload_size != header.remaining() - 8) {
-    return Status::InvalidArgument(
-        "plan cache: length mismatch (truncated)");
-  }
   // Whole-file checksum first: a flip anywhere — even inside a length
   // prefix or at a plan boundary — is caught before any plan is parsed.
-  ETLOPT_ASSIGN_OR_RETURN(std::string_view payload,
-                          header.Bytes(payload_size));
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t recorded_checksum, header.U64());
-  if (Fnv1a64(payload) != recorded_checksum) {
-    return Status::InvalidArgument("plan cache: checksum mismatch");
-  }
-  WireReader reader(payload);
+  ETLOPT_ASSIGN_OR_RETURN(
+      std::string_view payload,
+      UnsealPayload(bytes, kCacheFileMagic, "plan cache"));
+  BinaryReader reader(payload);
   ETLOPT_ASSIGN_OR_RETURN(uint32_t count, reader.U32());
   std::vector<OptimizedPlan> plans;
   plans.reserve(std::min<size_t>(count, reader.remaining() / 8));

@@ -2,10 +2,9 @@
 
 #include <cstring>
 
-namespace etlopt {
+#include "common/macros.h"
 
-// PutU32/PutU64 are defined in records/record_io.cc — one strong
-// definition for every binary format, declared by both headers.
+namespace etlopt {
 
 void PutDouble(std::string& out, double v) {
   uint64_t bits;
@@ -18,8 +17,8 @@ void PutString(std::string& out, std::string_view s) {
   out += s;
 }
 
-StatusOr<double> WireReader::Double() {
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t bits, U64());
+StatusOr<double> ReadDouble(BinaryReader& reader) {
+  ETLOPT_ASSIGN_OR_RETURN(uint64_t bits, reader.U64());
   double v;
   std::memcpy(&v, &bits, sizeof(v));
   return v;

@@ -1,93 +1,27 @@
-// Little-endian binary encode/decode primitives shared by every etlopt
-// byte format: plan files (ETLPLAN1/ETLPLNS1), recovery and stream
-// checkpoints, and the network wire protocol (ETLNET1). Writers append
-// to a std::string; WireReader walks a string_view with bounds checks
-// that fail as clean InvalidArgument — a truncated or corrupt input can
-// never read past the end or force a huge allocation.
+// Little-endian encode/decode helpers for the etlopt byte formats that
+// carry doubles and strings: plan files (ETLPLAN1/ETLPLNS1), stream
+// checkpoints (ETLSTRM1) and the network wire protocol (ETLNET1). The
+// integer writers and the one bounds-checked reader, BinaryReader, live
+// in records/record_io.h; these add doubles and strings on top of them.
 
 #ifndef ETLOPT_IO_WIRE_CODEC_H_
 #define ETLOPT_IO_WIRE_CODEC_H_
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 
-#include "common/macros.h"
-#include "common/status.h"
 #include "common/statusor.h"
+#include "records/record_io.h"
 
 namespace etlopt {
 
-void PutU32(std::string& out, uint32_t v);
-void PutU64(std::string& out, uint64_t v);
 /// Stored as the IEEE bit pattern, so the round trip is trivially exact.
 void PutDouble(std::string& out, double v);
 /// u32 length prefix + raw bytes.
 void PutString(std::string& out, std::string_view s);
 
-/// Bounds-checked cursor over one encoded buffer.
-class WireReader {
- public:
-  explicit WireReader(std::string_view bytes) : bytes_(bytes) {}
-
-  StatusOr<uint8_t> U8() {
-    ETLOPT_RETURN_NOT_OK(Need(1));
-    return static_cast<uint8_t>(bytes_[pos_++]);
-  }
-
-  StatusOr<uint32_t> U32() {
-    ETLOPT_RETURN_NOT_OK(Need(4));
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-
-  StatusOr<uint64_t> U64() {
-    ETLOPT_RETURN_NOT_OK(Need(8));
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-
-  StatusOr<double> Double();
-
-  StatusOr<std::string> String() {
-    ETLOPT_ASSIGN_OR_RETURN(uint32_t n, U32());
-    ETLOPT_RETURN_NOT_OK(Need(n));
-    std::string s(bytes_.substr(pos_, n));
-    pos_ += n;
-    return s;
-  }
-
-  StatusOr<std::string_view> Bytes(size_t n) {
-    ETLOPT_RETURN_NOT_OK(Need(n));
-    std::string_view v = bytes_.substr(pos_, n);
-    pos_ += n;
-    return v;
-  }
-
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-  size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  Status Need(size_t n) {
-    if (n > bytes_.size() - pos_) {
-      return Status::InvalidArgument("wire: truncated binary input");
-    }
-    return Status::OK();
-  }
-
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
+/// Reads a double written by PutDouble.
+StatusOr<double> ReadDouble(BinaryReader& reader);
 
 }  // namespace etlopt
 

@@ -52,7 +52,7 @@ StatusOr<Frame> DecodeFrame(std::string_view bytes, size_t max_frame_bytes) {
   if (std::memcmp(bytes.data(), kNetMagic, sizeof(kNetMagic)) != 0) {
     return Status::InvalidArgument("net: bad frame magic");
   }
-  WireReader reader(bytes.substr(sizeof(kNetMagic)));
+  BinaryReader reader(bytes.substr(sizeof(kNetMagic)));
   ETLOPT_ASSIGN_OR_RETURN(uint8_t type, reader.U8());
   if (!IsKnownFrameType(type)) {
     return Status::InvalidArgument(
@@ -90,7 +90,7 @@ StatusOr<Frame> ReadFrame(Socket& socket, size_t max_frame_bytes) {
   if (std::memcmp(header.data(), kNetMagic, sizeof(kNetMagic)) != 0) {
     return Status::InvalidArgument("net: bad frame magic");
   }
-  WireReader reader(
+  BinaryReader reader(
       std::string_view(header).substr(sizeof(kNetMagic)));
   ETLOPT_ASSIGN_OR_RETURN(uint8_t type, reader.U8());
   if (!IsKnownFrameType(type)) {
@@ -109,7 +109,7 @@ StatusOr<Frame> ReadFrame(Socket& socket, size_t max_frame_bytes) {
   std::string body;
   ETLOPT_RETURN_NOT_OK(
       socket.ReadFully(body, payload_size + kFrameChecksumBytes));
-  WireReader body_reader(body);
+  BinaryReader body_reader(body);
   ETLOPT_ASSIGN_OR_RETURN(std::string_view payload,
                           body_reader.Bytes(payload_size));
   ETLOPT_ASSIGN_OR_RETURN(uint64_t recorded, body_reader.U64());

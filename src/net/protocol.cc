@@ -31,7 +31,7 @@ void PutSearchOptions(std::string& out, const SearchOptions& options) {
   out.push_back(static_cast<char>(flags));
 }
 
-StatusOr<SearchOptions> ReadSearchOptions(WireReader& reader) {
+StatusOr<SearchOptions> ReadSearchOptions(BinaryReader& reader) {
   SearchOptions options;
   ETLOPT_ASSIGN_OR_RETURN(options.max_states, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(uint64_t max_millis, reader.U64());
@@ -54,7 +54,7 @@ constexpr uint8_t kCacheHitBit = 1 << 0;
 constexpr uint8_t kCoalescedBit = 1 << 1;
 constexpr uint8_t kDegradedBit = 1 << 2;
 
-Status CheckAtEnd(const WireReader& reader, const char* what) {
+Status CheckAtEnd(const BinaryReader& reader, const char* what) {
   if (!reader.AtEnd()) {
     return Status::InvalidArgument(
         StrFormat("net: trailing bytes after %s", what));
@@ -80,7 +80,7 @@ std::string EncodeOptimizeRequest(const NetOptimizeRequest& request) {
 
 StatusOr<NetOptimizeRequest> DecodeOptimizeRequest(
     std::string_view payload) {
-  WireReader reader(payload);
+  BinaryReader reader(payload);
   NetOptimizeRequest request;
   ETLOPT_ASSIGN_OR_RETURN(request.workflow_text, reader.String());
   ETLOPT_ASSIGN_OR_RETURN(std::string algorithm, reader.String());
@@ -118,7 +118,7 @@ std::string EncodeOptimizeResponse(const NetOptimizeResponse& response) {
 
 StatusOr<NetOptimizeResponse> DecodeOptimizeResponse(
     std::string_view payload) {
-  WireReader reader(payload);
+  BinaryReader reader(payload);
   NetOptimizeResponse response;
   ETLOPT_ASSIGN_OR_RETURN(uint8_t flags, reader.U8());
   if (flags > (kCacheHitBit | kCoalescedBit | kDegradedBit)) {
@@ -127,7 +127,7 @@ StatusOr<NetOptimizeResponse> DecodeOptimizeResponse(
   response.cache_hit = (flags & kCacheHitBit) != 0;
   response.coalesced = (flags & kCoalescedBit) != 0;
   response.degraded = (flags & kDegradedBit) != 0;
-  ETLOPT_ASSIGN_OR_RETURN(response.server_millis, reader.Double());
+  ETLOPT_ASSIGN_OR_RETURN(response.server_millis, ReadDouble(reader));
   ETLOPT_ASSIGN_OR_RETURN(std::string plan_bytes, reader.String());
   ETLOPT_ASSIGN_OR_RETURN(response.plan, ParsePlanBinary(plan_bytes));
   ETLOPT_RETURN_NOT_OK(CheckAtEnd(reader, "optimize response"));
@@ -189,7 +189,7 @@ std::string EncodeStatsResponse(const NetStatsResponse& stats) {
 }
 
 StatusOr<NetStatsResponse> DecodeStatsResponse(std::string_view payload) {
-  WireReader reader(payload);
+  BinaryReader reader(payload);
   NetStatsResponse stats;
   PlanCacheStats& cache = stats.service.cache;
   ETLOPT_ASSIGN_OR_RETURN(cache.hits, reader.U64());
@@ -224,7 +224,7 @@ StatusOr<NetStatsResponse> DecodeStatsResponse(std::string_view payload) {
   ETLOPT_ASSIGN_OR_RETURN(service.search_retries, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(service.degraded, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(service.deadline_exceeded, reader.U64());
-  ETLOPT_ASSIGN_OR_RETURN(service.search_millis, reader.Double());
+  ETLOPT_ASSIGN_OR_RETURN(service.search_millis, ReadDouble(reader));
   ETLOPT_ASSIGN_OR_RETURN(uint8_t state, reader.U8());
   if (state > static_cast<uint8_t>(BreakerState::kHalfOpen)) {
     return Status::InvalidArgument("net: bad breaker state");
@@ -262,7 +262,7 @@ std::string EncodeSavePlansRequest(const NetSavePlansRequest& request) {
 
 StatusOr<NetSavePlansRequest> DecodeSavePlansRequest(
     std::string_view payload) {
-  WireReader reader(payload);
+  BinaryReader reader(payload);
   NetSavePlansRequest request;
   ETLOPT_ASSIGN_OR_RETURN(request.path, reader.String());
   ETLOPT_ASSIGN_OR_RETURN(uint8_t binary, reader.U8());
@@ -282,7 +282,7 @@ std::string EncodeHealthResponse(const NetHealthResponse& health) {
 }
 
 StatusOr<NetHealthResponse> DecodeHealthResponse(std::string_view payload) {
-  WireReader reader(payload);
+  BinaryReader reader(payload);
   NetHealthResponse health;
   ETLOPT_ASSIGN_OR_RETURN(uint8_t serving, reader.U8());
   if (serving > 1) {
@@ -302,7 +302,7 @@ std::string EncodeStatusPayload(const Status& status) {
 }
 
 Status DecodeStatusPayload(std::string_view payload) {
-  WireReader reader(payload);
+  BinaryReader reader(payload);
   ETLOPT_ASSIGN_OR_RETURN(uint32_t code, reader.U32());
   if (code == 0 ||
       code > static_cast<uint32_t>(StatusCode::kDeadlineExceeded)) {

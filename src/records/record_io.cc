@@ -1,5 +1,6 @@
 #include "records/record_io.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/macros.h"
@@ -45,6 +46,19 @@ void PutRecord(std::string& out, const Record& record) {
   for (size_t i = 0; i < record.size(); ++i) PutValue(out, record.value(i));
 }
 
+void PutRecords(std::string& out, const std::vector<Record>& rows) {
+  PutU64(out, rows.size());
+  for (const Record& r : rows) PutRecord(out, r);
+}
+
+std::string SealPayload(std::string_view magic, std::string_view payload) {
+  std::string out(magic);
+  PutU64(out, payload.size());
+  out += payload;
+  PutU64(out, Fnv1a64(payload));
+  return out;
+}
+
 StatusOr<uint8_t> BinaryReader::U8() {
   ETLOPT_RETURN_NOT_OK(Need(1));
   return static_cast<uint8_t>(bytes_[pos_++]);
@@ -80,9 +94,16 @@ StatusOr<std::string> BinaryReader::String() {
   return s;
 }
 
+StatusOr<std::string_view> BinaryReader::Bytes(size_t n) {
+  ETLOPT_RETURN_NOT_OK(Need(n));
+  std::string_view v = bytes_.substr(pos_, n);
+  pos_ += n;
+  return v;
+}
+
 Status BinaryReader::Need(size_t n) {
   if (n > bytes_.size() - pos_) {
-    return Status::InvalidArgument("checkpoint: truncated input");
+    return Status::InvalidArgument("truncated binary input");
   }
   return Status::OK();
 }
@@ -124,6 +145,44 @@ StatusOr<Record> ReadRecord(BinaryReader& reader) {
     record.Append(std::move(v));
   }
   return record;
+}
+
+StatusOr<std::vector<Record>> ReadRecords(BinaryReader& reader) {
+  ETLOPT_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
+  std::vector<Record> rows;
+  // Bound the reserve by what the input could possibly hold (each row
+  // costs at least 4 bytes), so a corrupt count cannot force a huge
+  // allocation before the per-row bounds checks fire.
+  rows.reserve(static_cast<size_t>(
+      std::min<uint64_t>(n, reader.remaining() / 4)));
+  for (uint64_t i = 0; i < n; ++i) {
+    ETLOPT_ASSIGN_OR_RETURN(Record r, ReadRecord(reader));
+    rows.push_back(std::move(r));
+  }
+  return rows;
+}
+
+StatusOr<std::string_view> UnsealPayload(std::string_view bytes,
+                                         std::string_view magic,
+                                         const char* what) {
+  if (bytes.size() < magic.size() + 16 ||
+      bytes.substr(0, magic.size()) != magic) {
+    return Status::InvalidArgument(
+        StrFormat("%s: bad magic or truncated file", what));
+  }
+  BinaryReader reader(bytes.substr(magic.size()));
+  ETLOPT_ASSIGN_OR_RETURN(uint64_t payload_size, reader.U64());
+  if (payload_size != reader.remaining() - 8) {
+    return Status::InvalidArgument(
+        StrFormat("%s: length mismatch (truncated)", what));
+  }
+  ETLOPT_ASSIGN_OR_RETURN(std::string_view payload,
+                          reader.Bytes(payload_size));
+  ETLOPT_ASSIGN_OR_RETURN(uint64_t recorded_checksum, reader.U64());
+  if (Fnv1a64(payload) != recorded_checksum) {
+    return Status::InvalidArgument(StrFormat("%s: checksum mismatch", what));
+  }
+  return payload;
 }
 
 }  // namespace etlopt

@@ -1,8 +1,11 @@
-// Binary record codec: the little-endian, length-prefixed cell encoding
-// shared by the ETLCKPT1 recovery checkpoints, the ETLSTRM1 stream-state
-// checkpoints, and the execution-input fingerprint. Doubles are encoded
-// as bit patterns, so every round trip is exact; readers bounds-check
-// every access and fail with a clean Status on truncation or garbage.
+// Binary codec: the little-endian, length-prefixed integer and cell
+// encoding shared by every etlopt byte format — ETLCKPT1 recovery
+// checkpoints, ETLSTRM1 stream-state checkpoints, ETLPLAN1/ETLPLNS1 plan
+// files, ETLNET1 frames, and the execution-input fingerprint. Doubles
+// are encoded as bit patterns, so every round trip is exact. The one
+// reader, BinaryReader, bounds-checks every access and fails with a
+// clean Status on truncation or garbage, so corrupt input can never
+// read past the end or force a huge allocation.
 
 #ifndef ETLOPT_RECORDS_RECORD_IO_H_
 #define ETLOPT_RECORDS_RECORD_IO_H_
@@ -10,6 +13,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/statusor.h"
 #include "records/record.h"
@@ -28,6 +32,14 @@ void PutValue(std::string& out, const Value& v);
 /// Arity-prefixed sequence of cells.
 void PutRecord(std::string& out, const Record& record);
 
+/// u64 count + that many records.
+void PutRecords(std::string& out, const std::vector<Record>& rows);
+
+/// The checksummed container of the ETLCKPT1, ETLSTRM1 and ETLPLNS1
+/// files: 8-byte magic | u64 payload length | payload |
+/// u64 FNV-1a(payload).
+std::string SealPayload(std::string_view magic, std::string_view payload);
+
 // ---- reader ----
 
 /// Cursor over a byte buffer; every accessor bounds-checks and returns
@@ -40,6 +52,8 @@ class BinaryReader {
   StatusOr<uint32_t> U32();
   StatusOr<uint64_t> U64();
   StatusOr<std::string> String();
+  /// The next `n` raw bytes, as a view into the buffer.
+  StatusOr<std::string_view> Bytes(size_t n);
 
   size_t remaining() const { return bytes_.size() - pos_; }
   bool AtEnd() const { return pos_ == bytes_.size(); }
@@ -53,6 +67,13 @@ class BinaryReader {
 
 StatusOr<Value> ReadValue(BinaryReader& reader);
 StatusOr<Record> ReadRecord(BinaryReader& reader);
+StatusOr<std::vector<Record>> ReadRecords(BinaryReader& reader);
+
+/// Checks a SealPayload buffer's magic, length and checksum and returns
+/// its payload. Error messages start with `what` ("checkpoint", ...).
+StatusOr<std::string_view> UnsealPayload(std::string_view bytes,
+                                         std::string_view magic,
+                                         const char* what);
 
 }  // namespace etlopt
 

@@ -1,22 +1,15 @@
 #include "stream/stream_checkpoint.h"
 
-#include <algorithm>
-#include <cstring>
-
 #include "common/macros.h"
-#include "common/string_util.h"
+#include "engine/recovery.h"
+#include "io/wire_codec.h"
 #include "records/record_io.h"
 
 namespace etlopt {
 
 namespace {
 
-const char kStreamMagic[8] = {'E', 'T', 'L', 'S', 'T', 'R', 'M', '1'};
-
-void PutString(std::string& out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out += s;
-}
+constexpr std::string_view kStreamMagic = "ETLSTRM1";
 
 }  // namespace
 
@@ -26,16 +19,11 @@ std::string SerializeStreamCheckpoint(const StreamCheckpoint& checkpoint) {
   PutU64(payload, checkpoint.capture_fingerprint);
   PutU64(payload, checkpoint.next_batch);
   PutU64(payload, checkpoint.batch_count);
-  PutU32(payload, static_cast<uint32_t>(checkpoint.rows_out.size()));
-  for (const auto& [node, count] : checkpoint.rows_out) {
-    PutU32(payload, static_cast<uint32_t>(node));
-    PutU64(payload, count);
-  }
+  PutRowsOut(payload, checkpoint.rows_out);
   PutU32(payload, static_cast<uint32_t>(checkpoint.target_data.size()));
   for (const auto& [name, rows] : checkpoint.target_data) {
     PutString(payload, name);
-    PutU64(payload, rows.size());
-    for (const Record& r : rows) PutRecord(payload, r);
+    PutRecords(payload, rows);
   }
   PutU32(payload, static_cast<uint32_t>(checkpoint.state_blobs.size()));
   for (const auto& [key, blob] : checkpoint.state_blobs) {
@@ -43,61 +31,25 @@ std::string SerializeStreamCheckpoint(const StreamCheckpoint& checkpoint) {
     PutString(payload, blob);
   }
 
-  std::string out(kStreamMagic, sizeof(kStreamMagic));
-  PutU64(out, payload.size());
-  out += payload;
-  PutU64(out, Fnv1a64(payload));
-  return out;
+  return SealPayload(kStreamMagic, payload);
 }
 
 StatusOr<StreamCheckpoint> ParseStreamCheckpoint(std::string_view bytes) {
-  if (bytes.size() < sizeof(kStreamMagic) + 16 ||
-      std::memcmp(bytes.data(), kStreamMagic, sizeof(kStreamMagic)) != 0) {
-    return Status::InvalidArgument(
-        "stream checkpoint: bad magic or truncated file");
-  }
-  BinaryReader header(bytes.substr(sizeof(kStreamMagic)));
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t payload_size, header.U64());
-  if (header.remaining() < 8 || payload_size != header.remaining() - 8) {
-    return Status::InvalidArgument(
-        "stream checkpoint: length mismatch (truncated)");
-  }
-  std::string_view payload =
-      bytes.substr(sizeof(kStreamMagic) + 8, payload_size);
-  BinaryReader checksum_reader(
-      bytes.substr(sizeof(kStreamMagic) + 8 + payload_size));
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t recorded_checksum, checksum_reader.U64());
-  if (Fnv1a64(payload) != recorded_checksum) {
-    return Status::InvalidArgument("stream checkpoint: checksum mismatch");
-  }
-
+  ETLOPT_ASSIGN_OR_RETURN(
+      std::string_view payload,
+      UnsealPayload(bytes, kStreamMagic, "stream checkpoint"));
   BinaryReader reader(payload);
   StreamCheckpoint checkpoint;
   ETLOPT_ASSIGN_OR_RETURN(checkpoint.workflow_hash, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(checkpoint.capture_fingerprint, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(checkpoint.next_batch, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(checkpoint.batch_count, reader.U64());
-  ETLOPT_ASSIGN_OR_RETURN(uint32_t rows_out_size, reader.U32());
-  for (uint32_t i = 0; i < rows_out_size; ++i) {
-    ETLOPT_ASSIGN_OR_RETURN(uint32_t node, reader.U32());
-    ETLOPT_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
-    checkpoint.rows_out[static_cast<NodeId>(node)] =
-        static_cast<size_t>(count);
-  }
+  ETLOPT_ASSIGN_OR_RETURN(checkpoint.rows_out, ReadRowsOut(reader));
   ETLOPT_ASSIGN_OR_RETURN(uint32_t target_count, reader.U32());
   for (uint32_t i = 0; i < target_count; ++i) {
     ETLOPT_ASSIGN_OR_RETURN(std::string name, reader.String());
-    ETLOPT_ASSIGN_OR_RETURN(uint64_t row_count, reader.U64());
-    std::vector<Record>& rows = checkpoint.target_data[name];
-    // Bound the reserve by what the payload could possibly hold, so a
-    // corrupt count cannot force a huge allocation before the per-row
-    // bounds checks fire.
-    rows.reserve(static_cast<size_t>(
-        std::min<uint64_t>(row_count, reader.remaining() / 4)));
-    for (uint64_t r = 0; r < row_count; ++r) {
-      ETLOPT_ASSIGN_OR_RETURN(Record record, ReadRecord(reader));
-      rows.push_back(std::move(record));
-    }
+    ETLOPT_ASSIGN_OR_RETURN(checkpoint.target_data[name],
+                            ReadRecords(reader));
   }
   ETLOPT_ASSIGN_OR_RETURN(uint32_t blob_count, reader.U32());
   for (uint32_t i = 0; i < blob_count; ++i) {

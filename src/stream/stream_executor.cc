@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -18,8 +17,10 @@
 #include "common/random.h"
 #include "common/retry.h"
 #include "common/string_util.h"
+#include "engine/partition.h"
 #include "engine/thread_pool.h"
 #include "fault/fault_injector.h"
+#include "io/wire_codec.h"
 #include "records/record_io.h"
 #include "stream/stream_checkpoint.h"
 
@@ -29,45 +30,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using SteadyClock = std::chrono::steady_clock;
-
-// Bounded retention GC for stale sibling stream checkpoints: after a
-// successful run, only the `max_retained` most recently written stale
-// stream_*.ckpt files under `checkpoint_dir` survive (oldest pruned
-// first); `current_path` is never touched. Best-effort.
-size_t PruneStaleStreamCheckpoints(const std::string& checkpoint_dir,
-                                   const std::string& current_path,
-                                   size_t max_retained) {
-  std::error_code ec;
-  fs::directory_iterator it(
-      checkpoint_dir, fs::directory_options::skip_permission_denied, ec);
-  if (ec) return 0;
-  std::vector<std::pair<fs::file_time_type, fs::path>> stale;
-  for (fs::directory_iterator end; it != end; it.increment(ec)) {
-    if (ec) return 0;
-    const fs::directory_entry& entry = *it;
-    std::error_code entry_ec;
-    if (!entry.is_regular_file(entry_ec) || entry_ec) continue;
-    const std::string name = entry.path().filename().string();
-    if (!StartsWith(name, "stream_") || !EndsWith(name, ".ckpt")) continue;
-    if (entry.path() == fs::path(current_path)) continue;
-    fs::file_time_type mtime = entry.last_write_time(entry_ec);
-    if (entry_ec) mtime = fs::file_time_type::min();
-    stale.emplace_back(mtime, entry.path());
-  }
-  if (stale.size() <= max_retained) return 0;
-  std::sort(stale.begin(), stale.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return a.second < b.second;
-            });
-  size_t pruned = 0;
-  for (size_t i = 0; i + max_retained < stale.size(); ++i) {
-    std::error_code rm_ec;
-    fs::remove(stale[i].second, rm_ec);
-    if (!rm_ec) ++pruned;
-  }
-  return pruned;
-}
 
 // ---- incremental execution plan -----------------------------------------
 
@@ -179,31 +141,6 @@ struct NodeStaging {
 
 // ---- helpers -------------------------------------------------------------
 
-std::vector<Value> ExtractKey(const Record& row,
-                              const std::vector<size_t>& idx) {
-  std::vector<Value> key;
-  key.reserve(idx.size());
-  for (size_t i : idx) key.push_back(row.value(i));
-  return key;
-}
-
-bool HasNull(const std::vector<Value>& key) {
-  return std::any_of(key.begin(), key.end(),
-                     [](const Value& v) { return v.is_null(); });
-}
-
-StatusOr<std::vector<size_t>> ResolveAttrs(
-    const Schema& schema, const std::vector<std::string>& attrs) {
-  std::vector<size_t> idx;
-  idx.reserve(attrs.size());
-  for (const auto& a : attrs) {
-    auto i = schema.IndexOf(a);
-    if (!i.has_value()) return Status::Internal("stream: missing attr " + a);
-    idx.push_back(*i);
-  }
-  return idx;
-}
-
 // Absolute-value overlay lookup/touch for the bag counts.
 int64_t& OverlayCount(std::map<Record, int64_t>& overlay,
                       const std::map<Record, int64_t>& main,
@@ -266,28 +203,8 @@ StatusOr<std::vector<Value>> ReadValueVec(BinaryReader& reader) {
   return values;
 }
 
-void PutRecords(std::string& out, const std::vector<Record>& rows) {
-  PutU64(out, rows.size());
-  for (const Record& r : rows) PutRecord(out, r);
-}
-
-StatusOr<std::vector<Record>> ReadRecords(BinaryReader& reader) {
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
-  std::vector<Record> rows;
-  rows.reserve(static_cast<size_t>(
-      std::min<uint64_t>(n, reader.remaining() / 4)));
-  for (uint64_t i = 0; i < n; ++i) {
-    ETLOPT_ASSIGN_OR_RETURN(Record r, ReadRecord(reader));
-    rows.push_back(std::move(r));
-  }
-  return rows;
-}
-
 void PutAcc(std::string& out, const AggAcc& acc) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(acc.sum));
-  std::memcpy(&bits, &acc.sum, sizeof(bits));
-  PutU64(out, bits);
+  PutDouble(out, acc.sum);
   PutU64(out, static_cast<uint64_t>(acc.non_null));
   PutValue(out, acc.min);
   PutValue(out, acc.max);
@@ -295,8 +212,7 @@ void PutAcc(std::string& out, const AggAcc& acc) {
 
 StatusOr<AggAcc> ReadAcc(BinaryReader& reader) {
   AggAcc acc;
-  ETLOPT_ASSIGN_OR_RETURN(uint64_t bits, reader.U64());
-  std::memcpy(&acc.sum, &bits, sizeof(acc.sum));
+  ETLOPT_ASSIGN_OR_RETURN(acc.sum, ReadDouble(reader));
   ETLOPT_ASSIGN_OR_RETURN(uint64_t non_null, reader.U64());
   acc.non_null = static_cast<int64_t>(non_null);
   ETLOPT_ASSIGN_OR_RETURN(acc.min, ReadValue(reader));
@@ -669,12 +585,6 @@ class StreamRun {
         ETLOPT_FAULT_HIT(FaultSite::kRecoveryPlaceCheckpoint);
       }
       ETLOPT_FAULT_HIT(FaultSite::kStreamStateCheckpoint);
-      std::error_code ec;
-      fs::create_directories(options_.checkpoint_dir, ec);
-      if (ec) {
-        return Status::IOError("cannot create checkpoint dir: " +
-                               options_.checkpoint_dir + ": " + ec.message());
-      }
       return WriteFileAtomic(checkpoint_path_, bytes);
     };
     Status status =
@@ -710,30 +620,24 @@ class StreamRun {
             mp.mode = MemberMode::kPkDelta;
             const auto& p = a.params_as<PrimaryKeyParams>();
             ETLOPT_ASSIGN_OR_RETURN(
-                mp.key_idx_left, ResolveAttrs(cur_inputs[0], p.key_attrs));
+                mp.key_idx_left, AttrIndices(cur_inputs[0], p.key_attrs));
             break;
           }
           case ActivityKind::kJoin: {
             mp.mode = MemberMode::kJoinDelta;
             const auto& p = a.params_as<JoinParams>();
             ETLOPT_ASSIGN_OR_RETURN(
-                mp.key_idx_left, ResolveAttrs(cur_inputs[0], p.key_attrs));
+                mp.key_idx_left, AttrIndices(cur_inputs[0], p.key_attrs));
             ETLOPT_ASSIGN_OR_RETURN(
-                mp.key_idx_right, ResolveAttrs(cur_inputs[1], p.key_attrs));
-            for (size_t i = 0; i < cur_inputs[1].size(); ++i) {
-              const std::string& name = cur_inputs[1].attribute(i).name;
-              if (std::find(p.key_attrs.begin(), p.key_attrs.end(), name) ==
-                  p.key_attrs.end()) {
-                mp.right_carry_idx.push_back(i);
-              }
-            }
+                mp.key_idx_right, AttrIndices(cur_inputs[1], p.key_attrs));
+            mp.right_carry_idx = JoinPassthrough(cur_inputs[1], p.key_attrs);
             break;
           }
           case ActivityKind::kAggregation: {
             mp.mode = MemberMode::kAggRefresh;
             const auto& p = a.params_as<AggregationParams>();
             ETLOPT_ASSIGN_OR_RETURN(
-                mp.group_idx, ResolveAttrs(cur_inputs[0], p.group_by));
+                mp.group_idx, AttrIndices(cur_inputs[0], p.group_by));
             for (const auto& spec : p.aggregates) {
               auto i = cur_inputs[0].IndexOf(spec.arg);
               if (!i.has_value()) {
@@ -1153,9 +1057,15 @@ StatusOr<ExecutionResult> StreamExecutor::Run(const Workflow& workflow,
       std::error_code ec;
       fs::remove(checkpoint_path, ec);  // best-effort cleanup
     }
-    stats.stale_checkpoints_pruned = PruneStaleStreamCheckpoints(
+    // Bounded retention of stale sibling stream_*.ckpt files.
+    stats.stale_checkpoints_pruned = PruneOldest(
         options_.checkpoint_dir, checkpoint_path,
-        options_.max_retained_checkpoints);
+        options_.max_retained_checkpoints, [](const fs::directory_entry& e) {
+          std::error_code ec;
+          const std::string name = e.path().filename().string();
+          return e.is_regular_file(ec) && !ec &&
+                 StartsWith(name, "stream_") && EndsWith(name, ".ckpt");
+        });
   }
   if (stats_out != nullptr) *stats_out = stats;
   return result;

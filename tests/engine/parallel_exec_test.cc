@@ -4,7 +4,6 @@
 
 #include "activity/templates.h"
 #include "common/macros.h"
-#include "engine/pipeline.h"
 #include "optimizer/search.h"
 #include "workload/generator.h"
 #include "workload/scenarios.h"

@@ -163,19 +163,6 @@ TEST(SharedCacheEquivalenceTest, CorrectUnderEvictionPressure) {
   EXPECT_GT(stats.evictions + stats.oversized, 0u);
 }
 
-TEST(SharedCacheEquivalenceTest, LookupOnlyModeNeverPublishes) {
-  Case c = MakeCase(WorkloadCategory::kSmall, 2);
-  SharedResultCache cache;
-  CacheOptions copts;
-  copts.cache = &cache;
-  copts.publish = false;
-  auto r = ExecuteWorkflow(c.workflow, c.input, copts);
-  ASSERT_TRUE(r.ok());
-  ExpectSameResult(c.baseline, *r, "lookup-only");
-  EXPECT_EQ(cache.Stats().insertions, 0u);
-  EXPECT_EQ(cache.Stats().entries, 0u);
-}
-
 // k concurrent identical runs against an empty cache: single-flight
 // coalescing must collapse them to ONE execution of the workflow. Every
 // run returns the baseline bytes; the summed executed work equals

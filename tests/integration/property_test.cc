@@ -10,7 +10,6 @@
 #include "common/random.h"
 #include "engine/executor.h"
 #include "engine/parallel.h"
-#include "engine/pipeline.h"
 #include "engine/vectorized.h"
 #include "optimizer/search.h"
 #include "optimizer/transitions.h"
@@ -139,22 +138,14 @@ TEST_P(TransitionPropertyTest, SignatureIdentifiesStatesUniquely) {
   }
 }
 
-// N-version check: the materializing, pipelined, parallel and vectorized
-// engines implement the activity semantics independently and must agree
-// on target multisets and per-node cardinalities. The parallel and
-// vectorized engines are checked at one worker and at several.
+// N-version check: the materializing, parallel and vectorized engines
+// must agree byte for byte on targets and per-node cardinalities. The
+// parallel and vectorized engines are checked at one worker and at
+// several.
 void ExpectAllEnginesAgree(const Workflow& w, const ExecutionInput& input,
                            const char* what) {
   auto batch = ExecuteWorkflow(w, input);
   ASSERT_TRUE(batch.ok()) << what << ": " << batch.status().ToString();
-  auto piped = ExecutePipelined(w, input);
-  ASSERT_TRUE(piped.ok()) << what << ": " << piped.status().ToString();
-  ASSERT_EQ(batch->target_data.size(), piped->target_data.size()) << what;
-  for (const auto& [name, rows] : batch->target_data) {
-    EXPECT_TRUE(SameRecordMultiset(rows, piped->target_data.at(name)))
-        << what << " pipelined target " << name;
-  }
-  EXPECT_EQ(batch->rows_out, piped->rows_out) << what;
   for (size_t threads : {1u, 4u}) {
     ParallelOptions options;
     options.num_threads = threads;
@@ -187,27 +178,8 @@ void ExpectAllEnginesAgree(const Workflow& w, const ExecutionInput& input,
   }
 }
 
-TEST_P(TransitionPropertyTest, PipelinedExecutorAgreesWithBatch) {
-  // The pipelined engine also reports buffering stats; check them here,
-  // separately from the three-way agreement sweep below.
-  GeneratedWorkflow g = Generate();
-  ExecutionInput input = GenerateInputFor(g.workflow, GetParam().seed + 5, 50);
-  auto batch = ExecuteWorkflow(g.workflow, input);
-  PipelineStats stats;
-  auto piped = ExecutePipelined(g.workflow, input, &stats);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_TRUE(piped.ok()) << piped.status().ToString();
-  ASSERT_EQ(batch->target_data.size(), piped->target_data.size());
-  for (const auto& [name, rows] : batch->target_data) {
-    EXPECT_TRUE(SameRecordMultiset(rows, piped->target_data.at(name)));
-  }
-  EXPECT_EQ(batch->rows_out, piped->rows_out);
-  // Pipelining buffers strictly less than full materialization.
-  EXPECT_LT(stats.buffered_rows, stats.materialized_equivalent);
-}
-
 TEST_P(TransitionPropertyTest, AllEnginesAgreePreAndPostOptimization) {
-  // Every seeded scenario: materializing == pipelined == parallel (1 and
+  // Every seeded scenario: materializing == parallel == vectorized (1 and
   // N workers), on the initial state, on a transition successor, and on
   // the heuristically optimized state.
   GeneratedWorkflow g = Generate();
