@@ -128,7 +128,7 @@ StatusOr<bool> ProduceSameOutput(const Workflow& a, const Workflow& b,
                                  const ExecutionInput& input);
 
 /// Reorders `rows` (laid out by `from`) into `to`'s attribute order —
-/// the staging/target realignment step, shared with the stream executor.
+/// the serial strategy's staging/target realignment step.
 StatusOr<std::vector<Record>> RealignRecords(const std::vector<Record>& rows,
                                              const Schema& from,
                                              const Schema& to);

@@ -19,11 +19,14 @@
 //   StatusOr<Flow> Source(const Schema&, const std::vector<Record>&);
 //   StatusOr<Flow> FromRows(const Schema&, std::vector<Record>);
 //   StatusOr<Flow> Realign(Flow, const Schema& from, const Schema& to);
-//   StatusOr<Flow> RunChain(const ActivityChain&,
+//   StatusOr<Flow> RunChain(NodeId, const ActivityChain&,
 //                           const std::vector<Schema>& in_schemas,
 //                           std::vector<Flow>& inputs);
 //   static size_t Rows(const Flow&);
 //   static std::vector<Record> ToRows(const Flow&);  // non-row flows only
+//
+// RunChain receives the node id; the stream executor's strategy uses it
+// to find the node's incremental operator state, the others ignore it.
 //
 // RunChain may consume `inputs`, and a realign step consumes its
 // provider's flow. A policy that re-runs a failed step (the recoverable
@@ -112,14 +115,14 @@ class SerialStrategy {
     if (from == to) return rows;
     return RealignRecords(rows, from, to);
   }
-  StatusOr<Flow> RunChain(const ActivityChain& chain,
+  StatusOr<Flow> RunChain(NodeId, const ActivityChain& chain,
                           const std::vector<Schema>& in_schemas,
                           const std::vector<Flow>& inputs) {
     return chain.Execute(in_schemas, inputs, ctx_);
   }
   static size_t Rows(const Flow& rows) { return rows.size(); }
 
- private:
+ protected:
   const ExecutionContext& ctx_;
 };
 
@@ -191,7 +194,8 @@ StatusOr<ExecutionResult> DriveNodes(const Workflow& workflow,
         }
         ETLOPT_FAULT_HIT(FaultSite::kActivityExecute);
         const ActivityChain& chain = workflow.chain(id);
-        auto out = strategy.RunChain(chain, workflow.InputSchemas(id), inputs);
+        auto out =
+            strategy.RunChain(id, chain, workflow.InputSchemas(id), inputs);
         if (!out.ok()) {
           return out.status().WithContext(StrFormat(
               "executing node %d ('%s')", id, chain.label().c_str()));

@@ -390,7 +390,7 @@ class ParallelStrategy {
   }
   // Runs the chain member by member; the first member may be binary,
   // later members are unary by the chain invariant.
-  StatusOr<Flow> RunChain(const ActivityChain& chain,
+  StatusOr<Flow> RunChain(NodeId, const ActivityChain& chain,
                           const std::vector<Schema>& in_schemas,
                           const std::vector<Flow>& inputs) {
     Flow cur;

@@ -169,6 +169,33 @@ StatusOr<Checkpoint> ParseCheckpoint(std::string_view bytes) {
   return checkpoint;
 }
 
+StatusOr<bool> WriteCheckpointFile(const std::string& path,
+                                   const std::string& bytes, FaultSite site,
+                                   bool planned, const RetryPolicy& retry,
+                                   Rng& rng, uint64_t* retries) {
+  auto write_attempt = [&]() -> Status {
+    if (planned) ETLOPT_FAULT_HIT(FaultSite::kRecoveryPlaceCheckpoint);
+    ETLOPT_FAULT_HIT(site);
+    return WriteFileAtomic(path, bytes);
+  };
+  Status status =
+      RetryWithBackoff(retry, rng, "checkpoint write", write_attempt, retries);
+  if (IsInjectedCrash(status)) return status;
+  return status.ok();
+}
+
+StatusOr<std::optional<std::string>> ReadCheckpointFile(
+    const std::string& path, FaultSite site) {
+  Status hook = FaultProbe(site);
+  // A crash-point models the process dying here; any other injected
+  // error just makes the checkpoint unreadable.
+  if (IsInjectedCrash(hook)) return hook;
+  if (!hook.ok()) return std::optional<std::string>();
+  StatusOr<std::string> bytes = ReadFileToString(path);
+  if (!bytes.ok()) return std::optional<std::string>();
+  return std::optional<std::string>(std::move(bytes).value());
+}
+
 namespace {
 
 // Recovery as a node policy on the driver: loaded recovery points are
@@ -234,20 +261,16 @@ struct RecoveryPolicy : NodePolicy {
                     const ExecutionResult& result) override {
     // Serialized once, straight from the flow — no row copy, and retries
     // rewrite the same bytes.
-    const std::string checkpoint_bytes = SerializeCheckpointParts(
-        workflow_hash, input_hash, id, result.rows_out, rows);
-    auto write_attempt = [&]() -> Status {
-      if (options.checkpoint_policy == CheckpointPolicy::kRecoveryPlan) {
-        ETLOPT_FAULT_HIT(FaultSite::kRecoveryPlaceCheckpoint);
-      }
-      ETLOPT_FAULT_HIT(FaultSite::kCheckpointWrite);
-      return WriteFileAtomic(CheckpointPath(run_dir, id), checkpoint_bytes);
-    };
-    Status write_status =
-        RetryWithBackoff(options.retry, rng, "checkpoint write",
-                         write_attempt, &stats.retries);
-    if (IsInjectedCrash(write_status)) return write_status;
-    if (write_status.ok()) {
+    ETLOPT_ASSIGN_OR_RETURN(
+        bool written,
+        WriteCheckpointFile(
+            CheckpointPath(run_dir, id),
+            SerializeCheckpointParts(workflow_hash, input_hash, id,
+                                     result.rows_out, rows),
+            FaultSite::kCheckpointWrite,
+            options.checkpoint_policy == CheckpointPolicy::kRecoveryPlan,
+            options.retry, rng, &stats.retries));
+    if (written) {
       ++stats.checkpoints_written;
       stats.checkpoint_rows_written += rows.size();
     } else {
@@ -354,22 +377,11 @@ StatusOr<ExecutionResult> RecoverableExecutor::Execute(
         ++policy.stats.checkpoints_rejected;
         stable = false;
       };
-      Status hook;
-#ifndef ETLOPT_NO_FAULT_INJECTION
-      if (FaultInjector::Global().armed()) {
-        hook = FaultInjector::Global().Hit(FaultSite::kCheckpointRead);
-      }
-#endif
-      if (!hook.ok()) {
-        // A crash-point models the process dying here; a transient error
-        // just means this recovery point is unreadable — recompute.
-        if (IsInjectedCrash(hook)) return hook;
-        reject();
-        break;
-      }
-      StatusOr<std::string> bytes =
-          ReadFileToString(CheckpointPath(run_dir, id));
-      if (!bytes.ok()) {
+      ETLOPT_ASSIGN_OR_RETURN(
+          std::optional<std::string> bytes,
+          ReadCheckpointFile(CheckpointPath(run_dir, id),
+                             FaultSite::kCheckpointRead));
+      if (!bytes.has_value()) {
         reject();
         break;
       }

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +36,7 @@
 #include "common/retry.h"
 #include "cost/reliability_model.h"
 #include "engine/executor.h"
+#include "fault/fault_injector.h"
 
 namespace etlopt {
 
@@ -136,6 +138,22 @@ StatusOr<Checkpoint> ParseCheckpoint(std::string_view bytes);
 /// (u32 node, u64 rows) per entry.
 void PutRowsOut(std::string& out, const std::map<NodeId, size_t>& rows_out);
 StatusOr<std::map<NodeId, size_t>> ReadRowsOut(BinaryReader& reader);
+
+/// Checkpoint-file I/O shared by the recoverable and stream executors.
+/// Writes are best-effort: under RetryWithBackoff, each attempt hits
+/// FaultSite::kRecoveryPlaceCheckpoint when `planned` (an optimizer-placed
+/// checkpoint), then `site`, then WriteFileAtomic. Returns whether the
+/// file was written; only an injected crash fails the call.
+StatusOr<bool> WriteCheckpointFile(const std::string& path,
+                                   const std::string& bytes, FaultSite site,
+                                   bool planned, const RetryPolicy& retry,
+                                   Rng& rng, uint64_t* retries);
+
+/// Hits `site`, then reads the file. Returns its bytes, or nullopt when
+/// the file must be rejected (unreadable, or an injected error at the
+/// site); only an injected crash fails the call.
+StatusOr<std::optional<std::string>> ReadCheckpointFile(
+    const std::string& path, FaultSite site);
 
 class RecoverableExecutor {
  public:

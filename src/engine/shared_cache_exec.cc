@@ -43,20 +43,6 @@ uint64_t LookupFingerprint(
   return h;
 }
 
-// Cache fault sites are swallowed, not propagated: BOTH the transient
-// error and the crash kind turn into "the cache was unavailable here"
-// (miss / skipped publication), because a result cache must never be
-// able to fail a run. ETLOPT_FAULT_HIT would return from the enclosing
-// function, so the sites get this inline form instead.
-bool CacheFaultOk(FaultSite site) {
-#ifndef ETLOPT_NO_FAULT_INJECTION
-  if (FaultInjector::Global().armed()) {
-    return FaultInjector::Global().Hit(site).ok();
-  }
-#endif
-  return true;
-}
-
 bool HasBlockingMember(const ActivityChain& chain) {
   for (const ActivityChain::Member& m : chain.members()) {
     switch (m.activity.kind()) {
@@ -120,7 +106,10 @@ CachePlan::CachePlan(const Workflow& workflow, const ExecutionInput& input,
     NodeId id = *it;
     if (in_served[id] || !IsCutPoint(id)) continue;
     ++stats_.cut_points;
-    if (!CacheFaultOk(FaultSite::kCacheLookup)) {
+    // Cache fault sites are swallowed, not propagated: an injected error
+    // or crash means "the cache was unavailable here", because a result
+    // cache must never be able to fail a run.
+    if (!FaultProbe(FaultSite::kCacheLookup).ok()) {
       ++stats_.misses;  // injected cache failure: recompute locally
       continue;
     }
@@ -196,7 +185,7 @@ Status CachePlan::OnComputed(NodeId id, const std::vector<Record>& rows,
   if (lease == leases_.end()) return Status::OK();
   uint64_t sig = lease->second;
   leases_.erase(lease);
-  if (!CacheFaultOk(FaultSite::kCacheMaterialize)) {
+  if (!FaultProbe(FaultSite::kCacheMaterialize).ok()) {
     cache_->Abort(sig);  // injected failure: others recompute
     return Status::OK();
   }

@@ -63,12 +63,7 @@ Status ThreadPool::ParallelFor(
     while (true) {
       size_t item = next.fetch_add(1, std::memory_order_relaxed);
       if (item >= n || failed.load(std::memory_order_relaxed)) return;
-      Status s;
-#ifndef ETLOPT_NO_FAULT_INJECTION
-      if (FaultInjector::Global().armed()) {
-        s = FaultInjector::Global().Hit(FaultSite::kThreadPoolTask);
-      }
-#endif
+      Status s = FaultProbe(FaultSite::kThreadPoolTask);
       if (s.ok()) {
         // A task that throws must neither wedge the pool nor silently
         // drop its item: the exception becomes a non-OK status, so

@@ -370,7 +370,7 @@ class VectorizedStrategy {
   }
   // Runs the chain member by member; the first member may be binary,
   // later members are unary by the chain invariant. Consumes `inputs`.
-  StatusOr<Flow> RunChain(const ActivityChain& chain,
+  StatusOr<Flow> RunChain(NodeId, const ActivityChain& chain,
                           const std::vector<Schema>& in_schemas,
                           std::vector<Flow>& inputs) {
     Flow cur;

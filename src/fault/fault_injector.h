@@ -165,6 +165,21 @@ class FaultInjector {
 /// retry layers must never absorb).
 bool IsInjectedCrash(const Status& status);
 
+/// One hit of `site`: the injected error, or OK when nothing fires, the
+/// injector is disarmed, or injection is compiled out
+/// (-DETLOPT_NO_FAULT_INJECTION). Sites that must not propagate the
+/// error (best-effort I/O, the result cache) call this directly.
+inline Status FaultProbe(FaultSite site) {
+#ifndef ETLOPT_NO_FAULT_INJECTION
+  if (FaultInjector::Global().armed()) {
+    return FaultInjector::Global().Hit(site);
+  }
+#else
+  (void)site;
+#endif
+  return Status::OK();
+}
+
 /// RAII arm/disarm, so a test cannot leak an armed injector into the
 /// rest of the binary.
 class ScopedFaultInjection {
@@ -179,22 +194,13 @@ class ScopedFaultInjection {
 
 }  // namespace etlopt
 
-// The hook. Expands to a guarded global-injector check that propagates
-// an injected error out of the enclosing Status/StatusOr function;
-// disappears entirely under -DETLOPT_NO_FAULT_INJECTION.
-#ifndef ETLOPT_NO_FAULT_INJECTION
+// The hook. Propagates an injected error out of the enclosing
+// Status/StatusOr function; a no-op when the injector is disarmed or
+// compiled out.
 #define ETLOPT_FAULT_HIT(site)                                         \
   do {                                                                 \
-    if (::etlopt::FaultInjector::Global().armed()) {                   \
-      ::etlopt::Status _etlopt_fault =                                 \
-          ::etlopt::FaultInjector::Global().Hit(site);                 \
-      if (!_etlopt_fault.ok()) return _etlopt_fault;                   \
-    }                                                                  \
+    ::etlopt::Status _etlopt_fault = ::etlopt::FaultProbe(site);       \
+    if (!_etlopt_fault.ok()) return _etlopt_fault;                     \
   } while (false)
-#else
-#define ETLOPT_FAULT_HIT(site) \
-  do {                         \
-  } while (false)
-#endif
 
 #endif  // ETLOPT_FAULT_FAULT_INJECTOR_H_

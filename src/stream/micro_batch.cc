@@ -5,6 +5,7 @@
 
 #include "common/macros.h"
 #include "common/string_util.h"
+#include "engine/node_driver.h"
 #include "engine/recovery.h"
 #include "fault/fault_injector.h"
 #include "records/record_io.h"
@@ -35,10 +36,7 @@ StatusOr<MicroBatchSource> MicroBatchSource::Make(
     const Workflow& workflow, const ExecutionInput& capture,
     const StreamOptions& options) {
   ETLOPT_RETURN_NOT_OK(ValidateStreamOptions(options));
-  if (!workflow.fresh()) {
-    return Status::FailedPrecondition(
-        "workflow must pass Refresh() before streaming");
-  }
+  ETLOPT_RETURN_NOT_OK(RequireFresh(workflow));
   MicroBatchSource source;
   source.options_ = options;
   source.context_ = capture.context;

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <map>
-#include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -17,8 +17,9 @@
 #include "common/random.h"
 #include "common/retry.h"
 #include "common/string_util.h"
+#include "engine/node_driver.h"
 #include "engine/partition.h"
-#include "engine/thread_pool.h"
+#include "engine/recovery.h"
 #include "fault/fault_injector.h"
 #include "io/wire_codec.h"
 #include "records/record_io.h"
@@ -35,7 +36,8 @@ using SteadyClock = std::chrono::steady_clock;
 
 /// How one chain member processes the stream flowing through its node.
 enum class MemberMode {
-  /// Delta in, delta out, no state: run the activity on the batch.
+  /// No state: run the activity on its inputs — the batch delta, or the
+  /// full rows once an earlier chain member turned the stream refresh.
   kStateless,
   /// PrimaryKeyCheck: persistent seen-key set, emits first occurrences.
   kPkDelta,
@@ -47,9 +49,6 @@ enum class MemberMode {
   /// Difference/Intersection: persistent bag counts per side, emits the
   /// full current result (refresh).
   kBagRefresh,
-  /// Once the stream is refresh: run the activity fresh on the full
-  /// rows each batch.
-  kFull,
 };
 
 struct MemberPlan {
@@ -74,14 +73,12 @@ struct MemberPlan {
 };
 
 struct NodePlan {
-  bool is_recordset = false;
-  bool is_source = false;
+  /// Target recordset: its batch rows fold into the run's result.
   bool is_target = false;
   /// Some input is refresh: rerun the whole chain on full inputs.
   bool recompute = false;
   /// This node emits its full output each batch (vs. a delta).
   bool refresh_output = false;
-  std::vector<NodeId> providers;
   /// recompute only: ports whose provider is delta-mode and therefore
   /// needs an accumulated history.
   std::vector<bool> port_history;
@@ -173,7 +170,6 @@ constexpr uint8_t kTagBag = 4;
 uint8_t TagOf(MemberMode mode) {
   switch (mode) {
     case MemberMode::kStateless:
-    case MemberMode::kFull:
       return kTagStateless;
     case MemberMode::kPkDelta:
       return kTagPk;
@@ -388,14 +384,19 @@ Status ParseNodeState(const NodePlan& plan, std::string_view blob,
 
 // ---- the per-run driver --------------------------------------------------
 
-class StreamRun {
+// One stream run. Each micro-batch runs on the node driver with the run
+// itself as the strategy: sources, realignment and row counts are the
+// serial engine's, and RunChain computes a node's batch output against
+// the node's persistent operator state, staging every mutation so that
+// only Commit, after the whole batch succeeded, applies it.
+class StreamRun : public SerialStrategy {
  public:
   StreamRun(const StreamOptions& options, const Workflow& workflow,
             const ExecutionContext& context, std::string checkpoint_path,
             uint64_t checkpoint_every)
-      : options_(options),
+      : SerialStrategy(context),
+        options_(options),
         workflow_(workflow),
-        context_(context),
         checkpoint_path_(std::move(checkpoint_path)),
         checkpoint_every_(checkpoint_every),
         rng_(options.retry_seed) {}
@@ -403,27 +404,22 @@ class StreamRun {
   Status BuildPlan(StreamStats* stats) {
     for (NodeId id : workflow_.TopoOrder()) {
       NodePlan plan;
-      plan.providers = workflow_.Providers(id);
+      const std::vector<NodeId> providers = workflow_.Providers(id);
       if (workflow_.IsRecordSet(id)) {
-        plan.is_recordset = true;
-        plan.is_source = plan.providers.empty();
-        plan.is_target =
-            !plan.is_source && workflow_.Consumers(id).empty();
+        plan.is_target = !providers.empty() && workflow_.Consumers(id).empty();
         plan.refresh_output =
-            !plan.is_source &&
-            plans_.at(plan.providers[0]).refresh_output;
+            !providers.empty() && plans_.at(providers[0]).refresh_output;
       } else {
         bool any_refresh_input = false;
-        for (NodeId p : plan.providers) {
+        for (NodeId p : providers) {
           any_refresh_input |= plans_.at(p).refresh_output;
         }
         if (any_refresh_input) {
           plan.recompute = true;
           plan.refresh_output = true;
-          plan.port_history.resize(plan.providers.size());
-          for (size_t i = 0; i < plan.providers.size(); ++i) {
-            plan.port_history[i] =
-                !plans_.at(plan.providers[i]).refresh_output;
+          plan.port_history.resize(providers.size());
+          for (size_t i = 0; i < providers.size(); ++i) {
+            plan.port_history[i] = !plans_.at(providers[i]).refresh_output;
           }
         } else {
           ETLOPT_RETURN_NOT_OK(PlanMembers(id, &plan));
@@ -447,12 +443,6 @@ class StreamRun {
       states_.emplace(id, std::move(state));
       staging_.emplace(id, std::move(staging));
     }
-    if (options_.engine == StreamEngine::kParallel) {
-      BuildLevels();
-      pool_ = std::make_unique<ThreadPool>(
-          options_.num_threads != 0 ? options_.num_threads
-                                    : ThreadPool::DefaultThreads());
-    }
     return Status::OK();
   }
 
@@ -463,10 +453,7 @@ class StreamRun {
                          [](bool h) { return h; });
     }
     for (const MemberPlan& mp : plan.members) {
-      if (mp.mode != MemberMode::kStateless &&
-          mp.mode != MemberMode::kFull) {
-        return true;
-      }
+      if (mp.mode != MemberMode::kStateless) return true;
     }
     return false;
   }
@@ -484,20 +471,11 @@ class StreamRun {
       ++stats->checkpoints_rejected;
       return 0;
     };
-#ifndef ETLOPT_NO_FAULT_INJECTION
-    if (FaultInjector::Global().armed()) {
-      Status hook =
-          FaultInjector::Global().Hit(FaultSite::kStreamStateCheckpoint);
-      if (!hook.ok()) {
-        // A crash-point models the process dying here; any other
-        // injected error just makes the checkpoint unreadable.
-        if (IsInjectedCrash(hook)) return hook;
-        return reject();
-      }
-    }
-#endif
-    auto bytes = ReadFileToString(checkpoint_path_);
-    if (!bytes.ok()) return reject();
+    ETLOPT_ASSIGN_OR_RETURN(
+        std::optional<std::string> bytes,
+        ReadCheckpointFile(checkpoint_path_,
+                           FaultSite::kStreamStateCheckpoint));
+    if (!bytes.has_value()) return reject();
     auto checkpoint = ParseStreamCheckpoint(*bytes);
     if (!checkpoint.ok() || checkpoint->workflow_hash != workflow_hash ||
         checkpoint->capture_fingerprint != source.CaptureFingerprint() ||
@@ -527,36 +505,61 @@ class StreamRun {
     return checkpoint->next_batch;
   }
 
+  /// Runs batch `b` on the node driver, retrying the whole batch on a
+  /// transient fault, and commits it once it succeeded.
   Status RunBatch(size_t b, MicroBatchSource& source,
                   ExecutionResult* result, StreamStats* stats) {
+    ExecutionResult batch_result;
     auto attempt = [&]() -> Status {
       ETLOPT_RETURN_NOT_OK(source.Seek(b));
       ETLOPT_ASSIGN_OR_RETURN(MicroBatch batch, source.Next());
       for (auto& [id, staging] : staging_) staging.Clear();
-      flows_.clear();
-      for (NodeId id : workflow_.TopoOrder()) {
-        flows_.emplace(id, std::vector<Record>{});
-      }
-      if (options_.engine == StreamEngine::kParallel) {
-        for (const auto& level : levels_) {
-          ETLOPT_RETURN_NOT_OK(pool_->ParallelFor(
-              level.size(), [&](size_t item, size_t /*worker*/) {
-                return ExecuteNode(level[item], batch);
-              }));
-        }
-        return Status::OK();
-      }
-      for (NodeId id : workflow_.TopoOrder()) {
-        ETLOPT_RETURN_NOT_OK(ExecuteNode(id, batch));
-      }
+      // Only the batch rows: the lookup tables stay in ctx_.
+      ExecutionInput input;
+      input.source_data = std::move(batch.source_rows);
+      NodePolicy every_node;
+      ETLOPT_ASSIGN_OR_RETURN(batch_result,
+                              DriveNodes(workflow_, input, *this, every_node));
       return Status::OK();
     };
-    Status status = RetryWithBackoff(options_.retry, rng_,
-                                     StrFormat("batch %zu", b).c_str(),
-                                     attempt, &stats->retries);
-    if (!status.ok()) return status;
-    Commit(result);
+    ETLOPT_RETURN_NOT_OK(RetryWithBackoff(options_.retry, rng_,
+                                          StrFormat("batch %zu", b).c_str(),
+                                          attempt, &stats->retries));
+    Commit(std::move(batch_result), result);
     return Status::OK();
+  }
+
+  /// The strategy's chain step for node `id` on this batch's inputs.
+  StatusOr<Flow> RunChain(NodeId id, const ActivityChain& chain,
+                          const std::vector<Schema>& in_schemas,
+                          std::vector<Flow>& inputs) {
+    const NodePlan& plan = plans_.at(id);
+    NodeState& state = states_.at(id);
+    NodeStaging& staging = staging_.at(id);
+    if (plan.recompute) {
+      // Rerun the whole chain over the stream so far: each delta-mode
+      // port puts its history in front of this batch's rows.
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        if (!plan.port_history[i]) continue;
+        std::vector<Record> full = state.port_history[i];
+        full.insert(full.end(), inputs[i].begin(), inputs[i].end());
+        staging.port_append[i] = std::exchange(inputs[i], std::move(full));
+      }
+      return chain.Execute(in_schemas, inputs, ctx_);
+    }
+    for (size_t m = 0; m < plan.members.size(); ++m) {
+      const MemberPlan& mp = plan.members[m];
+      StatusOr<Flow> out =
+          mp.mode == MemberMode::kStateless
+              ? chain.members()[m].activity.Execute(mp.input_schemas, inputs,
+                                                    ctx_)
+              : ExecuteMember(mp, state.members[m], staging.members[m],
+                              inputs);
+      if (!out.ok()) return out.status();
+      inputs.clear();
+      inputs.push_back(std::move(out).value());
+    }
+    return std::move(inputs[0]);
   }
 
   Status MaybeCheckpoint(uint64_t next_batch, uint64_t batch_count,
@@ -579,19 +582,14 @@ class StreamRun {
       checkpoint.state_blobs["n" + std::to_string(id)] =
           SerializeNodeState(plan, states_.at(id));
     }
-    const std::string bytes = SerializeStreamCheckpoint(checkpoint);
-    auto write_attempt = [&]() -> Status {
-      if (options_.recovery_plan.enabled) {
-        ETLOPT_FAULT_HIT(FaultSite::kRecoveryPlaceCheckpoint);
-      }
-      ETLOPT_FAULT_HIT(FaultSite::kStreamStateCheckpoint);
-      return WriteFileAtomic(checkpoint_path_, bytes);
-    };
-    Status status =
-        RetryWithBackoff(options_.retry, rng_, "stream checkpoint write",
-                         write_attempt, &stats->retries);
-    if (IsInjectedCrash(status)) return status;
-    if (status.ok()) {
+    ETLOPT_ASSIGN_OR_RETURN(
+        bool written,
+        WriteCheckpointFile(checkpoint_path_,
+                            SerializeStreamCheckpoint(checkpoint),
+                            FaultSite::kStreamStateCheckpoint,
+                            options_.recovery_plan.enabled, options_.retry,
+                            rng_, &stats->retries));
+    if (written) {
       ++stats->checkpoints_written;
     } else {
       // Best-effort, like the recovery checkpoints: the stream still
@@ -612,9 +610,8 @@ class StreamRun {
       mp.input_schemas = cur_inputs;
       ETLOPT_ASSIGN_OR_RETURN(mp.output_schema,
                               a.ComputeOutputSchema(cur_inputs));
-      if (refresh) {
-        mp.mode = MemberMode::kFull;
-      } else {
+      // Once the stream is refresh, every later member is stateless.
+      if (!refresh) {
         switch (a.kind()) {
           case ActivityKind::kPrimaryKeyCheck: {
             mp.mode = MemberMode::kPkDelta;
@@ -666,7 +663,6 @@ class StreamRun {
             break;
           }
           default:
-            mp.mode = MemberMode::kStateless;
             break;
         }
       }
@@ -677,98 +673,15 @@ class StreamRun {
     return Status::OK();
   }
 
-  void BuildLevels() {
-    std::map<NodeId, size_t> level;
-    for (NodeId id : workflow_.TopoOrder()) {
-      size_t l = 0;
-      for (NodeId p : workflow_.Providers(id)) {
-        l = std::max(l, level.at(p) + 1);
-      }
-      level[id] = l;
-      if (levels_.size() <= l) levels_.resize(l + 1);
-      levels_[l].push_back(id);
-    }
-  }
-
-  Status ExecuteNode(NodeId id, const MicroBatch& batch) {
-    const NodePlan& plan = plans_.at(id);
-    auto flow = flows_.find(id);
-    if (plan.is_recordset) {
-      const RecordSetDef& def = workflow_.recordset(id);
-      if (plan.is_source) {
-        auto it = batch.source_rows.find(def.name);
-        if (it == batch.source_rows.end()) {
-          return Status::NotFound("no data bound for source recordset '" +
-                                  def.name + "'");
-        }
-        flow->second = it->second;
-        return Status::OK();
-      }
-      NodeId provider = plan.providers[0];
-      ETLOPT_ASSIGN_OR_RETURN(
-          flow->second,
-          RealignRecords(flows_.at(provider),
-                         workflow_.OutputSchema(provider), def.schema));
-      return Status::OK();
-    }
-
-    ETLOPT_FAULT_HIT(FaultSite::kActivityExecute);
-    NodeState& state = states_.at(id);
-    NodeStaging& staging = staging_.at(id);
-
-    if (plan.recompute) {
-      std::vector<std::vector<Record>> full_inputs;
-      full_inputs.reserve(plan.providers.size());
-      for (size_t i = 0; i < plan.providers.size(); ++i) {
-        const std::vector<Record>& in = flows_.at(plan.providers[i]);
-        if (plan.port_history[i]) {
-          staging.port_append[i] = in;
-          std::vector<Record> full = state.port_history[i];
-          full.insert(full.end(), in.begin(), in.end());
-          full_inputs.push_back(std::move(full));
-        } else {
-          full_inputs.push_back(in);
-        }
-      }
-      auto produced = workflow_.chain(id).Execute(workflow_.InputSchemas(id),
-                                                  full_inputs, context_);
-      if (!produced.ok()) {
-        return produced.status().WithContext(
-            StrFormat("executing node %d ('%s')", id,
-                      workflow_.chain(id).label().c_str()));
-      }
-      flow->second = std::move(produced).value();
-      return Status::OK();
-    }
-
-    std::vector<std::vector<Record>> cur;
-    cur.reserve(plan.providers.size());
-    for (NodeId p : plan.providers) cur.push_back(flows_.at(p));
-    for (size_t m = 0; m < plan.members.size(); ++m) {
-      auto produced =
-          ExecuteMember(plan.members[m],
-                        workflow_.chain(id).members()[m].activity,
-                        state.members[m], staging.members[m], cur);
-      if (!produced.ok()) {
-        return produced.status().WithContext(
-            StrFormat("executing node %d ('%s')", id,
-                      workflow_.chain(id).label().c_str()));
-      }
-      cur.clear();
-      cur.push_back(std::move(produced).value());
-    }
-    flow->second = std::move(cur[0]);
-    return Status::OK();
-  }
-
+  // One stateful chain member over its batch inputs, against `ms`, with
+  // every state change staged in `mstg`.
   StatusOr<std::vector<Record>> ExecuteMember(
-      const MemberPlan& mp, const Activity& activity, MemberState& ms,
-      MemberStaging& mstg, const std::vector<std::vector<Record>>& inputs) {
+      const MemberPlan& mp, const MemberState& ms, MemberStaging& mstg,
+      const std::vector<std::vector<Record>>& inputs) {
     std::vector<Record> out;
     switch (mp.mode) {
       case MemberMode::kStateless:
-      case MemberMode::kFull:
-        return activity.Execute(mp.input_schemas, inputs, context_);
+        break;  // no state: RunChain runs the activity itself
 
       case MemberMode::kPkDelta: {
         for (const Record& r : inputs[0]) {
@@ -909,7 +822,10 @@ class StreamRun {
     return Status::Internal("unhandled stream member mode");
   }
 
-  void Commit(ExecutionResult* result) {
+  // Applies a successful batch: its staged mutations become persistent
+  // state, and its outputs fold into the run's result (delta nodes and
+  // targets accumulate, refresh ones are replaced).
+  void Commit(ExecutionResult batch, ExecutionResult* result) {
     for (auto& [id, staging] : staging_) {
       NodeState& state = states_.at(id);
       for (size_t p = 0; p < staging.port_append.size(); ++p) {
@@ -947,39 +863,35 @@ class StreamRun {
       }
       staging.Clear();
     }
-    // Fold this batch's node outputs into the accumulated result.
+    for (const auto& [id, count] : batch.rows_out) {
+      if (plans_.at(id).refresh_output) {
+        result->rows_out[id] = count;
+      } else {
+        result->rows_out[id] += count;
+      }
+    }
     for (const auto& [id, plan] : plans_) {
-      const std::vector<Record>& rows = flows_.at(id);
-      if (!plan.is_recordset) {
-        if (plan.refresh_output) {
-          result->rows_out[id] = rows.size();
-        } else {
-          result->rows_out[id] += rows.size();
-        }
-      } else if (plan.is_target) {
-        const std::string& name = workflow_.recordset(id).name;
-        std::vector<Record>& target = result->target_data[name];
-        if (plan.refresh_output) {
-          target = rows;
-        } else {
-          target.insert(target.end(), rows.begin(), rows.end());
-        }
+      if (!plan.is_target) continue;
+      const std::string& name = workflow_.recordset(id).name;
+      std::vector<Record>& rows = batch.target_data.at(name);
+      std::vector<Record>& target = result->target_data[name];
+      if (plan.refresh_output) {
+        target = std::move(rows);
+      } else {
+        target.insert(target.end(), std::make_move_iterator(rows.begin()),
+                      std::make_move_iterator(rows.end()));
       }
     }
   }
 
   const StreamOptions& options_;
   const Workflow& workflow_;
-  const ExecutionContext& context_;
   const std::string checkpoint_path_;
   const uint64_t checkpoint_every_;
   Rng rng_;
   std::map<NodeId, NodePlan> plans_;
   std::map<NodeId, NodeState> states_;
   std::map<NodeId, NodeStaging> staging_;
-  std::map<NodeId, std::vector<Record>> flows_;
-  std::vector<std::vector<NodeId>> levels_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace
@@ -1000,12 +912,10 @@ StatusOr<ExecutionResult> StreamExecutor::Run(const Workflow& workflow,
                                               const ExecutionInput& capture,
                                               StreamStats* stats_out) {
   ETLOPT_RETURN_NOT_OK(ValidateStreamOptions(options_));
-  if (!workflow.fresh()) {
-    return Status::FailedPrecondition(
-        "workflow must pass Refresh() before streaming");
-  }
-  StreamStats stats;
-  if (stats_out != nullptr) *stats_out = stats;
+  ETLOPT_RETURN_NOT_OK(RequireFresh(workflow));
+  StreamStats local_stats;
+  StreamStats& stats = stats_out != nullptr ? *stats_out : local_stats;
+  stats = StreamStats{};
   ETLOPT_ASSIGN_OR_RETURN(MicroBatchSource source,
                           MicroBatchSource::Make(workflow, capture, options_));
   const uint64_t workflow_hash = workflow.SignatureHash();
@@ -1024,20 +934,14 @@ StatusOr<ExecutionResult> StreamExecutor::Run(const Workflow& workflow,
   ETLOPT_RETURN_NOT_OK(run.BuildPlan(&stats));
 
   ExecutionResult result;
-  auto resume = run.TryResume(source, workflow_hash, &result, &stats);
-  if (!resume.ok()) {
-    if (stats_out != nullptr) *stats_out = stats;
-    return resume.status();
-  }
+  ETLOPT_ASSIGN_OR_RETURN(
+      uint64_t frontier,
+      run.TryResume(source, workflow_hash, &result, &stats));
 
-  for (uint64_t b = *resume; b < source.batch_count(); ++b) {
+  for (uint64_t b = frontier; b < source.batch_count(); ++b) {
     const SteadyClock::time_point start = SteadyClock::now();
-    Status status = run.RunBatch(static_cast<size_t>(b), source, &result,
-                                 &stats);
-    if (!status.ok()) {
-      if (stats_out != nullptr) *stats_out = stats;
-      return status;
-    }
+    ETLOPT_RETURN_NOT_OK(
+        run.RunBatch(static_cast<size_t>(b), source, &result, &stats));
     ++stats.batches_run;
     Status checkpointed = run.MaybeCheckpoint(
         b + 1, source.batch_count(), workflow_hash, fingerprint, result,
@@ -1046,10 +950,7 @@ StatusOr<ExecutionResult> StreamExecutor::Run(const Workflow& workflow,
         std::chrono::duration_cast<std::chrono::microseconds>(
             SteadyClock::now() - start)
             .count());
-    if (!checkpointed.ok()) {
-      if (stats_out != nullptr) *stats_out = stats;
-      return checkpointed;
-    }
+    ETLOPT_RETURN_NOT_OK(checkpointed);
   }
 
   if (!checkpoint_path.empty()) {
@@ -1067,7 +968,6 @@ StatusOr<ExecutionResult> StreamExecutor::Run(const Workflow& workflow,
                  StartsWith(name, "stream_") && EndsWith(name, ".ckpt");
         });
   }
-  if (stats_out != nullptr) *stats_out = stats;
   return result;
 }
 

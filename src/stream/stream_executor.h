@@ -1,7 +1,10 @@
 // StreamExecutor: drives a workflow over a MicroBatchSource with delta
-// propagation and exactly-once restart semantics (ISSUE 6 tentpole).
+// propagation and exactly-once restart semantics.
 //
-// Per-node incremental modes, assigned by a static pass over the graph:
+// Each micro-batch runs on the node driver (engine/node_driver.h), the
+// same topo-order loop as every other engine; the stream supplies only
+// a strategy whose chain step works against per-node incremental state.
+// Per-node modes, assigned by a static pass over the graph:
 //  * stateless activities (Selection/NotNull/DomainCheck/Projection/
 //    Function/SurrogateKey/Union) process only each batch's delta;
 //  * PrimaryKeyCheck keeps a persistent seen-key set and emits only
@@ -16,6 +19,8 @@
 //  * any node downstream of a refresh output recomputes from scratch
 //    each batch over the full stream so far (delta-side inputs are
 //    accumulated into per-port histories).
+// The batch's ExecutionResult then folds into the run's result: delta
+// nodes and targets accumulate, refresh ones are replaced.
 //
 // The final result is byte-identical — as a multiset per target, with
 // exactly equal rows_out — to one-shot ExecuteWorkflow over the whole
@@ -25,8 +30,8 @@
 // in per-batch overlays and commits only on success, so transient
 // faults retry the batch against unmodified state. With a
 // checkpoint_dir set, the committed frontier (plus all operator state
-// and accumulated targets) is persisted after every batch in an
-// ETLSTRM1 file keyed on workflow signature x capture fingerprint; a
+// and accumulated targets) is persisted every checkpoint interval in
+// an ETLSTRM1 file keyed on workflow signature x capture fingerprint; a
 // crashed run resumes at the frontier and applies every batch to the
 // persistent state exactly once.
 

@@ -16,15 +16,6 @@
 
 namespace etlopt {
 
-/// Which execution engine the stream driver runs per micro-batch.
-enum class StreamEngine {
-  /// One node at a time, in topological order.
-  kSerial,
-  /// Nodes of the same topological level run concurrently on a
-  /// ThreadPool (per-node state is private, so this is race-free).
-  kParallel,
-};
-
 struct StreamOptions {
   // --- Batching ---
   /// Row-slice mode: the capture is cut into this many contiguous,
@@ -48,11 +39,6 @@ struct StreamOptions {
   /// batch deliveries reproduce the capture's event-time gaps scaled by
   /// rate_multiplier.
   bool paced = false;
-
-  // --- Engine ---
-  StreamEngine engine = StreamEngine::kSerial;
-  /// Worker count for kParallel; 0 = ThreadPool::DefaultThreads().
-  size_t num_threads = 0;
 
   // --- Exactly-once checkpointing ---
   /// Directory for stream-state checkpoints; empty disables them.

@@ -1,6 +1,7 @@
 // Error paths, table-driven over every engine: the serial reference,
-// parallel and vectorized at one and four threads, and the recoverable
-// executor. All of them run the same node driver, so each failure case
+// parallel and vectorized at one and four threads, the recoverable
+// executor, and the stream executor over three micro-batches. All of
+// them run the same node driver, so each failure case
 // must surface the same Status code — and, where a node fails, the same
 // message with the same node context — on every engine.
 
@@ -14,6 +15,7 @@
 #include "engine/parallel.h"
 #include "engine/recovery.h"
 #include "engine/vectorized.h"
+#include "stream/stream_executor.h"
 #include "workload/scenarios.h"
 
 namespace etlopt {
@@ -55,6 +57,13 @@ std::vector<EngineCase> AllEngines() {
                        RecoveryOptions options;
                        options.retry.max_attempts = 1;
                        return RecoverableExecutor(options).Execute(w, in);
+                     }});
+  engines.push_back({"stream", [](const Workflow& w,
+                                  const ExecutionInput& in) {
+                       StreamOptions options;
+                       options.num_batches = 3;
+                       options.retry.max_attempts = 1;
+                       return StreamExecutor(options).Run(w, in);
                      }});
   return engines;
 }

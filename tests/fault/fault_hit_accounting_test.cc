@@ -1,6 +1,7 @@
 // Pins the engine.activity_execute hit count: on a fault-free run, every
 // engine hits FaultSite::kActivityExecute exactly once per activity node
-// it executes. Crash schedules (the durable_feed benchmark, the chaos
+// it executes, and the stream executor once per activity node per
+// micro-batch. Crash schedules (the durable_feed benchmark, the chaos
 // soak, the recovery sweeps) place crashes by hit index, so a change to
 // this count would silently move every scheduled crash.
 
@@ -17,6 +18,7 @@
 #include "engine/recovery.h"
 #include "engine/vectorized.h"
 #include "fault/fault_injector.h"
+#include "stream/stream_executor.h"
 #include "workload/generator.h"
 #include "workload/scenarios.h"
 
@@ -150,6 +152,64 @@ TEST(FaultHitAccountingTest, ResumeHitsOnlyReexecutedNodes) {
     EXPECT_EQ(hits, stats.nodes_executed);
     EXPECT_LT(hits, activities);
     EXPECT_EQ(stats.nodes_executed + stats.nodes_skipped, activities);
+    fs::remove_all(options.checkpoint_dir);
+  }
+}
+
+constexpr size_t kStreamBatches = 5;
+
+TEST(FaultHitAccountingTest, StreamHitsEveryActivityNodeOncePerBatch) {
+  for (const Scenario& s : Scenarios()) {
+    SCOPED_TRACE(s.name);
+    const size_t activities = s.workflow.ActivityNodeIds().size();
+    StreamOptions options;
+    options.num_batches = kStreamBatches;
+    StreamStats stats;
+    StatusOr<ExecutionResult> r = ExecutionResult{};
+    const uint64_t hits = ActivityHits(
+        [&] { r = StreamExecutor(options).Run(s.workflow, s.input, &stats); });
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(stats.batches_run, kStreamBatches);
+    EXPECT_EQ(hits, activities * stats.batches_run);
+  }
+}
+
+// A stream resumed after a crash in batch k, with a checkpoint after
+// every batch, re-runs exactly the batches from k on.
+TEST(FaultHitAccountingTest, StreamResumeHitsOnlyTheRemainingBatches) {
+  constexpr size_t kCrashBatch = 2;
+  for (const Scenario& s : Scenarios()) {
+    SCOPED_TRACE(s.name);
+    const size_t activities = s.workflow.ActivityNodeIds().size();
+    StreamOptions options;
+    options.num_batches = kStreamBatches;
+    options.checkpoint_dir = TempDir(s.name + "_stream");
+    options.checkpoint_every_batches = 1;
+    StreamExecutor exec(options);
+
+    FaultSchedule crash;
+    crash.faults.push_back(
+        FaultSpec{FaultSite::kActivityExecute,
+                  activities * kCrashBatch + activities / 2,
+                  FaultKind::kCrash, 0});
+    {
+      ScopedFaultInjection arm(crash);
+      auto crashed = exec.Run(s.workflow, s.input);
+      ASSERT_FALSE(crashed.ok());
+      ASSERT_TRUE(IsInjectedCrash(crashed.status()));
+    }
+
+    StreamStats stats;
+    StatusOr<ExecutionResult> resumed = ExecutionResult{};
+    const uint64_t hits = ActivityHits(
+        [&] { resumed = exec.Run(s.workflow, s.input, &stats); });
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_TRUE(stats.resumed);
+    EXPECT_EQ(stats.batches_skipped, kCrashBatch);
+    EXPECT_EQ(hits, activities * (kStreamBatches - kCrashBatch));
+    auto reference = ExecuteWorkflow(s.workflow, s.input);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_EQ(resumed->rows_out, reference->rows_out);
     fs::remove_all(options.checkpoint_dir);
   }
 }

@@ -83,24 +83,16 @@ TEST(StreamEquivalenceTest, AnyPartitioningMatchesBatchRun) {
   }
 }
 
-TEST(StreamEquivalenceTest, MediumWorkflowAndParallelEngineMatch) {
+TEST(StreamEquivalenceTest, MediumWorkflowMatchesBatchRun) {
   Scenario s = MakeScenario(WorkloadCategory::kMedium, 17, 200);
   for (int64_t n : {2, 7}) {
-    for (StreamEngine engine :
-         {StreamEngine::kSerial, StreamEngine::kParallel}) {
-      StreamOptions options;
-      options.num_batches = n;
-      options.engine = engine;
-      options.num_threads = 4;
-      auto streamed = StreamExecutor(options).Run(s.workflow, s.input);
-      const std::string label =
-          std::string(engine == StreamEngine::kParallel ? "parallel"
-                                                        : "serial") +
-          " N=" + std::to_string(n);
-      ASSERT_TRUE(streamed.ok())
-          << label << ": " << streamed.status().ToString();
-      ExpectStreamedEqualsBatch(s, *streamed, label);
-    }
+    StreamOptions options;
+    options.num_batches = n;
+    auto streamed = StreamExecutor(options).Run(s.workflow, s.input);
+    const std::string label = "N=" + std::to_string(n);
+    ASSERT_TRUE(streamed.ok())
+        << label << ": " << streamed.status().ToString();
+    ExpectStreamedEqualsBatch(s, *streamed, label);
   }
 }
 

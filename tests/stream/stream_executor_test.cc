@@ -252,22 +252,6 @@ TEST(StreamExecutorTest, Fig1StreamsAcrossBatchCounts) {
   }
 }
 
-TEST(StreamExecutorTest, ParallelEngineMatchesSerial) {
-  auto s = BuildFig1Scenario();
-  ASSERT_TRUE(s.ok());
-  ExecutionInput input = MakeFig1Input(/*seed=*/5, /*rows_per_source=*/100);
-  StreamOptions serial;
-  serial.num_batches = 6;
-  auto serial_result = StreamExecutor(serial).Run(s->workflow, input);
-  ASSERT_TRUE(serial_result.ok()) << serial_result.status().ToString();
-  StreamOptions parallel = serial;
-  parallel.engine = StreamEngine::kParallel;
-  parallel.num_threads = 4;
-  auto parallel_result = StreamExecutor(parallel).Run(s->workflow, input);
-  ASSERT_TRUE(parallel_result.ok()) << parallel_result.status().ToString();
-  ExpectExactResult(*serial_result, *parallel_result);
-}
-
 TEST(StreamExecutorTest, RejectsInvalidOptionsUpFront) {
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
