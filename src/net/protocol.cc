@@ -136,7 +136,7 @@ StatusOr<NetOptimizeResponse> DecodeOptimizeResponse(
 
 std::string EncodeStatsResponse(const NetStatsResponse& stats) {
   std::string out;
-  const PlanCacheStats& cache = stats.service.cache;
+  const CacheStats& cache = stats.service.cache;
   PutU64(out, cache.hits);
   PutU64(out, cache.misses);
   PutU64(out, cache.coalesced);
@@ -147,7 +147,7 @@ std::string EncodeStatsResponse(const NetStatsResponse& stats) {
   PutU64(out, cache.bytes);
   PutU64(out, cache.byte_budget);
   PutU64(out, cache.shards);
-  const ResultCacheStats& rcache = stats.service.result_cache;
+  const CacheStats& rcache = stats.service.result_cache;
   PutU64(out, rcache.hits);
   PutU64(out, rcache.misses);
   PutU64(out, rcache.coalesced);
@@ -191,7 +191,7 @@ std::string EncodeStatsResponse(const NetStatsResponse& stats) {
 StatusOr<NetStatsResponse> DecodeStatsResponse(std::string_view payload) {
   BinaryReader reader(payload);
   NetStatsResponse stats;
-  PlanCacheStats& cache = stats.service.cache;
+  CacheStats& cache = stats.service.cache;
   ETLOPT_ASSIGN_OR_RETURN(cache.hits, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(cache.misses, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(cache.coalesced, reader.U64());
@@ -202,7 +202,7 @@ StatusOr<NetStatsResponse> DecodeStatsResponse(std::string_view payload) {
   ETLOPT_ASSIGN_OR_RETURN(cache.bytes, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(cache.byte_budget, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(cache.shards, reader.U64());
-  ResultCacheStats& rcache = stats.service.result_cache;
+  CacheStats& rcache = stats.service.result_cache;
   ETLOPT_ASSIGN_OR_RETURN(rcache.hits, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(rcache.misses, reader.U64());
   ETLOPT_ASSIGN_OR_RETURN(rcache.coalesced, reader.U64());

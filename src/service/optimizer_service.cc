@@ -1,10 +1,9 @@
 #include "service/optimizer_service.h"
 
 #include <chrono>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
+#include "common/file_util.h"
 #include "common/macros.h"
 #include "common/random.h"
 #include "common/string_util.h"
@@ -271,37 +270,22 @@ ServiceStats OptimizerService::Stats() const {
 Status OptimizerService::SavePlans(const std::string& path,
                                    PlanFileFormat format) const {
   ETLOPT_FAULT_HIT(FaultSite::kPlanCacheSave);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot create file: " + path);
-  if (format == PlanFileFormat::kBinary) {
-    std::vector<OptimizedPlan> plans;
-    for (const std::shared_ptr<const CachedPlan>& entry :
-         cache_.Snapshot()) {
-      if (!entry->persistable) continue;
-      plans.push_back(entry->plan);
-    }
-    std::string bytes = SerializePlansBinary(plans);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  } else {
-    for (const std::shared_ptr<const CachedPlan>& entry :
-         cache_.Snapshot()) {
-      if (!entry->persistable) continue;
-      out << PrintPlanText(entry->plan);
-    }
+  std::vector<OptimizedPlan> plans;
+  for (const std::shared_ptr<const CachedPlan>& entry : cache_.Snapshot()) {
+    if (entry->persistable) plans.push_back(entry->plan);
   }
-  out.flush();
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  std::string bytes;
+  if (format == PlanFileFormat::kBinary) {
+    bytes = SerializePlansBinary(plans);
+  } else {
+    for (const OptimizedPlan& plan : plans) bytes += PrintPlanText(plan);
+  }
+  return WriteFileAtomic(path, bytes);
 }
 
 StatusOr<size_t> OptimizerService::LoadPlans(const std::string& path) {
   ETLOPT_FAULT_HIT(FaultSite::kPlanCacheLoad);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IOError("read failed: " + path);
-  const std::string content = buffer.str();
+  ETLOPT_ASSIGN_OR_RETURN(const std::string content, ReadFileToString(path));
   std::vector<OptimizedPlan> plans;
   if (StartsWith(content, kPlanCacheBinaryMagic)) {
     ETLOPT_ASSIGN_OR_RETURN(plans, ParsePlansBinary(content));

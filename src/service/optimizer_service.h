@@ -23,6 +23,7 @@
 #include "service/circuit_breaker.h"
 #include "service/plan_cache.h"
 #include "service/service_stats.h"
+#include "service/shared_result_cache.h"
 
 namespace etlopt {
 

@@ -1,19 +1,10 @@
 #include "service/plan_cache.h"
 
-#include <utility>
-
-#include "common/macros.h"
 #include "io/text_format.h"
 
 namespace etlopt {
 
 namespace {
-
-size_t RoundUpPowerOfTwo(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 void HashBytes(uint64_t& h, std::string_view bytes) {
   for (char c : bytes) {
@@ -83,159 +74,27 @@ StatusOr<PlanCacheKey> MakePlanCacheKey(
   return key;
 }
 
-PlanCache::PlanCache(PlanCacheOptions options) {
-  size_t shards = RoundUpPowerOfTwo(options.shards == 0 ? 1 : options.shards);
-  shards_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  shard_mask_ = shards - 1;
-  shard_budget_ = options.byte_budget / shards;
-}
-
-PlanCache::Shard& PlanCache::ShardFor(const PlanCacheKey& key) {
-  return *shards_[KeyHash()(key) & shard_mask_];
-}
-
-void PlanCache::InsertLocked(Shard& shard, const PlanCacheKey& key,
-                             std::shared_ptr<const CachedPlan> entry) {
-  if (entry->bytes > shard_budget_) {
-    ++shard.oversized;
-    return;
-  }
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    shard.bytes -= it->second->second->bytes;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-  }
-  shard.bytes += entry->bytes;
-  shard.lru.emplace_front(key, std::move(entry));
-  shard.index[key] = shard.lru.begin();
-  ++shard.insertions;
-  while (shard.bytes > shard_budget_ && shard.lru.size() > 1) {
-    const auto& victim = shard.lru.back();
-    shard.bytes -= victim.second->bytes;
-    shard.index.erase(victim.first);
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
-}
-
-std::shared_ptr<const CachedPlan> PlanCache::Lookup(const PlanCacheKey& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.misses;
-    return nullptr;
-  }
-  ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->second;
-}
-
-void PlanCache::Insert(const PlanCacheKey& key,
-                       std::shared_ptr<const CachedPlan> entry) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  InsertLocked(shard, key, std::move(entry));
-}
-
 StatusOr<std::shared_ptr<const CachedPlan>> PlanCache::GetOrCompute(
     const PlanCacheKey& key,
     const std::function<StatusOr<std::shared_ptr<const CachedPlan>>()>&
         compute,
     bool* cache_hit, bool* coalesced) {
-  if (cache_hit != nullptr) *cache_hit = false;
-  if (coalesced != nullptr) *coalesced = false;
-  Shard& shard = ShardFor(key);
-  std::shared_ptr<Flight> flight;
-  bool leader = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      ++shard.hits;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      if (cache_hit != nullptr) *cache_hit = true;
-      return it->second->second;
-    }
-    ++shard.misses;
-    auto fit = shard.flights.find(key);
-    if (fit != shard.flights.end()) {
-      flight = fit->second;
-      ++shard.coalesced;
-    } else {
-      flight = std::make_shared<Flight>();
-      shard.flights[key] = flight;
-      leader = true;
-    }
+  AcquireResult got = Acquire(key, /*may_wait=*/true);
+  if (cache_hit != nullptr) {
+    *cache_hit = got.kind == Outcome::kHit && !got.coalesced;
   }
-  if (!leader) {
-    // Another request is already running this exact search: wait for it
-    // and share its answer.
-    if (coalesced != nullptr) *coalesced = true;
-    std::unique_lock<std::mutex> lock(flight->mu);
-    flight->cv.wait(lock, [&flight] { return flight->done; });
-    if (!flight->status.ok()) return flight->status;
-    return flight->value;
-  }
+  if (coalesced != nullptr) *coalesced = got.coalesced;
+  if (got.kind == Outcome::kHit) return got.value;
+  // A waiter is only woken empty-handed by a failed search: every abort
+  // below carries the compute's error.
+  if (got.kind == Outcome::kBusy) return got.status;
   StatusOr<std::shared_ptr<const CachedPlan>> result = compute();
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.flights.erase(key);
-    if (result.ok()) {
-      InsertLocked(shard, key, result.value());
-    }
+  if (result.ok()) {
+    Publish(key, result.value());
+  } else {
+    Abort(key, result.status());
   }
-  {
-    std::lock_guard<std::mutex> lock(flight->mu);
-    flight->done = true;
-    flight->status = result.status();
-    if (result.ok()) flight->value = result.value();
-  }
-  flight->cv.notify_all();
   return result;
-}
-
-PlanCacheStats PlanCache::Stats() const {
-  PlanCacheStats stats;
-  stats.shards = shards_.size();
-  stats.byte_budget = shard_budget_ * shards_.size();
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    stats.hits += shard->hits;
-    stats.misses += shard->misses;
-    stats.coalesced += shard->coalesced;
-    stats.insertions += shard->insertions;
-    stats.evictions += shard->evictions;
-    stats.oversized += shard->oversized;
-    stats.entries += shard->lru.size();
-    stats.bytes += shard->bytes;
-  }
-  return stats;
-}
-
-std::vector<std::shared_ptr<const CachedPlan>> PlanCache::Snapshot() const {
-  std::vector<std::shared_ptr<const CachedPlan>> out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [key, entry] : shard->lru) {
-      (void)key;
-      out.push_back(entry);
-    }
-  }
-  return out;
-}
-
-void PlanCache::Clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
-    shard->bytes = 0;
-  }
 }
 
 }  // namespace etlopt

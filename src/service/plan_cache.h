@@ -8,27 +8,24 @@
 // purpose — results are byte-identical across them (PR 2's guarantee), so
 // splitting cache entries on them would only lower the hit rate.
 //
-// Concurrency: N-way sharding (per-shard mutex, LRU list and byte
-// budget) keeps unrelated requests from contending, and single-flight
-// request coalescing makes concurrent misses on the same key run ONE
-// search — the first requester computes, the rest block on the in-flight
-// entry and receive the same shared plan.
+// Storage and concurrency come from ShardedCache (service/
+// sharded_cache.h): N-way sharding keeps unrelated requests from
+// contending, and GetOrCompute runs its single-flight coalescing on the
+// lease calls, so concurrent misses on the same key run ONE search — the
+// first requester computes, the rest wait on its lease and receive the
+// same shared plan (or the same failure).
 
 #ifndef ETLOPT_SERVICE_PLAN_CACHE_H_
 #define ETLOPT_SERVICE_PLAN_CACHE_H_
 
-#include <condition_variable>
 #include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "io/plan_format.h"
 #include "optimizer/search.h"
-#include "service/service_stats.h"
+#include "service/sharded_cache.h"
 
 namespace etlopt {
 
@@ -39,6 +36,18 @@ struct PlanCacheKey {
   friend bool operator==(const PlanCacheKey& a, const PlanCacheKey& b) {
     return a.workflow_hash == b.workflow_hash &&
            a.context_hash == b.context_hash;
+  }
+};
+
+/// Shard hash: splitmix-style finalizer over the two halves.
+struct PlanCacheKeyHash {
+  size_t operator()(const PlanCacheKey& key) const {
+    uint64_t h = key.workflow_hash + 0x9e3779b97f4a7c15ull;
+    h ^= key.context_hash + (h << 6) + (h >> 2);
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 31;
+    return static_cast<size_t>(h);
   }
 };
 
@@ -84,19 +93,11 @@ struct PlanCacheOptions {
   size_t byte_budget = static_cast<size_t>(64) << 20;
 };
 
-class PlanCache {
+class PlanCache
+    : public ShardedCache<PlanCacheKey, CachedPlan, PlanCacheKeyHash> {
  public:
-  explicit PlanCache(PlanCacheOptions options = {});
-
-  PlanCache(const PlanCache&) = delete;
-  PlanCache& operator=(const PlanCache&) = delete;
-
-  /// Plain lookup; counts a hit or a miss.
-  std::shared_ptr<const CachedPlan> Lookup(const PlanCacheKey& key);
-
-  /// Unconditional insert (warm-loading persisted plans).
-  void Insert(const PlanCacheKey& key,
-              std::shared_ptr<const CachedPlan> entry);
+  explicit PlanCache(PlanCacheOptions options = {})
+      : ShardedCache(options.shards, options.byte_budget) {}
 
   /// The serving entry point. On a hit returns the cached plan. On a miss
   /// the FIRST caller runs `compute` (with no cache locks held) and every
@@ -109,59 +110,6 @@ class PlanCache {
       const std::function<StatusOr<std::shared_ptr<const CachedPlan>>()>&
           compute,
       bool* cache_hit = nullptr, bool* coalesced = nullptr);
-
-  PlanCacheStats Stats() const;
-
-  /// All live entries, most-recently-used first within each shard.
-  std::vector<std::shared_ptr<const CachedPlan>> Snapshot() const;
-
-  void Clear();
-
- private:
-  struct Flight {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status status;
-    std::shared_ptr<const CachedPlan> value;
-  };
-
-  struct KeyHash {
-    size_t operator()(const PlanCacheKey& key) const {
-      // splitmix-style finalizer over the two halves.
-      uint64_t h = key.workflow_hash + 0x9e3779b97f4a7c15ull;
-      h ^= key.context_hash + (h << 6) + (h >> 2);
-      h ^= h >> 30;
-      h *= 0xbf58476d1ce4e5b9ull;
-      h ^= h >> 31;
-      return static_cast<size_t>(h);
-    }
-  };
-
-  struct Shard {
-    mutable std::mutex mu;
-    // front = most recently used.
-    std::list<std::pair<PlanCacheKey, std::shared_ptr<const CachedPlan>>> lru;
-    std::unordered_map<PlanCacheKey, decltype(lru)::iterator, KeyHash> index;
-    std::unordered_map<PlanCacheKey, std::shared_ptr<Flight>, KeyHash>
-        flights;
-    size_t bytes = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t coalesced = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
-    uint64_t oversized = 0;
-  };
-
-  Shard& ShardFor(const PlanCacheKey& key);
-  // Requires shard.mu held.
-  void InsertLocked(Shard& shard, const PlanCacheKey& key,
-                    std::shared_ptr<const CachedPlan> entry);
-
-  size_t shard_budget_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  size_t shard_mask_ = 0;
 };
 
 }  // namespace etlopt

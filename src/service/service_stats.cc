@@ -32,7 +32,7 @@ std::string ServiceStatsReport(const ServiceStats& stats) {
   row("queue", StrFormat("%zu in flight / %zu max, %zu workers",
                          stats.in_flight, stats.max_queue,
                          stats.worker_threads));
-  const PlanCacheStats& c = stats.cache;
+  const CacheStats& c = stats.cache;
   row("plan cache hit rate",
       StrFormat("%.1f%% (%llu hits, %llu misses, %llu coalesced)",
                 100.0 * c.hit_rate(),
@@ -47,7 +47,7 @@ std::string ServiceStatsReport(const ServiceStats& stats) {
                 static_cast<unsigned long long>(c.insertions),
                 static_cast<unsigned long long>(c.evictions),
                 static_cast<unsigned long long>(c.oversized)));
-  const ResultCacheStats& r = stats.result_cache;
+  const CacheStats& r = stats.result_cache;
   row("result cache hit rate",
       StrFormat("%.1f%% (%llu hits, %llu misses, %llu coalesced, %llu busy)",
                 100.0 * r.hit_rate(),

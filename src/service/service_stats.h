@@ -10,36 +10,19 @@
 #include <string>
 
 #include "service/circuit_breaker.h"
-#include "service/shared_result_cache.h"
+#include "service/sharded_cache.h"
 
 namespace etlopt {
 
-/// Point-in-time counters of a PlanCache. All monotonic except the
-/// entries/bytes gauges.
-struct PlanCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;       // includes coalesced waits (they missed too)
-  uint64_t coalesced = 0;    // misses served by another request's search
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;    // entries dropped by the LRU byte budget
-  uint64_t oversized = 0;    // results too large to cache at all
-  size_t entries = 0;
-  size_t bytes = 0;
-  size_t byte_budget = 0;
-  size_t shards = 0;
-
-  double hit_rate() const {
-    uint64_t n = hits + misses;
-    return n == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(n);
-  }
-};
-
 /// Point-in-time counters of the whole service (caches included).
 struct ServiceStats {
-  PlanCacheStats cache;
+  /// The plan cache. Its busy and aborted counters are not encoded or
+  /// reported: a plan-cache waiter is always answered by the search it
+  /// waited on, and a failed search counts in failed_searches.
+  CacheStats cache;
   /// The shared intermediate-result cache attached to the service (see
   /// OptimizerService::AttachResultCache); all-zero when none is.
-  ResultCacheStats result_cache;
+  CacheStats result_cache;
   uint64_t requests = 0;          // accepted (queued or run inline)
   uint64_t rejected = 0;          // ResourceExhausted: queue full
   uint64_t uncacheable = 0;       // answered, but result not cacheable

@@ -1,28 +1,8 @@
 #include "service/shared_result_cache.h"
 
-#include <utility>
-
 namespace etlopt {
 
 namespace {
-
-size_t RoundUpPowerOfTwo(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-// splitmix-style finalizer: signatures are already well-mixed FNV hashes,
-// but shard selection uses the low bits, so re-mix defensively.
-inline size_t MixSignature(uint64_t sig) {
-  uint64_t h = sig + 0x9e3779b97f4a7c15ull;
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ull;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebull;
-  h ^= h >> 31;
-  return static_cast<size_t>(h);
-}
 
 size_t ApproxValueBytes(const Value& v) {
   constexpr size_t kBase = sizeof(Value);
@@ -41,177 +21,6 @@ size_t ApproxRowsBytes(const std::vector<Record>& rows) {
     for (const Value& v : r.values()) bytes += ApproxValueBytes(v);
   }
   return bytes;
-}
-
-SharedResultCache::SharedResultCache(SharedResultCacheOptions options) {
-  size_t shards = RoundUpPowerOfTwo(options.shards == 0 ? 1 : options.shards);
-  shards_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  shard_mask_ = shards - 1;
-  shard_budget_ = options.byte_budget / shards;
-}
-
-SharedResultCache::Shard& SharedResultCache::ShardFor(uint64_t signature) {
-  return *shards_[MixSignature(signature) & shard_mask_];
-}
-
-void SharedResultCache::InsertLocked(
-    Shard& shard, uint64_t signature,
-    std::shared_ptr<const CachedSubgraphResult> entry) {
-  if (entry->bytes > shard_budget_) {
-    ++shard.oversized;
-    return;
-  }
-  auto it = shard.index.find(signature);
-  if (it != shard.index.end()) {
-    shard.bytes -= it->second->second->bytes;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-  }
-  shard.bytes += entry->bytes;
-  shard.lru.emplace_front(signature, std::move(entry));
-  shard.index[signature] = shard.lru.begin();
-  ++shard.insertions;
-  while (shard.bytes > shard_budget_ && shard.lru.size() > 1) {
-    const auto& victim = shard.lru.back();
-    shard.bytes -= victim.second->bytes;
-    shard.index.erase(victim.first);
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
-}
-
-std::shared_ptr<SharedResultCache::Flight> SharedResultCache::TakeFlight(
-    Shard& shard, uint64_t signature) {
-  auto it = shard.flights.find(signature);
-  if (it == shard.flights.end()) return nullptr;
-  std::shared_ptr<Flight> flight = std::move(it->second);
-  shard.flights.erase(it);
-  return flight;
-}
-
-SharedResultCache::AcquireResult SharedResultCache::Acquire(uint64_t signature,
-                                                            bool may_wait) {
-  Shard& shard = ShardFor(signature);
-  std::shared_ptr<Flight> flight;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(signature);
-    if (it != shard.index.end()) {
-      ++shard.hits;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return {Outcome::kHit, it->second->second};
-    }
-    ++shard.misses;
-    auto fit = shard.flights.find(signature);
-    if (fit == shard.flights.end()) {
-      shard.flights[signature] = std::make_shared<Flight>();
-      return {Outcome::kLeased, nullptr};
-    }
-    if (!may_wait) {
-      ++shard.busy;
-      return {Outcome::kBusy, nullptr};
-    }
-    flight = fit->second;
-  }
-  // Coalescing path: block on the holder's publication. The holder never
-  // waits on anyone (callers pass may_wait only while holding no leases),
-  // so this wait cannot participate in a cycle.
-  std::unique_lock<std::mutex> lock(flight->mu);
-  flight->cv.wait(lock, [&flight] { return flight->done; });
-  if (flight->value == nullptr) {
-    // Holder aborted: degrade to local recomputation.
-    std::lock_guard<std::mutex> shard_lock(shard.mu);
-    ++shard.busy;
-    return {Outcome::kBusy, nullptr};
-  }
-  {
-    std::lock_guard<std::mutex> shard_lock(shard.mu);
-    ++shard.coalesced;
-  }
-  return {Outcome::kHit, flight->value};
-}
-
-void SharedResultCache::Publish(
-    uint64_t signature, std::shared_ptr<const CachedSubgraphResult> entry) {
-  Shard& shard = ShardFor(signature);
-  std::shared_ptr<Flight> flight;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    flight = TakeFlight(shard, signature);
-    InsertLocked(shard, signature, entry);
-  }
-  if (flight != nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(flight->mu);
-      flight->done = true;
-      flight->value = std::move(entry);
-    }
-    flight->cv.notify_all();
-  }
-}
-
-void SharedResultCache::Abort(uint64_t signature) {
-  Shard& shard = ShardFor(signature);
-  std::shared_ptr<Flight> flight;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    flight = TakeFlight(shard, signature);
-    ++shard.aborted;
-  }
-  if (flight != nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(flight->mu);
-      flight->done = true;
-      flight->value = nullptr;
-    }
-    flight->cv.notify_all();
-  }
-}
-
-std::shared_ptr<const CachedSubgraphResult> SharedResultCache::Lookup(
-    uint64_t signature) {
-  Shard& shard = ShardFor(signature);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(signature);
-  if (it == shard.index.end()) {
-    ++shard.misses;
-    return nullptr;
-  }
-  ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->second;
-}
-
-ResultCacheStats SharedResultCache::Stats() const {
-  ResultCacheStats stats;
-  stats.shards = shards_.size();
-  stats.byte_budget = shard_budget_ * shards_.size();
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    stats.hits += shard->hits;
-    stats.misses += shard->misses;
-    stats.coalesced += shard->coalesced;
-    stats.busy += shard->busy;
-    stats.insertions += shard->insertions;
-    stats.evictions += shard->evictions;
-    stats.oversized += shard->oversized;
-    stats.aborted += shard->aborted;
-    stats.entries += shard->lru.size();
-    stats.bytes += shard->bytes;
-  }
-  return stats;
-}
-
-void SharedResultCache::Clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
-    shard->bytes = 0;
-  }
 }
 
 }  // namespace etlopt

@@ -11,39 +11,22 @@
 // upstream cone; a tenant that misses executes it once and publishes for
 // everyone else.
 //
-// Design mirrors PlanCache: N-way sharding (per-shard mutex, LRU list,
-// byte budget) plus single-flight coalescing — but with a LEASE protocol
-// instead of a compute callback, because an executor discovers its cut
-// points mid-run and cannot package "execute this subtree" as a closure:
-//
-//   auto r = cache->Acquire(sig, /*may_wait=*/...);
-//   switch (r.kind) {
-//     case kHit:    /* reuse r.value, skip the subtree */
-//     case kLeased: /* compute, then Publish(sig, entry) or Abort(sig) */
-//     case kBusy:   /* someone else is computing; compute locally,
-//                      do not publish */
-//   }
-//
-// may_wait=true blocks a miss on another holder's in-flight lease and
-// returns its published value (the coalescing path: k concurrent
-// identical subgraphs ⇒ 1 execution). Executors only pass may_wait while
-// they hold no leases of their own, which makes the wait graph acyclic —
-// a lease holder never blocks — so the protocol cannot deadlock. An
-// aborted lease wakes all waiters with kBusy: cache failure degrades to
-// recomputation, never to an error.
+// Entries live in a ShardedCache (service/sharded_cache.h) keyed by
+// signature. Sharing runs on its lease protocol rather than a compute
+// callback, because an executor discovers its cut points mid-run and
+// cannot package "execute this subtree" as a closure. Executors pass
+// may_wait only while holding no leases of their own, so waits cannot
+// deadlock. An aborted lease wakes all waiters with kBusy: cache failure
+// degrades to recomputation, never to an error.
 
 #ifndef ETLOPT_SERVICE_SHARED_RESULT_CACHE_H_
 #define ETLOPT_SERVICE_SHARED_RESULT_CACHE_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "records/record.h"
+#include "service/sharded_cache.h"
 
 namespace etlopt {
 
@@ -72,106 +55,34 @@ struct SharedResultCacheOptions {
   size_t byte_budget = static_cast<size_t>(256) << 20;
 };
 
-/// Point-in-time counters. Monotonic except the entries/bytes gauges.
-struct ResultCacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;      // includes coalesced waits and busy probes
-  uint64_t coalesced = 0;   // misses served by another run's publication
-  uint64_t busy = 0;        // misses computed locally (holder in flight)
-  uint64_t insertions = 0;
-  uint64_t evictions = 0;
-  uint64_t oversized = 0;
-  uint64_t aborted = 0;     // leases released without a publication
-  size_t entries = 0;
-  size_t bytes = 0;
-  size_t byte_budget = 0;
-  size_t shards = 0;
+/// The result cache's counters (the name the benches and tests read).
+using ResultCacheStats = CacheStats;
 
-  double hit_rate() const {
-    uint64_t n = hits + misses;
-    return n == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(n);
+/// splitmix-style finalizer: signatures are already well-mixed FNV
+/// hashes, but shard selection uses the low bits, so re-mix defensively.
+struct MixSignature {
+  size_t operator()(uint64_t sig) const {
+    uint64_t h = sig + 0x9e3779b97f4a7c15ull;
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebull;
+    h ^= h >> 31;
+    return static_cast<size_t>(h);
   }
 };
 
-class SharedResultCache {
+class SharedResultCache
+    : public ShardedCache<uint64_t, CachedSubgraphResult, MixSignature> {
  public:
-  explicit SharedResultCache(SharedResultCacheOptions options = {});
-
-  SharedResultCache(const SharedResultCache&) = delete;
-  SharedResultCache& operator=(const SharedResultCache&) = delete;
-
-  enum class Outcome : int {
-    kHit = 0,     // value returned (cached, or coalesced from a holder)
-    kLeased = 1,  // caller owns the flight: Publish or Abort exactly once
-    kBusy = 2,    // another run is computing; compute locally, no publish
-  };
-
-  struct AcquireResult {
-    Outcome kind = Outcome::kBusy;
-    std::shared_ptr<const CachedSubgraphResult> value;  // kHit only
-  };
-
-  /// Probes `signature`. On a miss with no flight in progress the caller
-  /// is granted the lease (kLeased). On a miss with a flight in progress:
-  /// blocks for the holder's publication when `may_wait` (kHit on
-  /// publish, kBusy if the holder aborts), else returns kBusy at once.
-  /// Callers must only pass may_wait while holding no leases — see the
-  /// deadlock-freedom argument in the file comment.
-  AcquireResult Acquire(uint64_t signature, bool may_wait);
-
-  /// Completes the caller's lease: inserts under the byte budget (LRU
-  /// eviction; oversized entries skipped) and hands the value to every
-  /// waiter either way.
-  void Publish(uint64_t signature,
-               std::shared_ptr<const CachedSubgraphResult> entry);
+  explicit SharedResultCache(SharedResultCacheOptions options = {})
+      : ShardedCache(options.shards, options.byte_budget) {}
 
   /// Releases the caller's lease without a value (the compute failed or
   /// was skipped); waiters wake with kBusy and fall back to recompute.
-  void Abort(uint64_t signature);
-
-  /// Plain lookup; counts a hit or a miss, never waits, never leases.
-  std::shared_ptr<const CachedSubgraphResult> Lookup(uint64_t signature);
-
-  ResultCacheStats Stats() const;
-
-  void Clear();
-
- private:
-  struct Flight {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::shared_ptr<const CachedSubgraphResult> value;  // null if aborted
-  };
-
-  struct Shard {
-    mutable std::mutex mu;
-    // front = most recently used.
-    std::list<std::pair<uint64_t, std::shared_ptr<const CachedSubgraphResult>>>
-        lru;
-    std::unordered_map<uint64_t, decltype(lru)::iterator> index;
-    std::unordered_map<uint64_t, std::shared_ptr<Flight>> flights;
-    size_t bytes = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t coalesced = 0;
-    uint64_t busy = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
-    uint64_t oversized = 0;
-    uint64_t aborted = 0;
-  };
-
-  Shard& ShardFor(uint64_t signature);
-  // Requires shard.mu held.
-  void InsertLocked(Shard& shard, uint64_t signature,
-                    std::shared_ptr<const CachedSubgraphResult> entry);
-  // Detaches the flight for `signature` (if any) and returns it.
-  std::shared_ptr<Flight> TakeFlight(Shard& shard, uint64_t signature);
-
-  size_t shard_budget_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  size_t shard_mask_ = 0;
+  void Abort(uint64_t signature) {
+    ShardedCache::Abort(signature, Status::OK());
+  }
 };
 
 }  // namespace etlopt

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -194,6 +195,90 @@ TEST(ProtocolTest, StatsResponseRoundTrips) {
   EXPECT_EQ(decoded->server.bad_frames, 1u);
   EXPECT_EQ(decoded->server.active_connections, 5u);
   EXPECT_TRUE(decoded->server.draining);
+}
+
+TEST(ProtocolTest, StatsResponseBytesAreGolden) {
+  // Every counter gets a distinct value; the expected payload lists them
+  // in wire order as little-endian u64s (the breaker state and draining
+  // flag are single bytes). Pins the layout: the plan-cache section is
+  // ten fields and carries no busy/aborted counters.
+  NetStatsResponse stats;
+  auto& cache = stats.service.cache;
+  cache.hits = 0x1001;
+  cache.misses = 0x1002;
+  cache.coalesced = 0x1003;
+  cache.insertions = 0x1004;
+  cache.evictions = 0x1005;
+  cache.oversized = 0x1006;
+  cache.entries = 0x1007;
+  cache.bytes = 0x1008;
+  cache.byte_budget = 0x1009;
+  cache.shards = 0x100a;
+  cache.busy = 0x10fe;     // not on the wire for the plan cache
+  cache.aborted = 0x10ff;
+  auto& rcache = stats.service.result_cache;
+  rcache.hits = 0x2001;
+  rcache.misses = 0x2002;
+  rcache.coalesced = 0x2003;
+  rcache.busy = 0x2004;
+  rcache.insertions = 0x2005;
+  rcache.evictions = 0x2006;
+  rcache.oversized = 0x2007;
+  rcache.aborted = 0x2008;
+  rcache.entries = 0x2009;
+  rcache.bytes = 0x200a;
+  rcache.byte_budget = 0x200b;
+  rcache.shards = 0x200c;
+  ServiceStats& service = stats.service;
+  service.requests = 0x3001;
+  service.rejected = 0x3002;
+  service.uncacheable = 0x3003;
+  service.searches_run = 0x3004;
+  service.failed_searches = 0x3005;
+  service.search_retries = 0x3006;
+  service.degraded = 0x3007;
+  service.deadline_exceeded = 0x3008;
+  service.search_millis = 0.5;
+  service.breaker.state = BreakerState::kOpen;
+  service.breaker.trips = 0x4001;
+  service.breaker.rejections = 0x4002;
+  service.breaker.consecutive_failures = 0x4003;
+  service.in_flight = 0x3009;
+  service.max_queue = 0x300a;
+  service.worker_threads = 0x300b;
+  stats.server.connections_accepted = 0x5001;
+  stats.server.connections_rejected = 0x5002;
+  stats.server.requests_served = 0x5003;
+  stats.server.requests_shed = 0x5004;
+  stats.server.bad_frames = 0x5005;
+  stats.server.active_connections = 0x5006;
+  stats.server.draining = true;
+
+  std::string golden;
+  auto u64s = [&golden](std::initializer_list<uint64_t> values) {
+    for (uint64_t v : values) {
+      for (int i = 0; i < 8; ++i) {
+        golden.push_back(static_cast<char>(v >> (8 * i)));
+      }
+    }
+  };
+  u64s({0x1001, 0x1002, 0x1003, 0x1004, 0x1005, 0x1006, 0x1007, 0x1008,
+        0x1009, 0x100a});
+  u64s({0x2001, 0x2002, 0x2003, 0x2004, 0x2005, 0x2006, 0x2007, 0x2008,
+        0x2009, 0x200a, 0x200b, 0x200c});
+  u64s({0x3001, 0x3002, 0x3003, 0x3004, 0x3005, 0x3006, 0x3007, 0x3008});
+  u64s({0x3fe0000000000000});  // search_millis = 0.5
+  golden.push_back(static_cast<char>(BreakerState::kOpen));
+  u64s({0x4001, 0x4002, 0x4003, 0x3009, 0x300a, 0x300b});
+  u64s({0x5001, 0x5002, 0x5003, 0x5004, 0x5005, 0x5006});
+  golden.push_back(1);
+
+  EXPECT_EQ(EncodeStatsResponse(stats), golden);
+  auto decoded = DecodeStatsResponse(golden);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(EncodeStatsResponse(*decoded), golden);
+  EXPECT_EQ(decoded->service.cache.busy, 0u);
+  EXPECT_EQ(decoded->service.cache.aborted, 0u);
 }
 
 TEST(ProtocolTest, SavePlansAndHealthRoundTrip) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <initializer_list>
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/file_util.h"
 #include "cost/cost_model.h"
 #include "cost/external_cost_model.h"
 #include "fault/fault_injector.h"
@@ -242,6 +244,67 @@ TEST(OptimizerServiceTest, StatsReportMentionsKeyFigures) {
   EXPECT_NE(report.find("plan cache hit rate"), std::string::npos);
   EXPECT_NE(report.find("result cache hit rate"), std::string::npos);
   EXPECT_NE(report.find("50.0%"), std::string::npos);
+}
+
+TEST(OptimizerServiceTest, StatsReportTextIsGolden) {
+  ServiceStats stats;
+  stats.requests = 11;
+  stats.rejected = 12;
+  stats.uncacheable = 13;
+  stats.searches_run = 14;
+  stats.failed_searches = 15;
+  stats.search_retries = 16;
+  stats.search_millis = 17.5;
+  stats.degraded = 18;
+  stats.deadline_exceeded = 19;
+  stats.breaker.state = BreakerState::kHalfOpen;
+  stats.breaker.trips = 20;
+  stats.breaker.rejections = 21;
+  stats.in_flight = 22;
+  stats.max_queue = 23;
+  stats.worker_threads = 24;
+  stats.cache.hits = 30;
+  stats.cache.misses = 10;
+  stats.cache.coalesced = 31;
+  stats.cache.insertions = 32;
+  stats.cache.evictions = 33;
+  stats.cache.oversized = 34;
+  stats.cache.entries = 35;
+  stats.cache.bytes = 36;
+  stats.cache.byte_budget = 37;
+  stats.cache.shards = 38;
+  stats.result_cache.hits = 1;
+  stats.result_cache.misses = 3;
+  stats.result_cache.coalesced = 40;
+  stats.result_cache.busy = 41;
+  stats.result_cache.insertions = 42;
+  stats.result_cache.evictions = 43;
+  stats.result_cache.oversized = 44;
+  stats.result_cache.aborted = 45;
+  stats.result_cache.entries = 46;
+  stats.result_cache.bytes = 47;
+  stats.result_cache.byte_budget = 48;
+  stats.result_cache.shards = 49;
+  EXPECT_EQ(ServiceStatsReport(stats),
+            "optimizer service\n"
+            "  requests               11 (12 rejected, 13 uncacheable)\n"
+            "  searches run           14 (15 failed, 16 retries, 17.5 ms "
+            "total)\n"
+            "  resilience             18 degraded, 19 deadline-exceeded\n"
+            "  breaker                half-open (20 trips, 21 rejections)\n"
+            "  queue                  22 in flight / 23 max, 24 workers\n"
+            "  plan cache hit rate    75.0% (30 hits, 10 misses, 31 "
+            "coalesced)\n"
+            "  plan cache size        35 plans, 36 / 37 bytes over 38 "
+            "shards\n"
+            "  plan cache churn       32 insertions, 33 evictions, 34 "
+            "oversized\n"
+            "  result cache hit rate  25.0% (1 hits, 3 misses, 40 coalesced, "
+            "41 busy)\n"
+            "  result cache size      46 results, 47 / 48 bytes over 49 "
+            "shards\n"
+            "  result cache churn     42 insertions, 43 evictions, 44 "
+            "oversized, 45 aborted\n");
 }
 
 TEST(OptimizerServiceTest, AttachedResultCacheSurfacesInStats) {
@@ -502,6 +565,38 @@ TEST(OptimizerServiceHardeningTest, BinaryPlanFileSurvivesRestart) {
   EXPECT_TRUE(warm->cache_hit);
   EXPECT_EQ(restarted.Stats().searches_run, 0u);
   ExpectSameAnswer(*original, *warm->plan);
+  std::remove(path.c_str());
+}
+
+TEST(OptimizerServiceHardeningTest, FailedSaveKeepsPreviousPlanFile) {
+  // A save that cannot complete must leave the last good file in place:
+  // the server saves over its own plan file on Stop and refuses to start
+  // on a corrupt one.
+  LinearLogCostModel model;
+  std::string path = TempPath("optimizer_service_atomic.etlplan");
+  std::filesystem::remove_all(path + ".tmp");
+  OptimizerService service(model, {});
+  ASSERT_TRUE(service.Optimize(RequestFor(35)).ok());
+  ASSERT_TRUE(service.SavePlans(path).ok());
+  auto before = ReadFileToString(path);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  ASSERT_TRUE(service.Optimize(RequestFor(36)).ok());
+  // A directory squatting on the temp name makes the write fail.
+  ASSERT_TRUE(std::filesystem::create_directory(path + ".tmp"));
+  for (auto format : {OptimizerService::PlanFileFormat::kText,
+                      OptimizerService::PlanFileFormat::kBinary}) {
+    Status saved = service.SavePlans(path, format);
+    EXPECT_TRUE(saved.IsIOError()) << saved.ToString();
+    auto after = ReadFileToString(path);
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EXPECT_EQ(*after, *before);
+  }
+  OptimizerService restarted(model, {});
+  auto loaded = restarted.LoadPlans(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(*loaded, 1u);
+  std::filesystem::remove_all(path + ".tmp");
   std::remove(path.c_str());
 }
 

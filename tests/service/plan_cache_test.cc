@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -77,7 +81,7 @@ TEST(PlanCacheTest, LookupMissesThenHits) {
   auto hit = cache.Lookup(Key(1));
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->result.best.cost, 42.0);
-  PlanCacheStats stats = cache.Stats();
+  CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
@@ -96,7 +100,7 @@ TEST(PlanCacheTest, EvictsLeastRecentlyUsedPastByteBudget) {
   // Touch key 1 so key 2 is now the LRU victim.
   ASSERT_NE(cache.Lookup(Key(1)), nullptr);
   cache.Insert(Key(4), Entry(100, 4));
-  PlanCacheStats stats = cache.Stats();
+  CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, 3u);
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_LE(stats.bytes, 300u);
@@ -112,7 +116,7 @@ TEST(PlanCacheTest, RefusesOversizedEntries) {
   options.byte_budget = 100;
   PlanCache cache(options);
   cache.Insert(Key(1), Entry(101));
-  PlanCacheStats stats = cache.Stats();
+  CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.oversized, 1u);
 }
@@ -124,7 +128,7 @@ TEST(PlanCacheTest, ReinsertReplacesAndRecharges) {
   PlanCache cache(options);
   cache.Insert(Key(1), Entry(100, 1));
   cache.Insert(Key(1), Entry(250, 2));
-  PlanCacheStats stats = cache.Stats();
+  CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.bytes, 250u);
   EXPECT_EQ(cache.Lookup(Key(1))->result.best.cost, 2.0);
@@ -166,7 +170,7 @@ TEST(PlanCacheTest, GetOrComputeCoalescesConcurrentMisses) {
   // Every non-leader either coalesced onto the flight or arrived after
   // insertion and hit.
   EXPECT_EQ(hits.load() + coalesced.load(), kThreads - 1);
-  PlanCacheStats stats = cache.Stats();
+  CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.insertions, 1u);
   EXPECT_EQ(stats.coalesced, static_cast<uint64_t>(coalesced.load()));
 }
@@ -186,6 +190,52 @@ TEST(PlanCacheTest, FailedComputeIsNotCachedAndPropagates) {
       });
   EXPECT_TRUE(ok.ok());
   EXPECT_EQ(cache.Stats().entries, 1u);
+
+  // Concurrent callers on a slow failing search: every caller either ran
+  // a search itself or coalesced onto one and got that search's exact
+  // Status; nothing is cached.
+  PlanCache concurrent;
+  constexpr int kThreads = 8;
+  std::mutex mu;
+  std::set<std::string> leader_messages;
+  std::atomic<int> computes{0};
+  std::atomic<int> coalesced{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&] {
+      bool ran = false;
+      bool hit = false;
+      bool shared = false;
+      auto result = concurrent.GetOrCompute(
+          Key(10),
+          [&]() -> StatusOr<std::shared_ptr<const CachedPlan>> {
+            ran = true;
+            std::string message =
+                "search exploded #" + std::to_string(computes.fetch_add(1));
+            {
+              std::lock_guard<std::mutex> lock(mu);
+              leader_messages.insert(message);
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            return Status::Internal(message);
+          },
+          &hit, &shared);
+      EXPECT_FALSE(result.ok());
+      EXPECT_FALSE(hit);
+      EXPECT_NE(ran, shared);
+      if (!shared) return;
+      coalesced.fetch_add(1);
+      EXPECT_TRUE(result.status().IsInternal());
+      std::lock_guard<std::mutex> lock(mu);
+      EXPECT_EQ(leader_messages.count(result.status().message()), 1u)
+          << result.status().ToString();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(computes.load() + coalesced.load(), kThreads);
+  CacheStats stats = concurrent.Stats();
+  EXPECT_EQ(stats.coalesced, static_cast<uint64_t>(coalesced.load()));
+  EXPECT_EQ(stats.entries, 0u);
 }
 
 TEST(PlanCacheTest, ClearDropsEntriesButKeepsCounters) {
@@ -193,7 +243,7 @@ TEST(PlanCacheTest, ClearDropsEntriesButKeepsCounters) {
   cache.Insert(Key(1), Entry(10));
   cache.Insert(Key(2), Entry(10));
   cache.Clear();
-  PlanCacheStats stats = cache.Stats();
+  CacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.bytes, 0u);
   EXPECT_EQ(stats.insertions, 2u);

@@ -190,6 +190,10 @@ TEST(SharedResultCacheTest, AbortWakesWaitersWithBusy) {
   ResultCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.aborted, 1u);
   EXPECT_EQ(stats.entries, 0u);
+  // An aborted lease's waiters count as busy, not coalesced.
+  EXPECT_EQ(stats.busy, static_cast<uint64_t>(kWaiters));
+  EXPECT_EQ(stats.coalesced, 0u);
+  EXPECT_EQ(stats.misses, static_cast<uint64_t>(kWaiters + 1));
   // The signature is leasable again after the abort.
   EXPECT_EQ(cache.Acquire(3, true).kind, SharedResultCache::Outcome::kLeased);
   cache.Abort(3);
