@@ -40,20 +40,17 @@ int Run() {
   ETLOPT_CHECK_OK(s.status());
   const Workflow& case1 = s->workflow;
 
-  auto case2 = ApplyDistribute(case1, s->union_node, s->selection);
-  ETLOPT_CHECK_OK(case2.status());
+  Workflow case2w = case1;
+  ETLOPT_CHECK_OK(ApplyDistribute(case2w, s->union_node, s->selection));
   // Push each selection clone before its SK (it is 50% selective).
-  Workflow case2w = *case2;
   for (NodeId sk : {s->sk1, s->sk2}) {
     NodeId clone = case2w.Consumers(sk)[0];
-    auto swapped = ApplySwap(case2w, sk, clone);
-    ETLOPT_CHECK_OK(swapped.status());
-    case2w = std::move(swapped).value();
+    ETLOPT_CHECK_OK(ApplySwap(case2w, sk, clone));
   }
 
   // Case 3: from case 2, factorize the two SKs after the union.
-  auto case3 = ApplyFactorize(case2w, s->union_node, s->sk1, s->sk2);
-  ETLOPT_CHECK_OK(case3.status());
+  Workflow case3 = case2w;
+  ETLOPT_CHECK_OK(ApplyFactorize(case3, s->union_node, s->sk1, s->sk2));
 
   bench::JsonReport report("fig4_costmodel");
   report.Add("paper.c1", 2 * NLogN(n) + n, "cost");
@@ -65,7 +62,7 @@ int Run() {
     LinearLogCostModel model(options);
     double c1 = *StateCost(case1, model);
     double c2 = *StateCost(case2w, model);
-    double c3 = *StateCost(*case3, model);
+    double c3 = *StateCost(case3, model);
     std::printf("\nexact library accounting (SK setup cost = %.0f):\n",
                 setup);
     std::printf("  case 1 (initial, SK per flow then sigma) : %.0f\n", c1);

@@ -1,14 +1,18 @@
-// Search-layer speedup: wall-clock of HeuristicSearch with the fast paths
-// (hashed signatures + delta recosting) at 1/2/4/8 worker threads against
+// Search-layer speedup: wall-clock of HeuristicSearch (hashed signatures,
+// delta recosting, zero-copy neighbors) at 1/2/4/8 worker threads against
 // the pre-optimization baseline (string signatures, full recost of every
-// state, serial frontier), on a generated scenario. The headline check is
-// >= 3x at 8 threads vs. the baseline on a large (~70-activity, §4.2)
-// workflow; every run also re-verifies that best cost, best signature and
-// visited-state count are byte-identical across all configurations.
+// state, one workflow copy per candidate, serial frontier), on a
+// generated scenario. The baseline is the committed table kBaseline
+// below: every run must reproduce its best plan, cost bits and visited
+// count exactly, and copies are counted against its copies.
 //
-// The speedup check hard-fails only where it is physically meaningful: on
-// machines with >= 8 hardware threads (CI perf runners). Elsewhere the
-// numbers are measured, printed and emitted, but informational.
+// The baseline's wall time was measured on another host (see the table),
+// so the two timing ratios compare this machine's search against that
+// host's baseline run. The headline check is >= 3x at 8 threads on a
+// large (~70-activity, §4.2) workflow; it hard-fails only where it is
+// physically meaningful: on machines with >= 8 hardware threads (CI perf
+// runners). Elsewhere the numbers are measured, printed and emitted, but
+// informational.
 // ETLOPT_BENCH_CATEGORY=small|medium|large picks the scenario size
 // (default large); ETLOPT_BENCH_QUICK=1 shrinks budgets for smoke runs.
 //
@@ -16,6 +20,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +37,43 @@ namespace {
 
 using namespace etlopt;
 using namespace etlopt::bench;
+
+// The serial, full-recost, copy-per-candidate baseline (the removed
+// disable_fast_paths search path), recorded at commit 662a9a0 on a 4-core
+// Intel Xeon host. The identity fields and the copy count are
+// deterministic; `millis` is that host's best-of-runs wall time.
+struct BaselineFigures {
+  const char* category;
+  bool quick;
+  uint64_t signature_hash;
+  uint64_t cost_bits;  // bit pattern of the best cost
+  size_t visited_states;
+  size_t workflow_copies;
+  double millis;
+};
+
+constexpr unsigned kBaselineHostThreads = 4;
+
+constexpr BaselineFigures kBaseline[] = {
+    {"small", true, 0x9a2df0cdec79a7c8ull, 0x41119dd462d0bcbaull,
+     1452, 3497, 552.9},
+    {"small", false, 0x9a2df0cdec79a7c8ull, 0x41119dd462d0bcbaull,
+     1452, 3497, 267.0},
+    {"medium", true, 0xbbfd7fc10f32726dull, 0x410dfd23f5a55c9full,
+     7852, 12782, 3277.8},
+    {"medium", false, 0xbbfd7fc10f32726dull, 0x410dfd23f5a55c9full,
+     7852, 12782, 2937.2},
+    {"large", true, 0x1bf7b5a133d90de7ull, 0x411936866383458cull,
+     14432, 25048, 9806.0},
+    {"large", false, 0x1bf7b5a133d90de7ull, 0x411936866383458cull,
+     14432, 25048, 10533.4},
+};
+
+uint64_t CostBits(double cost) {
+  uint64_t bits;
+  std::memcpy(&bits, &cost, sizeof(bits));
+  return bits;
+}
 
 double MillisOf(const std::function<void()>& fn, int repeats) {
   double best = 1e300;
@@ -76,28 +119,31 @@ int Run() {
 
   const int repeats = quick ? 1 : 2;
 
-  // The pre-optimization baseline: serial frontier, every state fully
-  // recosted and its string signature materialized.
-  SearchOptions baseline = base_options;
-  baseline.num_threads = 1;
-  baseline.disable_fast_paths = true;
-  StatusOr<SearchResult> ref = SearchResult{};
-  double baseline_ms = MillisOf(
-      [&] { ref = HeuristicSearch(g->workflow, model, baseline); }, repeats);
-  ETLOPT_CHECK_OK(ref.status());
-  std::printf("  %-22s %9.1f ms  %9.0f states/s  cost %.0f (%zu states)\n",
+  const std::string category(WorkloadCategoryToString(gen.category));
+  const BaselineFigures* ref = nullptr;
+  for (const BaselineFigures& b : kBaseline) {
+    if (category == b.category && quick == b.quick) ref = &b;
+  }
+  ETLOPT_CHECK(ref != nullptr);
+  const double baseline_ms = ref->millis;
+  double best_cost;
+  std::memcpy(&best_cost, &ref->cost_bits, sizeof(best_cost));
+  std::printf("  %-22s %9.1f ms  %9.0f states/s  cost %.0f (%zu states; "
+              "committed, %u-thread host)\n",
               "baseline (serial,full)", baseline_ms,
               1000.0 * static_cast<double>(ref->visited_states) / baseline_ms,
-              ref->best.cost, ref->visited_states);
+              best_cost, ref->visited_states, kBaselineHostThreads);
 
   JsonReport report("search_speedup");
   report.Add("activities", static_cast<double>(g->activity_count),
              "activities");
   report.Add("baseline.millis", baseline_ms, "ms");
+  report.Add("baseline.host_threads",
+             static_cast<double>(kBaselineHostThreads), "threads");
   report.Add("baseline.states_per_sec",
              1000.0 * static_cast<double>(ref->visited_states) / baseline_ms,
              "states/s");
-  report.Add("baseline.best_cost", ref->best.cost, "cost");
+  report.Add("baseline.best_cost", best_cost, "cost");
   report.Add("baseline.visited_states",
              static_cast<double>(ref->visited_states), "states");
 
@@ -111,16 +157,17 @@ int Run() {
         [&] { r = HeuristicSearch(g->workflow, model, fast); }, repeats);
     ETLOPT_CHECK_OK(r.status());
     // The fast paths must not change the search: identical optimum,
-    // identical signature, identical state accounting, at every thread
+    // identical cost bits, identical state accounting, at every thread
     // count.
-    if (r->best.cost != ref->best.cost ||
-        r->best.signature != ref->best.signature ||
+    if (r->best.signature_hash != ref->signature_hash ||
+        CostBits(r->best.cost) != ref->cost_bits ||
         r->visited_states != ref->visited_states) {
       std::fprintf(stderr,
                    "FAIL: fast(%zu threads) diverged from the baseline "
-                   "(cost %.17g vs %.17g, visited %zu vs %zu)\n",
-                   threads, r->best.cost, ref->best.cost, r->visited_states,
-                   ref->visited_states);
+                   "(hash %016" PRIx64 " vs %016" PRIx64
+                   ", visited %zu vs %zu)\n",
+                   threads, r->best.signature_hash, ref->signature_hash,
+                   r->visited_states, ref->visited_states);
       return 1;
     }
     if (threads == 1) {
@@ -152,17 +199,17 @@ int Run() {
   report.Add("fast1.node_cache_hit_rate", perf1.node_cache_hit_rate(),
              "ratio");
 
-  // Zero-copy neighbor generation: the baseline pays one full Workflow
-  // copy per generated candidate; the fast path copies only enqueued
-  // states (plus per-round scratch refreshes) and rolls everything else
-  // back in place. The reduction is deterministic — gate it hard.
+  // Zero-copy neighbor generation: the baseline paid one full Workflow
+  // copy per generated candidate; the search copies only enqueued states
+  // (plus per-round scratch refreshes) and rolls everything else back in
+  // place. The reduction is deterministic — gate it hard.
   const double copy_reduction =
       perf1.workflow_copies > 0
-          ? static_cast<double>(ref->perf.workflow_copies) /
+          ? static_cast<double>(ref->workflow_copies) /
                 static_cast<double>(perf1.workflow_copies)
-          : static_cast<double>(ref->perf.workflow_copies);
+          : static_cast<double>(ref->workflow_copies);
   report.Add("baseline.workflow_copies",
-             static_cast<double>(ref->perf.workflow_copies), "copies");
+             static_cast<double>(ref->workflow_copies), "copies");
   report.Add("fast1.workflow_copies",
              static_cast<double>(perf1.workflow_copies), "copies");
   report.Add("fast1.undo_applies", static_cast<double>(perf1.undo_applies),
@@ -181,12 +228,16 @@ int Run() {
               100.0 * perf1.node_cache_hit_rate());
   std::printf("workflow copies: %zu baseline -> %zu zero-copy (%.1fx fewer), "
               "%zu undo applies, peak state %.1f KiB\n",
-              ref->perf.workflow_copies, perf1.workflow_copies,
+              ref->workflow_copies, perf1.workflow_copies,
               copy_reduction, perf1.undo_applies,
               static_cast<double>(perf1.peak_state_bytes) / 1024.0);
   if (copy_reduction < 5.0) {
     std::fprintf(stderr, "FAIL: workflow copy reduction %.2fx < 5x\n",
                  copy_reduction);
+    return 1;
+  }
+  if (perf1.undo_applies == 0) {
+    std::fprintf(stderr, "FAIL: no in-place undo applies\n");
     return 1;
   }
   if (!quick && speedup1 < 1.0) {

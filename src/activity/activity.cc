@@ -1,6 +1,7 @@
 #include "activity/activity.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -111,8 +112,10 @@ StatusOr<Activity> Activity::Make(std::string label, ActivityKind kind,
         StrFormat("activity '%s': params do not match kind %s", label.c_str(),
                   std::string(ActivityKindToString(kind)).c_str()));
   }
-  if (selectivity <= 0.0 || selectivity > 1.0) {
-    if (!(kind == ActivityKind::kJoin && selectivity > 0.0)) {
+  // Written so that NaN fails every comparison and is rejected.
+  if (!(selectivity > 0.0 && selectivity <= 1.0)) {
+    if (!(kind == ActivityKind::kJoin && selectivity > 0.0 &&
+          std::isfinite(selectivity))) {
       return Status::InvalidArgument(StrFormat(
           "activity '%s': selectivity %.4f out of (0, 1]", label.c_str(),
           selectivity));

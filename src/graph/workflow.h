@@ -1,10 +1,9 @@
 // Workflow: a directed acyclic graph of activities and recordsets
 // (paper §2.1). States of the optimizer's search space *are* workflows,
-// so Workflow is a value type: transitions either copy it and rewire the
-// copy, or — on the search hot path — rewire it *in place* under an
-// UndoLog and roll the surgery back once the neighbor has been hashed and
-// costed (see BeginSurgery below). Either way the result is revalidated
-// via Refresh().
+// so Workflow is a value type: transitions rewire it *in place* — on the
+// search hot path under an UndoLog, rolling the surgery back once the
+// neighbor has been hashed and costed (see BeginSurgery below) — and
+// revalidate the result via Refresh(). A kept neighbor is a copy.
 //
 // Representation notes: nodes and the computed-schema table are dense
 // NodeId-indexed vectors (ids are small and monotonically assigned), and
@@ -281,8 +280,8 @@ class Workflow {
   /// that log (the inner session first, when one is open).
   void RollbackSurgery();
 
-  /// Disarms the log, keeping the mutations (used by the copy-based
-  /// Apply* wrappers). Forbidden while an inner session is open: the
+  /// Disarms the log, keeping the mutations (an accepted neighbor or
+  /// annealing move). Forbidden while an inner session is open: the
   /// outer log has no first-touch records for nodes the inner session
   /// modified, so committing it would leave the outer rollback unable to
   /// restore them.

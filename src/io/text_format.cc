@@ -1,6 +1,7 @@
 #include "io/text_format.h"
 
 #include <cctype>
+#include <cmath>
 #include <map>
 
 #include "activity/templates.h"
@@ -144,7 +145,21 @@ class PredicateParser {
     return ParseTerm();
   }
 
+  // The parser recurses once per parenthesis, so the nesting limit is what
+  // keeps a hostile predicate from exhausting the stack.
   StatusOr<ExprPtr> ParseExpr() {
+    if (depth_ == kMaxPredicateNesting) {
+      return Status::InvalidArgument(
+          StrFormat("predicate nests deeper than %d parentheses",
+                    kMaxPredicateNesting));
+    }
+    ++depth_;
+    StatusOr<ExprPtr> e = ParseParenthesized();
+    --depth_;
+    return e;
+  }
+
+  StatusOr<ExprPtr> ParseParenthesized() {
     ETLOPT_RETURN_NOT_OK(Expect(Token::Kind::kLParen, "'('"));
     if (ConsumeWord("NOT")) {
       ETLOPT_ASSIGN_OR_RETURN(ExprPtr inner, ParseOperand());
@@ -190,6 +205,7 @@ class PredicateParser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 // ---- Schema / misc field helpers ----
@@ -366,6 +382,10 @@ StatusOr<Workflow> ParseWorkflowText(const std::string& text) {
       ETLOPT_ASSIGN_OR_RETURN(Schema schema, ParseSchemaSpec(spec));
       ETLOPT_ASSIGN_OR_RETURN(double card,
                               ParseDoubleField(line, "card", 0.0));
+      if (!std::isfinite(card) || card < 0.0) {
+        return Status::InvalidArgument(StrFormat(
+            "line %d: card must be finite and non-negative", number));
+      }
       record_node(line, w.AddRecordSet({line.name, schema, card}));
       continue;
     }

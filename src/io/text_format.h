@@ -53,6 +53,11 @@ struct TextFormatOptions {
 StatusOr<std::string> PrintWorkflowText(const Workflow& workflow,
                                         const TextFormatOptions& options = {});
 
+/// Deepest parenthesis nesting a predicate may have; deeper ones are
+/// rejected with InvalidArgument. Far above any predicate the examples or
+/// the workload generator write.
+inline constexpr int kMaxPredicateNesting = 256;
+
 /// Parses a canonical predicate string ("(V1 >= 300)", "((A > 1) AND
 /// (B IS NOT NULL))", ...). Exposed for tests and tools.
 StatusOr<ExprPtr> ParsePredicate(const std::string& text);

@@ -10,8 +10,8 @@ namespace etlopt {
 
 namespace {
 
-// SearchOptions booleans packed into one byte. disable_fast_paths and
-// num_threads are intentionally absent (see the header).
+// SearchOptions booleans packed into one byte. num_threads is
+// intentionally absent (see the header).
 constexpr uint8_t kPhase1Bit = 1 << 0;
 constexpr uint8_t kFactorizeBit = 1 << 1;
 constexpr uint8_t kDistributeBit = 1 << 2;

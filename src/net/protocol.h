@@ -26,9 +26,8 @@ namespace etlopt {
 
 /// One optimize call as it crosses the wire. The workflow is canonical
 /// DSL text (plabels included, so signatures survive the trip);
-/// num_threads and disable_fast_paths are deliberately not carried —
-/// they cannot change the answer (PR 2's guarantee), so they stay a
-/// server-side choice.
+/// num_threads is deliberately not carried — it cannot change the
+/// answer, so it stays a server-side choice.
 struct NetOptimizeRequest {
   std::string workflow_text;
   SearchAlgorithm algorithm = SearchAlgorithm::kHeuristic;

@@ -46,27 +46,15 @@ std::vector<Move> CollectMoves(const Workflow& w) {
   return moves;
 }
 
-StatusOr<Workflow> ApplyMove(const Workflow& w, const Move& move) {
+// Applies `move` in a new surgery session on `log` (see transitions.h).
+Status ApplyMove(Workflow& w, const Move& move, Workflow::UndoLog& log) {
   switch (move.kind) {
     case Move::Kind::kSwap:
-      return ApplySwap(w, move.a, move.b);
+      return ApplySwap(w, move.a, move.b, &log);
     case Move::Kind::kFactorize:
-      return ApplyFactorize(w, move.binary, move.a, move.b);
+      return ApplyFactorize(w, move.binary, move.a, move.b, &log);
     case Move::Kind::kDistribute:
-      return ApplyDistribute(w, move.binary, move.a);
-  }
-  return Status::Internal("bad move kind");
-}
-
-Status ApplyMoveInPlace(Workflow& w, const Move& move,
-                        Workflow::UndoLog& log) {
-  switch (move.kind) {
-    case Move::Kind::kSwap:
-      return ApplySwapInPlace(w, move.a, move.b, log);
-    case Move::Kind::kFactorize:
-      return ApplyFactorizeInPlace(w, move.binary, move.a, move.b, log);
-    case Move::Kind::kDistribute:
-      return ApplyDistributeInPlace(w, move.binary, move.a, log);
+      return ApplyDistribute(w, move.binary, move.a, &log);
   }
   return Status::Internal("bad move kind");
 }
@@ -78,12 +66,10 @@ StatusOr<SearchResult> SimulatedAnnealingSearch(
     const SearchOptions& options, const AnnealingOptions& annealing) {
   ETLOPT_RETURN_NOT_OK(ValidateSearchOptions(options));
   Budget budget(options);
-  StateEvaluator eval(model, /*fast_paths=*/!options.disable_fast_paths,
-                      options.cache_hint, options.reliability);
+  StateEvaluator eval(model, options.cache_hint, options.reliability);
   Rng rng(annealing.seed);
   const size_t copies0 = Workflow::TotalCopies();
   const size_t undos0 = Workflow::TotalUndos();
-  const bool zero_copy = eval.fast_paths();
 
   Workflow w0 = initial;
   if (!w0.fresh()) {
@@ -122,47 +108,30 @@ StatusOr<SearchResult> SimulatedAnnealingSearch(
       if (moves.empty()) break;
       const Move& move = moves[rng.UniformIndex(moves.size())];
       ++budget.generated;
-      if (zero_copy) {
-        Status applied = ApplyMoveInPlace(scratch, move, log);
-        if (!applied.ok()) continue;  // semantically illegal: rolled back
-        // Each proposal is one transition away from `current`, so it
-        // delta-recosts against it.
-        auto ne = eval.EvalNeighbor(scratch, *current);
-        if (!ne.ok()) {
-          scratch.RollbackSurgery();
-          return ne.status();
-        }
-        ++budget.visited;
-        double delta = ne.value().cost - current->cost;
-        bool accept = delta <= 0.0 ||
-                      rng.UniformDouble() < std::exp(-delta / temperature);
-        if (accept) {
-          State candidate = eval.MaterializeState(scratch, ne.value());
-          scratch.CommitSurgery();
-          // Keep the scratch the new current's twin: the materialized
-          // state restarted its dirty set, so the scratch must too.
-          scratch.ClearDirtyNodes();
-          current = std::make_shared<const State>(std::move(candidate));
-          if (current->cost < best->cost) best = current;
-        } else {
-          scratch.RollbackSurgery();
-          eval.ParanoidCheckRestore(scratch, *current);
-        }
-        continue;
+      Status applied = ApplyMove(scratch, move, log);
+      if (!applied.ok()) continue;  // semantically illegal: rolled back
+      // Each proposal is one transition away from `current`, so it
+      // delta-recosts against it.
+      auto ne = eval.EvalNeighbor(scratch, *current);
+      if (!ne.ok()) {
+        scratch.RollbackSurgery();
+        return ne.status();
       }
-      auto next = ApplyMove(current->workflow, move);
-      if (!next.ok()) continue;  // structurally plausible, semantically not
-      // Each proposal is one transition away from `current`, so the
-      // candidate delta-recosts against it.
-      ETLOPT_ASSIGN_OR_RETURN(State candidate,
-                              eval.EvalFrom(std::move(next).value(), *current));
       ++budget.visited;
-      double delta = candidate.cost - current->cost;
+      double delta = ne.value().cost - current->cost;
       bool accept = delta <= 0.0 ||
                     rng.UniformDouble() < std::exp(-delta / temperature);
       if (accept) {
+        State candidate = eval.MaterializeState(scratch, ne.value());
+        scratch.CommitSurgery();
+        // Keep the scratch the new current's twin: the materialized
+        // state restarted its dirty set, so the scratch must too.
+        scratch.ClearDirtyNodes();
         current = std::make_shared<const State>(std::move(candidate));
         if (current->cost < best->cost) best = current;
+      } else {
+        scratch.RollbackSurgery();
+        eval.ParanoidCheckRestore(scratch, *current);
       }
     }
     if (budget_hit) break;
@@ -170,9 +139,7 @@ StatusOr<SearchResult> SimulatedAnnealingSearch(
   }
 
   result.best = *best;
-  if (result.best.signature.empty()) {
-    result.best.signature = result.best.workflow.Signature();
-  }
+  result.best.signature = result.best.workflow.Signature();
   result.visited_states = budget.visited;
   result.elapsed_millis = budget.ElapsedMillis();
   result.exhausted = !budget_hit;

@@ -34,34 +34,19 @@ bool IsUnaryActivityNode(const Workflow& w, NodeId id) {
 using StateRef = std::shared_ptr<const State>;
 
 StateRef ShareState(State&& st) {
-  // The pointee is built non-const: the serial fast paths temporarily
-  // mutate a base state's workflow under an open surgery session (and
-  // roll it back); casting constness off a genuinely const object would
-  // be undefined.
+  // The pointee is built non-const: serial runs temporarily mutate a base
+  // state's workflow under an open surgery session (and roll it back);
+  // casting constness off a genuinely const object would be undefined.
   return std::make_shared<State>(std::move(st));
 }
 
-// Serial fast-path runs do transition surgery *directly on the base
-// state's workflow* — apply, evaluate, roll back — so candidate
-// evaluation copies nothing at all. Paranoid builds keep the scratch-copy
-// path instead: its rollback verification compares the restored workflow
-// against an untouched base, which is vacuous when they are the same
-// object.
-#ifndef ETLOPT_PARANOID_CHECKS
-constexpr bool kDirectSurgery = true;
-#else
-constexpr bool kDirectSurgery = false;
-#endif
-
-// One not-yet-applied transition: a copy-path thunk producing the derived
-// workflow (or a rejection status), the zero-copy in-place form of the
-// same transition, and the trace record. The copy thunk captures the base
-// workflow by reference, so candidates must be evaluated while it is
-// alive; the in-place form captures only node ids and can be re-applied
-// to any scratch equal to the base.
+// One not-yet-applied transition and its trace record. `apply` runs the
+// transition on a workflow equal to the base, in a new surgery session on
+// the given log (or directly when the log is null; see transitions.h). It
+// captures only node ids, so it can be applied to the base itself or to
+// any scratch copy of it.
 struct Candidate {
-  std::function<StatusOr<Workflow>()> apply;
-  std::function<Status(Workflow&, Workflow::UndoLog&)> apply_in_place;
+  std::function<Status(Workflow&, Workflow::UndoLog*)> apply;
   TransitionRecord rec;
 };
 
@@ -169,12 +154,9 @@ class NeighborScratch {
   uint64_t round_ = 1;
 };
 
-// What EvalCandidates reports per candidate. On the zero-copy path only
-// the light fields are filled — the neighbor itself was rolled back; a
-// consumer that keeps the candidate promotes it via MaterializeOutcome.
-// On the copy path (disable_fast_paths baseline) the full State is
-// attached and MaterializeOutcome just releases it, so consumer code is
-// identical across A/B.
+// What EvalCandidates reports per candidate: only the light fields — the
+// neighbor itself was rolled back. A consumer that keeps the candidate
+// promotes it via MaterializeOutcome.
 struct CandidateOutcome {
   bool alive = false;
   uint64_t signature_hash = 0;
@@ -183,8 +165,6 @@ struct CandidateOutcome {
   /// String signature for SignatureInterner cross-checks; filled only
   /// under paranoid checks.
   std::string paranoid_sig;
-  /// Copy path only.
-  std::optional<State> state;
 };
 
 // Evaluates all candidate transitions of a base workflow, fanning out
@@ -199,62 +179,49 @@ struct CandidateOutcome {
 // light state — cost, hash, breakdown, but no owned workflow (the
 // path-replay BFS) — can evaluate against a reconstructed workflow;
 // `base_meta.workflow` is never read. The base workflow may carry an open
-// surgery session: the direct path nests one candidate session inside it,
-// and the scratch path copies it (copies never inherit a session).
+// surgery session: the serial path nests one candidate session inside it,
+// and parallel workers copy it (copies never inherit a session).
 // `ephemeral_base` marks a base whose address does not outlive the call
 // (a replayed reconstruction): scratch slots synced from it are scoped to
 // this call and never reused against a later base.
 //
-// With fast paths on, each worker mutates its scratch in place, computes
-// hash + delta cost, and rolls back — no per-candidate Workflow copy.
-// Paranoid builds verify every rollback restored the base exactly.
+// Each candidate is applied in place, hashed, delta-costed and rolled
+// back — no per-candidate Workflow copy. Serial runs apply candidates to
+// the base workflow itself, one at a time; parallel workers each mutate a
+// private scratch copy. Paranoid builds verify every rollback restored
+// the base exactly — on the serial path against a twin taken before the
+// first apply, since base and scratch are one object there.
 StatusOr<std::vector<CandidateOutcome>> EvalCandidates(
     const Workflow& base_wf, const State& base_meta,
     const std::vector<Candidate>& candidates, const StateEvaluator& eval,
     ThreadPool* pool, NeighborScratch* scratch, bool ephemeral_base = false) {
-  const bool zero_copy = eval.fast_paths();
-  // Serial runs need no private scratch copy: candidates are applied to
-  // and rolled back off the base workflow itself, one at a time.
-  const bool direct = kDirectSurgery && zero_copy && pool == nullptr;
+  const bool direct = pool == nullptr;
   const void* base_id = ephemeral_base ? nullptr : &base_wf;
-  if (zero_copy && !direct && ephemeral_base) scratch->BeginEphemeralRound();
+  if (!direct && ephemeral_base) scratch->BeginEphemeralRound();
+#ifdef ETLOPT_PARANOID_CHECKS
+  const Workflow twin = direct ? base_wf : Workflow();
+  const Workflow& restore_target = direct ? twin : base_wf;
+#endif
   std::vector<CandidateOutcome> outcomes(candidates.size());
   auto eval_one = [&](size_t i, size_t worker) -> Status {
     CandidateOutcome& o = outcomes[i];
-    if (zero_copy) {
-      Workflow& wf = direct ? const_cast<Workflow&>(base_wf)
-                            : scratch->Acquire(worker, base_wf,
-                                               base_meta.signature_hash,
-                                               base_id);
-      Status applied = candidates[i].apply_in_place(wf, scratch->log(worker));
-      if (!applied.ok()) return Status::OK();  // illegal transition: prune
-      auto ne = eval.EvalNeighbor(wf, base_meta);
-      wf.RollbackSurgery();
-      if (!direct) {
-        eval.ParanoidCheckRestore(wf, base_wf, base_meta.signature_hash,
-                                  base_meta.cost);
-      }
-      if (!ne.ok()) return ne.status();
-      o.alive = true;
-      o.signature_hash = ne.value().signature_hash;
-      o.cost = ne.value().cost;
-      o.breakdown = std::move(ne.value().breakdown);
-      o.paranoid_sig = std::move(ne.value().signature);
-      return Status::OK();
-    }
-    auto trial = candidates[i].apply();
-    if (!trial.ok()) return Status::OK();  // illegal transition: prune
-    ETLOPT_ASSIGN_OR_RETURN(State st,
-                            eval.EvalFrom(std::move(trial).value(), base_meta));
-    o.alive = true;
-    o.signature_hash = st.signature_hash;
-    o.cost = st.cost;
-    o.breakdown = st.breakdown;
+    Workflow& wf = direct ? const_cast<Workflow&>(base_wf)
+                          : scratch->Acquire(worker, base_wf,
+                                             base_meta.signature_hash, base_id);
+    Status applied = candidates[i].apply(wf, &scratch->log(worker));
+    if (!applied.ok()) return Status::OK();  // illegal transition: prune
+    auto ne = eval.EvalNeighbor(wf, base_meta);
+    wf.RollbackSurgery();
 #ifdef ETLOPT_PARANOID_CHECKS
-    o.paranoid_sig =
-        st.signature.empty() ? st.workflow.Signature() : st.signature;
+    eval.ParanoidCheckRestore(wf, restore_target, base_meta.signature_hash,
+                              base_meta.cost);
 #endif
-    o.state = std::move(st);
+    if (!ne.ok()) return ne.status();
+    o.alive = true;
+    o.signature_hash = ne.value().signature_hash;
+    o.cost = ne.value().cost;
+    o.breakdown = std::move(ne.value().breakdown);
+    o.paranoid_sig = std::move(ne.value().signature);
     return Status::OK();
   };
   if (pool != nullptr && candidates.size() > 1) {
@@ -267,31 +234,26 @@ StatusOr<std::vector<CandidateOutcome>> EvalCandidates(
   return outcomes;
 }
 
-// Promotes a surviving candidate to a full State. Copy path: release the
-// already-built State. Zero-copy path: deterministically re-apply the
-// transition to a scratch slot still synced to the base (the undo log
-// restored the id counter, so the re-applied neighbor is bit-identical to
-// the evaluated one), commit, and *move* the workflow into the State —
+// Promotes a surviving candidate to a full State: deterministically
+// re-apply the transition to a scratch slot still synced to the base (the
+// undo log restored the id counter, so the re-applied neighbor is
+// bit-identical to the evaluated one), commit, and *move* the workflow
+// into the State —
 // the slot a worker already synced this round is consumed outright, so
 // promoting the first survivor of a round costs no copy at all.
 //
 // Runs sequentially, after EvalCandidates' workers have all rolled back.
 StatusOr<State> MaterializeOutcome(const State& base, const Candidate& c,
-                                   CandidateOutcome& o,
+                                   const CandidateOutcome& o,
                                    const StateEvaluator& eval,
                                    NeighborScratch* scratch) {
   ETLOPT_CHECK(o.alive);
-  if (o.state.has_value()) {
-    State st = std::move(*o.state);
-    o.state.reset();
-    return st;
-  }
   const size_t slot =
       scratch->AcquireSynced(base.workflow, base.signature_hash);
   Workflow& wf = scratch->workflow(slot);
   // The light evaluation already accepted this transition on an identical
   // workflow, so the re-apply cannot fail.
-  ETLOPT_RETURN_NOT_OK(c.apply_in_place(wf, scratch->log(slot)));
+  ETLOPT_RETURN_NOT_OK(c.apply(wf, &scratch->log(slot)));
 #ifdef ETLOPT_PARANOID_CHECKS
   // The re-applied neighbor must be the evaluated one, bit for bit.
   ETLOPT_CHECK(wf.SignatureHash() == o.signature_hash);
@@ -318,9 +280,8 @@ std::vector<Candidate> CollectSuccessorCandidates(const Workflow& w) {
       continue;
     NodeId d = consumers[0];
     out.push_back(
-        {[&w, u, d] { return ApplySwap(w, u, d); },
-         [u, d](Workflow& s, Workflow::UndoLog& log) {
-           return ApplySwapInPlace(s, u, d, log);
+        {[u, d](Workflow& s, Workflow::UndoLog* log) {
+           return ApplySwap(s, u, d, log);
          },
          TransitionRecord{TransitionRecord::Kind::kSwap,
                           StrFormat("SWA(%s,%s)",
@@ -331,9 +292,8 @@ std::vector<Candidate> CollectSuccessorCandidates(const Workflow& w) {
   // FAC over homologous pairs adjacent to their binary.
   for (const auto& h : FindHomologousPairs(w)) {
     out.push_back(
-        {[&w, h] { return ApplyFactorize(w, h.binary, h.a1, h.a2); },
-         [h](Workflow& s, Workflow::UndoLog& log) {
-           return ApplyFactorizeInPlace(s, h.binary, h.a1, h.a2, log);
+        {[h](Workflow& s, Workflow::UndoLog* log) {
+           return ApplyFactorize(s, h.binary, h.a1, h.a2, log);
          },
          TransitionRecord{TransitionRecord::Kind::kFactorize,
                           StrFormat("FAC(%s,%s,%s)",
@@ -345,9 +305,8 @@ std::vector<Candidate> CollectSuccessorCandidates(const Workflow& w) {
   // DIS of direct consumers of binary activities.
   for (const auto& d : FindDistributable(w)) {
     out.push_back(
-        {[&w, d] { return ApplyDistribute(w, d.binary, d.node); },
-         [d](Workflow& s, Workflow::UndoLog& log) {
-           return ApplyDistributeInPlace(s, d.binary, d.node, log);
+        {[d](Workflow& s, Workflow::UndoLog* log) {
+           return ApplyDistribute(s, d.binary, d.node, log);
          },
          TransitionRecord{TransitionRecord::Kind::kDistribute,
                           StrFormat("DIS(%s,%s)",
@@ -359,8 +318,8 @@ std::vector<Candidate> CollectSuccessorCandidates(const Workflow& w) {
 
 // Read-only legality walk of a forward shift chain: true when every node
 // between `a` and `stop` is a single-consumer unary activity — the exact
-// sequence of structural checks ShiftForward performs, evaluated without
-// paying the owned-workflow copy. A semantically illegal swap can still
+// sequence of structural checks ShiftForward performs, evaluated before a
+// surgery session is opened. A semantically illegal swap can still
 // fail inside the chain afterwards; the walk only screens out chains that
 // are structurally doomed, so skipping them never changes search results.
 bool CanShiftForward(const Workflow& w, NodeId a, NodeId stop) {
@@ -386,26 +345,10 @@ bool CanShiftBackward(const Workflow& w, NodeId a, NodeId stop) {
   }
 }
 
-// Moves `a` downstream via swaps until its consumer is `stop`, copying
-// the workflow per swap — the disable_fast_paths baseline cost profile.
-StatusOr<Workflow> ShiftForward(Workflow w, NodeId a, NodeId stop) {
-  while (true) {
-    std::vector<NodeId> consumers = w.Consumers(a);
-    if (consumers.size() != 1) {
-      return Status::FailedPrecondition("shift-forward: no single consumer");
-    }
-    if (consumers[0] == stop) return w;
-    if (!IsUnaryActivityNode(w, consumers[0])) {
-      return Status::FailedPrecondition(
-          "shift-forward: blocked by a non-unary node");
-    }
-    ETLOPT_ASSIGN_OR_RETURN(w, ApplySwap(w, a, consumers[0]));
-  }
-}
-
-// Zero-copy twin of ShiftForward: rewires `w` directly. Meant to run
-// inside an open surgery session so a failed chain rolls back whole.
-Status ShiftForwardDirect(Workflow& w, NodeId a, NodeId stop) {
+// Moves `a` downstream via swaps until its consumer is `stop`, rewiring
+// `w` directly. Meant to run inside an open surgery session so a failed
+// chain rolls back whole.
+Status ShiftForward(Workflow& w, NodeId a, NodeId stop) {
   while (true) {
     std::vector<NodeId> consumers = w.Consumers(a);
     if (consumers.size() != 1) {
@@ -416,29 +359,13 @@ Status ShiftForwardDirect(Workflow& w, NodeId a, NodeId stop) {
       return Status::FailedPrecondition(
           "shift-forward: blocked by a non-unary node");
     }
-    ETLOPT_RETURN_NOT_OK(ApplySwapDirect(w, a, consumers[0]));
+    ETLOPT_RETURN_NOT_OK(ApplySwap(w, a, consumers[0]));
   }
 }
 
-// Moves `a` upstream via swaps until its provider is `stop` (baseline,
-// copy per swap).
-StatusOr<Workflow> ShiftBackward(Workflow w, NodeId a, NodeId stop) {
-  while (true) {
-    std::vector<NodeId> providers = w.Providers(a);
-    if (providers.size() != 1) {
-      return Status::FailedPrecondition("shift-backward: not unary");
-    }
-    if (providers[0] == stop) return w;
-    if (!IsUnaryActivityNode(w, providers[0])) {
-      return Status::FailedPrecondition(
-          "shift-backward: blocked by a non-unary node");
-    }
-    ETLOPT_ASSIGN_OR_RETURN(w, ApplySwap(w, providers[0], a));
-  }
-}
-
-// Zero-copy twin of ShiftBackward.
-Status ShiftBackwardDirect(Workflow& w, NodeId a, NodeId stop) {
+// Moves `a` upstream via swaps until its provider is `stop` (same session
+// contract as ShiftForward).
+Status ShiftBackward(Workflow& w, NodeId a, NodeId stop) {
   while (true) {
     std::vector<NodeId> providers = w.Providers(a);
     if (providers.size() != 1) {
@@ -449,71 +376,51 @@ Status ShiftBackwardDirect(Workflow& w, NodeId a, NodeId stop) {
       return Status::FailedPrecondition(
           "shift-backward: blocked by a non-unary node");
     }
-    ETLOPT_RETURN_NOT_OK(ApplySwapDirect(w, providers[0], a));
+    ETLOPT_RETURN_NOT_OK(ApplySwap(w, providers[0], a));
   }
 }
 
-// One zero-copy Phase II/III chain attempt: runs `chain` — a sequence of
-// Direct transitions — inside a single surgery session on a scratch slot
-// synced to `base` (free when the previous attempt against the same base
-// rolled back), then refreshes and light-evaluates the result. A rejected
-// chain rolls back whole and returns nullopt without any copy; an
-// accepted one steals the slot by move. A refresh or evaluation failure
-// propagates, matching the baseline's EvalFrom error behavior.
-StatusOr<std::optional<State>> TryChainInPlace(
+// One Phase II chain attempt: runs `chain` — a sequence of transitions
+// applied without sessions of their own — inside a single surgery session
+// on the base state's own workflow (the phase is sequential even in
+// parallel runs), then refreshes and light-evaluates the result. A
+// rejected chain rolls back and returns nullopt without any copy; an
+// accepted one pays exactly one copy (the materialized State) before the
+// base is rolled back. A refresh or evaluation failure propagates.
+// Paranoid builds check every rollback against a twin of the base.
+StatusOr<std::optional<State>> TryChain(
     const State& base, const std::function<Status(Workflow&)>& chain,
-    const StateEvaluator& eval, NeighborScratch* scratch) {
-  if (kDirectSurgery) {
-    // Phases II/III are sequential even in parallel runs, so the chain
-    // can operate on the base state's own workflow: a rejected chain
-    // rolls back for free, an accepted one pays exactly one copy (the
-    // materialized State) and then rolls the base back.
-    Workflow& wf = const_cast<Workflow&>(base.workflow);
-    Workflow::UndoLog log;
-    wf.BeginSurgery(&log);
-    Status applied = chain(wf);
-    if (!applied.ok()) {
-      wf.RollbackSurgery();
-      return std::optional<State>();
-    }
-    Status refreshed = wf.Refresh();
-    if (!refreshed.ok()) {
-      wf.RollbackSurgery();
-      return refreshed;  // transitions guarantee validity: a real error
-    }
-    auto ne = eval.EvalNeighbor(wf, base);
-    if (!ne.ok()) {
-      wf.RollbackSurgery();
-      return ne.status();
-    }
-    State st = eval.MaterializeState(wf, ne.value());
+    const StateEvaluator& eval) {
+  Workflow& wf = const_cast<Workflow&>(base.workflow);
+#ifdef ETLOPT_PARANOID_CHECKS
+  const Workflow twin = wf;
+#endif
+  auto rollback = [&] {
     wf.RollbackSurgery();
-    return std::optional<State>(std::move(st));
-  }
-  const size_t slot =
-      scratch->AcquireSynced(base.workflow, base.signature_hash);
-  Workflow& wf = scratch->workflow(slot);
-  wf.BeginSurgery(&scratch->log(slot));
+#ifdef ETLOPT_PARANOID_CHECKS
+    eval.ParanoidCheckRestore(wf, twin, base.signature_hash, base.cost);
+#endif
+  };
+  Workflow::UndoLog log;
+  wf.BeginSurgery(&log);
   Status applied = chain(wf);
   if (!applied.ok()) {
-    wf.RollbackSurgery();
-    eval.ParanoidCheckRestore(wf, base);
+    rollback();
     return std::optional<State>();
   }
   Status refreshed = wf.Refresh();
   if (!refreshed.ok()) {
-    wf.RollbackSurgery();
+    rollback();
     return refreshed;  // transitions guarantee validity: a real error
   }
   auto ne = eval.EvalNeighbor(wf, base);
   if (!ne.ok()) {
-    wf.RollbackSurgery();
+    rollback();
     return ne.status();
   }
-  wf.CommitSurgery();
-  scratch->Invalidate(slot);
-  return std::optional<State>(
-      eval.MaterializeState(std::move(wf), ne.value()));
+  State st = eval.MaterializeState(wf, ne.value());
+  rollback();
+  return std::optional<State>(std::move(st));
 }
 
 // Adjacent pairs (u, d) with both endpoints inside `group`.
@@ -537,52 +444,37 @@ std::vector<Candidate> SwapCandidatesInGroup(const Workflow& w,
   std::vector<Candidate> out;
   for (const auto& [u, d] : AdjacentPairsInGroup(w, group)) {
     NodeId uu = u, dd = d;
-    out.push_back({[&w, uu, dd] { return ApplySwap(w, uu, dd); },
-                   [uu, dd](Workflow& s, Workflow::UndoLog& log) {
-                     return ApplySwapInPlace(s, uu, dd, log);
+    out.push_back({[uu, dd](Workflow& s, Workflow::UndoLog* log) {
+                     return ApplySwap(s, uu, dd, log);
                    },
                    TransitionRecord{}});
   }
   return out;
 }
 
-// Serial zero-copy hill-climb over one group's swaps: the sweep borrows a
-// single scratch slot for its entire duration. Candidates are applied and
-// rolled back on it; the winning swap of each round is re-applied and
-// *committed*, advancing the slot toward the local optimum without any
-// intermediate materialization. Copy cost of a whole sweep: one sync if
-// the slot was cold (zero when the previous sweep left the same base
-// behind), zero when nothing improves, and a move — not a copy — for the
-// final state when something did.
+// Serial zero-copy hill-climb over one group's swaps. Candidates are
+// applied to and rolled back off the base workflow itself until the first
+// round with a winner; from then on the sweep borrows a single scratch
+// slot, and the winning swap of each round is re-applied and *committed*,
+// advancing the slot toward the local optimum without any intermediate
+// materialization. Copy cost of a whole sweep: zero when nothing improves
+// (the common case for Phase IV re-sweeps), otherwise one sync if the
+// slot was cold plus a move — not a copy — for the final state.
 //
-// Decision-for-decision identical to the generic hill-climb in
+// Decision-for-decision identical to the parallel hill-climb in
 // OptimizeGroupSwaps: same candidate order, same eval values, same budget
 // accounting, same strict-< first-winner tie-break.
-StatusOr<StateRef> HillClimbSwapsInPlace(StateRef start,
-                                         const std::set<NodeId>& group,
-                                         const StateEvaluator& eval,
-                                         NeighborScratch* scratch,
-                                         Budget* budget) {
-  // With direct surgery the climb starts right on the base workflow — a
-  // sweep that never improves (the common case for Phase IV re-sweeps)
-  // costs zero copies. The climb moves onto a scratch copy only at the
-  // first committed winner, because committing must not alter `start`.
-  // Paranoid builds use the scratch slot throughout so every rollback can
-  // be byte-compared against an untouched twin.
+StatusOr<StateRef> HillClimbSerial(StateRef start,
+                                   const std::set<NodeId>& group,
+                                   const StateEvaluator& eval,
+                                   NeighborScratch* scratch, Budget* budget) {
+  // The climb moves onto a scratch copy only at the first committed
+  // winner, because committing must not alter `start`.
   size_t slot = 0;
   bool have_slot = false;
-  Workflow* sweep = nullptr;
+  Workflow* sweep = const_cast<Workflow*>(&start->workflow);
   Workflow::UndoLog direct_log;
-  Workflow::UndoLog* log = nullptr;
-  if (kDirectSurgery) {
-    sweep = const_cast<Workflow*>(&start->workflow);
-    log = &direct_log;
-  } else {
-    slot = scratch->AcquireSynced(start->workflow, start->signature_hash);
-    have_slot = true;
-    sweep = &scratch->workflow(slot);
-    log = &scratch->log(slot);
-  }
+  Workflow::UndoLog* log = &direct_log;
   // EvalNeighbor reads only the breakdown of its base; the sweep workflow
   // itself plays the role of base.workflow.
   State light;
@@ -590,8 +482,7 @@ StatusOr<StateRef> HillClimbSwapsInPlace(StateRef start,
   light.signature_hash = start->signature_hash;
   light.breakdown = start->breakdown;
 #ifdef ETLOPT_PARANOID_CHECKS
-  // Byte-compare target for every rollback (the generic path gets this
-  // from ParanoidCheckRestore against the materialized base).
+  // Byte-compare target for every rollback.
   Workflow twin = *sweep;
 #endif
   bool any_commit = false;
@@ -603,8 +494,8 @@ StatusOr<StateRef> HillClimbSwapsInPlace(StateRef start,
     size_t best_i = pairs.size();
     NeighborEval best_ne;
     for (size_t i = 0; i < pairs.size(); ++i) {
-      Status applied = ApplySwapInPlace(*sweep, pairs[i].first,
-                                        pairs[i].second, *log);
+      Status applied =
+          ApplySwap(*sweep, pairs[i].first, pairs[i].second, log);
       if (!applied.ok()) continue;  // illegal transition: prune
       auto ne = eval.EvalNeighbor(*sweep, light);
       sweep->RollbackSurgery();
@@ -632,8 +523,8 @@ StatusOr<StateRef> HillClimbSwapsInPlace(StateRef start,
         log = &scratch->log(slot);
       }
       // Advance the sweep: re-apply the winner and keep it.
-      ETLOPT_RETURN_NOT_OK(ApplySwapInPlace(*sweep, pairs[best_i].first,
-                                            pairs[best_i].second, *log));
+      ETLOPT_RETURN_NOT_OK(
+          ApplySwap(*sweep, pairs[best_i].first, pairs[best_i].second, log));
 #ifdef ETLOPT_PARANOID_CHECKS
       ETLOPT_CHECK(sweep->SignatureHash() == best_ne.signature_hash);
 #endif
@@ -679,13 +570,12 @@ StatusOr<StateRef> OptimizeGroupSwaps(StateRef start,
   std::set<NodeId> group(group_nodes.begin(), group_nodes.end());
   // Hill-climb: repeatedly apply the best cost-improving swap. Only the
   // winner of each step is materialized; the losing neighbors never leave
-  // the scratch. Serial zero-copy runs take the in-place sweep (one
-  // borrowed slot for the whole climb); parallel runs fan the candidates
-  // out over the pool — both make identical decisions.
+  // the scratch. Serial runs take the in-place sweep; parallel runs fan
+  // the candidates out over the pool — both make identical decisions.
   auto hill_climb = [&](StateRef current) -> StatusOr<StateRef> {
-    if (eval.fast_paths() && pool == nullptr) {
-      return HillClimbSwapsInPlace(std::move(current), group, eval, scratch,
-                                   budget);
+    if (pool == nullptr) {
+      return HillClimbSerial(std::move(current), group, eval, scratch,
+                             budget);
     }
     bool improved = true;
     while (improved && !budget->Exhausted()) {
@@ -720,179 +610,145 @@ StatusOr<StateRef> OptimizeGroupSwaps(StateRef start,
   // HS: seed the bounded BFS with the hill-climbed ordering so the sweep
   // is never worse than the greedy one, then explore around it.
   ETLOPT_ASSIGN_OR_RETURN(StateRef best, hill_climb(start));
-  if (eval.fast_paths()) {
-    // Light BFS: a queue entry is (root, swap path) plus the figures the
-    // candidate evaluation already computed — enqueueing a state costs no
-    // workflow copy at all. A popped entry is reconstructed by replaying
-    // its path on a cached copy of its root inside a surgery session;
-    // candidates are evaluated against the reconstruction (nested
-    // sessions on the direct path), and the outer rollback returns the
-    // cache to its root. Only the overall winner is materialized, once,
-    // at the end.
-    //
-    // Replay is deterministic: in-group swaps never create or destroy
-    // nodes, so node ids are stable along any path, and re-applying the
-    // same swaps to a byte-identical root reproduces the evaluated state
-    // bit for bit. Decisions (candidate order, seen-set inserts, budget
-    // accounting, strict-< best tracking) are identical to the
-    // materializing BFS below, which the disable_fast_paths baseline
-    // keeps.
-    struct Entry {
-      StateRef root;
-      std::vector<std::pair<NodeId, NodeId>> path;
-      double cost = 0.0;
-      uint64_t hash = 0;
-      std::shared_ptr<const CostBreakdown> breakdown;
-    };
-    std::deque<Entry> queue;
-    queue.push_back(
-        Entry{best, {}, best->cost, best->signature_hash, best->breakdown});
-    queue.push_back(
-        Entry{start, {}, start->cost, start->signature_hash,
-              start->breakdown});
-    std::set<uint64_t> seen{interner->Intern(*best), interner->Intern(*start)};
-    // One replay cache per seed root; a rolled-back cache equals its root,
-    // so alternating between the two costs no re-copy.
-    struct RootCache {
-      Workflow wf;
-      uint64_t hash = 0;
-      bool valid = false;
-    };
-    RootCache roots[2];
-    Workflow::UndoLog path_log;
-    double best_cost = best->cost;
-    std::optional<Entry> winner;
-    while (!queue.empty() && seen.size() < options.max_states_per_group &&
-           !budget->Exhausted()) {
-      Entry cur = std::move(queue.front());
-      queue.pop_front();
-      const Workflow* base_wf = &cur.root->workflow;
-      Workflow* replayed = nullptr;
-      if (!cur.path.empty()) {
-        RootCache* rc = nullptr;
-        for (RootCache& r : roots) {
-          if (r.valid && r.hash == cur.root->signature_hash) rc = &r;
-        }
-        if (rc == nullptr) {
-          rc = !roots[0].valid ? &roots[0] : &roots[1];
-          rc->wf = cur.root->workflow;
-          rc->hash = cur.root->signature_hash;
-          rc->valid = true;
-        }
-        replayed = &rc->wf;
-        replayed->BeginSurgery(&path_log);
-        Status step = Status::OK();
-        for (const auto& [u, d] : cur.path) {
-          step = ApplySwapDirect(*replayed, u, d);
-          if (!step.ok()) break;
-        }
-        if (step.ok()) step = replayed->Refresh();
-        if (!step.ok()) {
-          replayed->RollbackSurgery();
-          return step;  // replay of accepted swaps: a real error
-        }
-        // The entry's breakdown is current for the reconstruction, so the
-        // dirty set restarts empty — candidate evaluations delta-recost
-        // only their own swap. Rollback restores the root's (empty) set.
-        replayed->ClearDirtyNodes();
-#ifdef ETLOPT_PARANOID_CHECKS
-        ETLOPT_CHECK(replayed->SignatureHash() == cur.hash);
-#endif
-        base_wf = replayed;
-      }
-      State light;
-      light.cost = cur.cost;
-      light.signature_hash = cur.hash;
-      light.breakdown = cur.breakdown;
-      const auto pairs = AdjacentPairsInGroup(*base_wf, group);
-      std::vector<Candidate> candidates =
-          SwapCandidatesInGroup(*base_wf, group);
-      // A replayed reconstruction lives in a function-local cache whose
-      // address recurs across calls, so it is an ephemeral base for the
-      // scratch slots; an unreplayed root is the durable State itself.
-      auto outcomes = EvalCandidates(*base_wf, light, candidates, eval, pool,
-                                     scratch,
-                                     /*ephemeral_base=*/replayed != nullptr);
-      if (!outcomes.ok()) {
-        if (replayed != nullptr) replayed->RollbackSurgery();
-        return outcomes.status();
-      }
-      budget->generated += candidates.size();
-      for (size_t i = 0; i < outcomes.value().size(); ++i) {
-        CandidateOutcome& o = outcomes.value()[i];
-        if (!o.alive) continue;
-        if (!seen.insert(interner->Intern(o.signature_hash, o.paranoid_sig))
-                 .second) {
-          continue;
-        }
-        ++budget->visited;
-        Entry child;
-        child.root = cur.root;
-        child.path = cur.path;
-        child.path.push_back(pairs[i]);
-        child.cost = o.cost;
-        child.hash = o.signature_hash;
-        child.breakdown = std::move(o.breakdown);
-        if (child.cost < best_cost) {
-          best_cost = child.cost;
-          winner = child;
-        }
-        queue.push_back(std::move(child));
-      }
-      if (replayed != nullptr) {
-        replayed->RollbackSurgery();
-#ifdef ETLOPT_PARANOID_CHECKS
-        ETLOPT_CHECK(replayed->SignatureHash() == cur.root->signature_hash);
-#endif
-      }
-    }
-    if (!winner.has_value()) return best;
-    // Materialize the winner: the single copy the whole BFS pays.
-    Workflow wf = winner->root->workflow;
-    for (const auto& [u, d] : winner->path) {
-      ETLOPT_RETURN_NOT_OK(ApplySwapDirect(wf, u, d));
-    }
-    ETLOPT_RETURN_NOT_OK(wf.Refresh());
-#ifdef ETLOPT_PARANOID_CHECKS
-    ETLOPT_CHECK(wf.SignatureHash() == winner->hash);
-#endif
-    NeighborEval ne;
-    ne.cost = winner->cost;
-    ne.signature_hash = winner->hash;
-    ne.breakdown = std::move(winner->breakdown);
-    return ShareState(eval.MaterializeState(std::move(wf), ne));
-  }
-  std::deque<StateRef> queue;
-  queue.push_back(best);
-  queue.push_back(start);
+  // Light BFS: a queue entry is (root, swap path) plus the figures the
+  // candidate evaluation already computed — enqueueing a state costs no
+  // workflow copy at all. A popped entry is reconstructed by replaying
+  // its path on a cached copy of its root inside a surgery session;
+  // candidates are evaluated against the reconstruction (nested
+  // sessions on the serial path), and the outer rollback returns the
+  // cache to its root. Only the overall winner is materialized, once,
+  // at the end.
+  //
+  // Replay is deterministic: in-group swaps never create or destroy
+  // nodes, so node ids are stable along any path, and re-applying the
+  // same swaps to a byte-identical root reproduces the evaluated state
+  // bit for bit. Decisions (candidate order, seen-set inserts, budget
+  // accounting, strict-< best tracking) are those of a plain BFS over
+  // materialized states.
+  struct Entry {
+    StateRef root;
+    std::vector<std::pair<NodeId, NodeId>> path;
+    double cost = 0.0;
+    uint64_t hash = 0;
+    std::shared_ptr<const CostBreakdown> breakdown;
+  };
+  std::deque<Entry> queue;
+  queue.push_back(
+      Entry{best, {}, best->cost, best->signature_hash, best->breakdown});
+  queue.push_back(
+      Entry{start, {}, start->cost, start->signature_hash,
+            start->breakdown});
   std::set<uint64_t> seen{interner->Intern(*best), interner->Intern(*start)};
+  // One replay cache per seed root; a rolled-back cache equals its root,
+  // so alternating between the two costs no re-copy.
+  struct RootCache {
+    Workflow wf;
+    uint64_t hash = 0;
+    bool valid = false;
+  };
+  RootCache roots[2];
+  Workflow::UndoLog path_log;
+  double best_cost = best->cost;
+  std::optional<Entry> winner;
   while (!queue.empty() && seen.size() < options.max_states_per_group &&
          !budget->Exhausted()) {
-    StateRef cur = std::move(queue.front());
+    Entry cur = std::move(queue.front());
     queue.pop_front();
+    const Workflow* base_wf = &cur.root->workflow;
+    Workflow* replayed = nullptr;
+    if (!cur.path.empty()) {
+      RootCache* rc = nullptr;
+      for (RootCache& r : roots) {
+        if (r.valid && r.hash == cur.root->signature_hash) rc = &r;
+      }
+      if (rc == nullptr) {
+        rc = !roots[0].valid ? &roots[0] : &roots[1];
+        rc->wf = cur.root->workflow;
+        rc->hash = cur.root->signature_hash;
+        rc->valid = true;
+      }
+      replayed = &rc->wf;
+      replayed->BeginSurgery(&path_log);
+      Status step = Status::OK();
+      for (const auto& [u, d] : cur.path) {
+        step = ApplySwap(*replayed, u, d);
+        if (!step.ok()) break;
+      }
+      if (step.ok()) step = replayed->Refresh();
+      if (!step.ok()) {
+        replayed->RollbackSurgery();
+        return step;  // replay of accepted swaps: a real error
+      }
+      // The entry's breakdown is current for the reconstruction, so the
+      // dirty set restarts empty — candidate evaluations delta-recost
+      // only their own swap. Rollback restores the root's (empty) set.
+      replayed->ClearDirtyNodes();
+#ifdef ETLOPT_PARANOID_CHECKS
+      ETLOPT_CHECK(replayed->SignatureHash() == cur.hash);
+#endif
+      base_wf = replayed;
+    }
+    State light;
+    light.cost = cur.cost;
+    light.signature_hash = cur.hash;
+    light.breakdown = cur.breakdown;
+    const auto pairs = AdjacentPairsInGroup(*base_wf, group);
     std::vector<Candidate> candidates =
-        SwapCandidatesInGroup(cur->workflow, group);
-    ETLOPT_ASSIGN_OR_RETURN(
-        auto outcomes, EvalCandidates(cur->workflow, *cur, candidates, eval,
-                                      pool, scratch));
+        SwapCandidatesInGroup(*base_wf, group);
+    // A replayed reconstruction lives in a function-local cache whose
+    // address recurs across calls, so it is an ephemeral base for the
+    // scratch slots; an unreplayed root is the durable State itself.
+    auto outcomes = EvalCandidates(*base_wf, light, candidates, eval, pool,
+                                   scratch,
+                                   /*ephemeral_base=*/replayed != nullptr);
+    if (!outcomes.ok()) {
+      if (replayed != nullptr) replayed->RollbackSurgery();
+      return outcomes.status();
+    }
     budget->generated += candidates.size();
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-      CandidateOutcome& o = outcomes[i];
+    for (size_t i = 0; i < outcomes.value().size(); ++i) {
+      CandidateOutcome& o = outcomes.value()[i];
       if (!o.alive) continue;
       if (!seen.insert(interner->Intern(o.signature_hash, o.paranoid_sig))
                .second) {
         continue;
       }
       ++budget->visited;
-      ETLOPT_ASSIGN_OR_RETURN(
-          State st,
-          MaterializeOutcome(*cur, candidates[i], o, eval, scratch));
-      StateRef sp = ShareState(std::move(st));
-      if (sp->cost < best->cost) best = sp;
-      queue.push_back(std::move(sp));
+      Entry child;
+      child.root = cur.root;
+      child.path = cur.path;
+      child.path.push_back(pairs[i]);
+      child.cost = o.cost;
+      child.hash = o.signature_hash;
+      child.breakdown = std::move(o.breakdown);
+      if (child.cost < best_cost) {
+        best_cost = child.cost;
+        winner = child;
+      }
+      queue.push_back(std::move(child));
+    }
+    if (replayed != nullptr) {
+      replayed->RollbackSurgery();
+#ifdef ETLOPT_PARANOID_CHECKS
+      ETLOPT_CHECK(replayed->SignatureHash() == cur.root->signature_hash);
+#endif
     }
   }
-  return best;
+  if (!winner.has_value()) return best;
+  // Materialize the winner: the single copy the whole BFS pays.
+  Workflow wf = winner->root->workflow;
+  for (const auto& [u, d] : winner->path) {
+    ETLOPT_RETURN_NOT_OK(ApplySwap(wf, u, d));
+  }
+  ETLOPT_RETURN_NOT_OK(wf.Refresh());
+#ifdef ETLOPT_PARANOID_CHECKS
+  ETLOPT_CHECK(wf.SignatureHash() == winner->hash);
+#endif
+  NeighborEval ne;
+  ne.cost = winner->cost;
+  ne.signature_hash = winner->hash;
+  ne.breakdown = std::move(winner->breakdown);
+  return ShareState(eval.MaterializeState(std::move(wf), ne));
 }
 
 // Splits every multi-member chain back into singleton nodes (the final
@@ -952,18 +808,13 @@ StatusOr<SearchResult> RunHeuristic(
     const std::vector<MergeConstraint>& merge_constraints, bool greedy) {
   ETLOPT_RETURN_NOT_OK(ValidateSearchOptions(options));
   Budget budget(options);
-  StateEvaluator eval(model, /*fast_paths=*/!options.disable_fast_paths,
-                      options.cache_hint, options.reliability);
+  StateEvaluator eval(model, options.cache_hint, options.reliability);
   SignatureInterner interner;
   size_t threads = 1;
   std::unique_ptr<ThreadPool> pool = MakePool(options, &threads);
   NeighborScratch scratch(threads);
   const size_t copies0 = Workflow::TotalCopies();
   const size_t undos0 = Workflow::TotalUndos();
-  // Zero-copy transition chains in Phases II/III ride on the same switch
-  // as the other fast paths, so the disable_fast_paths baseline keeps the
-  // copy-per-transition profile.
-  const bool zero_copy = eval.fast_paths();
   Workflow w0 = initial;
   if (!w0.fresh()) {
     ETLOPT_RETURN_NOT_OK(w0.Refresh());
@@ -974,7 +825,7 @@ StatusOr<SearchResult> RunHeuristic(
                             FindNodeByActivityLabel(w0, mc.first_label));
     ETLOPT_ASSIGN_OR_RETURN(NodeId a2,
                             FindNodeByActivityLabel(w0, mc.second_label));
-    ETLOPT_ASSIGN_OR_RETURN(w0, ApplyMerge(w0, a1, a2));
+    ETLOPT_RETURN_NOT_OK(ApplyMerge(w0, a1, a2));
   }
   ETLOPT_ASSIGN_OR_RETURN(State s0v, eval.Eval(std::move(w0)));
   StateRef s0 = ShareState(std::move(s0v));
@@ -1013,6 +864,26 @@ StatusOr<SearchResult> RunHeuristic(
   // fixpoint. The shift/factorize chains are data-dependent, so this phase
   // stays sequential; each chain delta-recosts against the state it was
   // derived from.
+  //
+  // One attempt shifts both activities forward to their binary and
+  // factorizes, as one surgery session on `base` (a rejected chain rolls
+  // back without ever copying, and a structurally doomed first shift is
+  // screened out before the session even opens).
+  auto factorize = [&](const State& base, const HomologousPair& p)
+      -> StatusOr<std::optional<State>> {
+    ++budget.generated;
+    if (!CanShiftForward(base.workflow, p.a1, p.binary)) {
+      return std::optional<State>();
+    }
+    return TryChain(
+        base,
+        [&](Workflow& wf) {
+          ETLOPT_RETURN_NOT_OK(ShiftForward(wf, p.a1, p.binary));
+          ETLOPT_RETURN_NOT_OK(ShiftForward(wf, p.a2, p.binary));
+          return ApplyFactorize(wf, p.binary, p.a1, p.a2);
+        },
+        eval);
+  };
   for (const auto& h : homologous) {
     if (!options.enable_factorize) break;
     if (budget.Exhausted()) break;
@@ -1020,40 +891,9 @@ StatusOr<SearchResult> RunHeuristic(
     if (!base.Exists(h.a1) || !base.Exists(h.a2) || !base.Exists(h.binary))
       continue;
     std::string semantics = base.chain(h.a1).SemanticsString();
-    // The baseline pays one workflow copy per swap of the chain; the
-    // zero-copy path runs the whole chain as one surgery session on a
-    // scratch slot (a rejected chain rolls back without ever copying, and
-    // a structurally doomed first shift is screened out before the
-    // session even opens).
-    ++budget.generated;
-    StateRef st;
-    if (zero_copy) {
-      if (!CanShiftForward(base, h.a1, h.binary)) continue;
-      ETLOPT_ASSIGN_OR_RETURN(
-          std::optional<State> got,
-          TryChainInPlace(
-              *smin,
-              [&](Workflow& wf) {
-                ETLOPT_RETURN_NOT_OK(ShiftForwardDirect(wf, h.a1, h.binary));
-                ETLOPT_RETURN_NOT_OK(ShiftForwardDirect(wf, h.a2, h.binary));
-                return ApplyFactorizeDirect(wf, h.binary, h.a1, h.a2);
-              },
-              eval, &scratch));
-      if (!got.has_value()) continue;
-      st = ShareState(std::move(*got));
-    } else {
-      auto shifted1 = ShiftForward(base, h.a1, h.binary);
-      if (!shifted1.ok()) continue;
-      auto shifted2 =
-          ShiftForward(std::move(shifted1).value(), h.a2, h.binary);
-      if (!shifted2.ok()) continue;
-      auto factored =
-          ApplyFactorize(std::move(shifted2).value(), h.binary, h.a1, h.a2);
-      if (!factored.ok()) continue;
-      ETLOPT_ASSIGN_OR_RETURN(
-          State stv, eval.EvalFrom(std::move(factored).value(), *smin));
-      st = ShareState(std::move(stv));
-    }
+    ETLOPT_ASSIGN_OR_RETURN(std::optional<State> got, factorize(*smin, h));
+    if (!got.has_value()) continue;
+    StateRef st = ShareState(std::move(*got));
     ++budget.visited;
     // Cascade: keep factorizing pairs with the same semantics.
     bool changed = true;
@@ -1061,35 +901,10 @@ StatusOr<SearchResult> RunHeuristic(
       changed = false;
       for (const auto& hc : FindHomologousPairs(st->workflow)) {
         if (st->workflow.chain(hc.a1).SemanticsString() != semantics) continue;
-        ++budget.generated;
-        if (zero_copy) {
-          if (!CanShiftForward(st->workflow, hc.a1, hc.binary)) continue;
-          ETLOPT_ASSIGN_OR_RETURN(
-              std::optional<State> got,
-              TryChainInPlace(
-                  *st,
-                  [&](Workflow& wf) {
-                    ETLOPT_RETURN_NOT_OK(
-                        ShiftForwardDirect(wf, hc.a1, hc.binary));
-                    ETLOPT_RETURN_NOT_OK(
-                        ShiftForwardDirect(wf, hc.a2, hc.binary));
-                    return ApplyFactorizeDirect(wf, hc.binary, hc.a1, hc.a2);
-                  },
-                  eval, &scratch));
-          if (!got.has_value()) continue;
-          st = ShareState(std::move(*got));
-        } else {
-          auto s1 = ShiftForward(st->workflow, hc.a1, hc.binary);
-          if (!s1.ok()) continue;
-          auto s2 = ShiftForward(std::move(s1).value(), hc.a2, hc.binary);
-          if (!s2.ok()) continue;
-          auto next =
-              ApplyFactorize(std::move(s2).value(), hc.binary, hc.a1, hc.a2);
-          if (!next.ok()) continue;
-          ETLOPT_ASSIGN_OR_RETURN(State nsv,
-                                  eval.EvalFrom(std::move(next).value(), *st));
-          st = ShareState(std::move(nsv));
-        }
+        ETLOPT_ASSIGN_OR_RETURN(std::optional<State> next,
+                                factorize(*st, hc));
+        if (!next.has_value()) continue;
+        st = ShareState(std::move(*next));
         ++budget.visited;
         changed = true;
         break;
@@ -1122,125 +937,87 @@ StatusOr<SearchResult> RunHeuristic(
       // Distribute, then cascade the clones (identified by the carried
       // priority label) down through any further binary activities — a
       // selection above a union tree can be pushed into every leaf flow.
-      if (zero_copy) {
-        // The whole cascade advances one scratch workflow. Each step is
-        // its own surgery session — apply, evaluate, commit (or roll back
-        // just that step) — so the only copies a cascade pays are the
-        // slot sync at its start (free when the slot already mirrors
-        // `si`) and one per state it actually keeps: enqueued on the
-        // worklist or a new running minimum. Interior cascade depths that
-        // are neither come and go without ever being materialized.
-        const size_t slot =
-            scratch.AcquireSynced(si->workflow, si->signature_hash);
-        Workflow& wf = scratch.workflow(slot);
-        Workflow::UndoLog& log = scratch.log(slot);
-        State light;
-        light.cost = si->cost;
-        light.signature_hash = si->signature_hash;
-        light.breakdown = si->breakdown;
-        bool changed = true;
-        while (changed && !budget.Exhausted()) {
-          changed = false;
-          for (const auto& dc : FindDistributable(wf)) {
-            if (wf.PriorityLabelOf(dc.node) != plabel) continue;
-            ++budget.generated;
-            if (!CanShiftBackward(wf, dc.node, dc.binary)) continue;
-            wf.BeginSurgery(&log);
-            Status step = ShiftBackwardDirect(wf, dc.node, dc.binary);
-            if (step.ok()) {
-              step = ApplyDistributeDirect(wf, dc.binary, dc.node);
-            }
-            if (!step.ok()) {
-              wf.RollbackSurgery();
-#ifdef ETLOPT_PARANOID_CHECKS
-              ETLOPT_CHECK(wf.SignatureHash() == light.signature_hash);
-#endif
-              continue;
-            }
-            Status refreshed = wf.Refresh();
-            if (!refreshed.ok()) {
-              wf.RollbackSurgery();
-              return refreshed;  // transitions guarantee validity
-            }
-            auto ne = eval.EvalNeighbor(wf, light);
-            if (!ne.ok()) {
-              wf.RollbackSurgery();
-              return ne.status();
-            }
-            wf.CommitSurgery();
-            wf.ClearDirtyNodes();
-            // Until a twin is materialized below, the advanced slot has
-            // no durable source instance to be keyed on.
-            scratch.Rekey(slot, nullptr, ne.value().signature_hash);
-            light.cost = ne.value().cost;
-            light.signature_hash = ne.value().signature_hash;
-            light.breakdown = ne.value().breakdown;
-            ++budget.visited;
-            changed = true;
-            // Every cascade depth is a candidate: pushing all the way
-            // down is not always the cheapest placement. Past the
-            // composition cap, keep improving states only and stop
-            // re-enqueueing.
-            const bool enqueue =
-                queued
-                    .insert(interner.Intern(ne.value().signature_hash,
-                                            ne.value().signature))
-                    .second &&
-                visited.size() < options.max_phase3_states;
-            const bool improves = light.cost < smin->cost;
-            if (enqueue || improves) {
-              StateRef kept =
-                  ShareState(eval.MaterializeState(wf, ne.value()));
-              if (improves) smin = kept;
-              if (enqueue) {
-                visited.emplace(kept->signature_hash, kept);
-                worklist.push_back(kept);
-                // `kept` was copied from the slot, so the slot mirrors it
-                // byte-for-byte; keying the slot to `kept` lets the
-                // worklist pop of `kept` start its own cascades without a
-                // re-sync. `visited` keeps the instance alive (and its
-                // address stable) for the rest of the search.
-                scratch.Rekey(slot, &kept->workflow, kept->signature_hash);
-              }
-            }
-            break;
-          }
-        }
-        continue;
-      }
-      StateRef st = si;
+      // The whole cascade advances one scratch workflow. Each step is
+      // its own surgery session — apply, evaluate, commit (or roll back
+      // just that step) — so the only copies a cascade pays are the
+      // slot sync at its start (free when the slot already mirrors
+      // `si`) and one per state it actually keeps: enqueued on the
+      // worklist or a new running minimum. Interior cascade depths that
+      // are neither come and go without ever being materialized.
+      const size_t slot =
+          scratch.AcquireSynced(si->workflow, si->signature_hash);
+      Workflow& wf = scratch.workflow(slot);
+      Workflow::UndoLog& log = scratch.log(slot);
+      State light;
+      light.cost = si->cost;
+      light.signature_hash = si->signature_hash;
+      light.breakdown = si->breakdown;
       bool changed = true;
-      bool any = false;
       while (changed && !budget.Exhausted()) {
         changed = false;
-        for (const auto& dc : FindDistributable(st->workflow)) {
-          if (st->workflow.PriorityLabelOf(dc.node) != plabel) continue;
+        for (const auto& dc : FindDistributable(wf)) {
+          if (wf.PriorityLabelOf(dc.node) != plabel) continue;
           ++budget.generated;
-          auto shifted = ShiftBackward(st->workflow, dc.node, dc.binary);
-          if (!shifted.ok()) continue;
-          auto dist =
-              ApplyDistribute(std::move(shifted).value(), dc.binary, dc.node);
-          if (!dist.ok()) continue;
-          ETLOPT_ASSIGN_OR_RETURN(State nsv,
-                                  eval.EvalFrom(std::move(dist).value(), *st));
-          st = ShareState(std::move(nsv));
+          if (!CanShiftBackward(wf, dc.node, dc.binary)) continue;
+          wf.BeginSurgery(&log);
+          Status step = ShiftBackward(wf, dc.node, dc.binary);
+          if (step.ok()) step = ApplyDistribute(wf, dc.binary, dc.node);
+          if (!step.ok()) {
+            wf.RollbackSurgery();
+#ifdef ETLOPT_PARANOID_CHECKS
+            ETLOPT_CHECK(wf.SignatureHash() == light.signature_hash);
+#endif
+            continue;
+          }
+          Status refreshed = wf.Refresh();
+          if (!refreshed.ok()) {
+            wf.RollbackSurgery();
+            return refreshed;  // transitions guarantee validity
+          }
+          auto ne = eval.EvalNeighbor(wf, light);
+          if (!ne.ok()) {
+            wf.RollbackSurgery();
+            return ne.status();
+          }
+          wf.CommitSurgery();
+          wf.ClearDirtyNodes();
+          // Until a twin is materialized below, the advanced slot has
+          // no durable source instance to be keyed on.
+          scratch.Rekey(slot, nullptr, ne.value().signature_hash);
+          light.cost = ne.value().cost;
+          light.signature_hash = ne.value().signature_hash;
+          light.breakdown = ne.value().breakdown;
           ++budget.visited;
           changed = true;
-          any = true;
-          // Every cascade depth is a candidate: pushing all the way down
-          // is not always the cheapest placement.
-          if (st->cost < smin->cost) smin = st;
-          // Bound the composition frontier: past the cap, keep improving
-          // states only and stop re-enqueueing.
-          if (queued.insert(interner.Intern(*st)).second &&
-              visited.size() < options.max_phase3_states) {
-            visited.emplace(st->signature_hash, st);
-            worklist.push_back(st);
+          // Every cascade depth is a candidate: pushing all the way
+          // down is not always the cheapest placement. Past the
+          // composition cap, keep improving states only and stop
+          // re-enqueueing.
+          const bool enqueue =
+              queued
+                  .insert(interner.Intern(ne.value().signature_hash,
+                                          ne.value().signature))
+                  .second &&
+              visited.size() < options.max_phase3_states;
+          const bool improves = light.cost < smin->cost;
+          if (enqueue || improves) {
+            StateRef kept =
+                ShareState(eval.MaterializeState(wf, ne.value()));
+            if (improves) smin = kept;
+            if (enqueue) {
+              visited.emplace(kept->signature_hash, kept);
+              worklist.push_back(kept);
+              // `kept` was copied from the slot, so the slot mirrors it
+              // byte-for-byte; keying the slot to `kept` lets the
+              // worklist pop of `kept` start its own cascades without a
+              // re-sync. `visited` keeps the instance alive (and its
+              // address stable) for the rest of the search.
+              scratch.Rekey(slot, &kept->workflow, kept->signature_hash);
+            }
           }
           break;
         }
       }
-      if (!any) continue;
     }
   }
 
@@ -1281,9 +1058,7 @@ StatusOr<SearchResult> RunHeuristic(
                           eval.EvalFrom(std::move(split), *smin));
 
   result.best = std::move(final_state);
-  if (result.best.signature.empty()) {
-    result.best.signature = result.best.workflow.Signature();
-  }
+  result.best.signature = result.best.workflow.Signature();
   result.visited_states = budget.visited;
   result.elapsed_millis = budget.ElapsedMillis();
   result.exhausted = !budget.Exhausted();
@@ -1411,10 +1186,9 @@ StatusOr<std::vector<std::pair<State, TransitionRecord>>> EnumerateSuccessors(
   std::vector<std::pair<State, TransitionRecord>> out;
   out.reserve(candidates.size());
   for (const Candidate& c : candidates) {
-    auto trial = c.apply();
-    if (!trial.ok()) continue;
-    ETLOPT_ASSIGN_OR_RETURN(State st,
-                            MakeState(std::move(trial).value(), model));
+    Workflow next = state.workflow;
+    if (!c.apply(next, nullptr).ok()) continue;
+    ETLOPT_ASSIGN_OR_RETURN(State st, MakeState(std::move(next), model));
     out.emplace_back(std::move(st), c.rec);
   }
   return out;
@@ -1425,8 +1199,7 @@ StatusOr<SearchResult> ExhaustiveSearch(const Workflow& initial,
                                         const SearchOptions& options) {
   ETLOPT_RETURN_NOT_OK(ValidateSearchOptions(options));
   Budget budget(options);
-  StateEvaluator eval(model, /*fast_paths=*/!options.disable_fast_paths,
-                      options.cache_hint, options.reliability);
+  StateEvaluator eval(model, options.cache_hint, options.reliability);
   SignatureInterner interner;
   size_t threads = 1;
   std::unique_ptr<ThreadPool> pool = MakePool(options, &threads);
@@ -1499,9 +1272,7 @@ StatusOr<SearchResult> ExhaustiveSearch(const Workflow& initial,
   }
   std::reverse(result.best_path.begin(), result.best_path.end());
   result.best = *best;
-  if (result.best.signature.empty()) {
-    result.best.signature = result.best.workflow.Signature();
-  }
+  result.best.signature = result.best.workflow.Signature();
   result.visited_states = budget.visited;
   result.elapsed_millis = budget.ElapsedMillis();
   result.exhausted = complete;

@@ -16,8 +16,7 @@
 namespace etlopt {
 
 /// Costs and signs a workflow (refreshing it if needed). Always fills the
-/// string signature; the search algorithms' internal fast paths use
-/// StateEvaluator instead.
+/// string signature; the search algorithms use StateEvaluator instead.
 StatusOr<State> MakeState(Workflow workflow, const CostModel& model);
 
 /// A description of one applied transition, for tracing.
@@ -54,12 +53,6 @@ struct SearchOptions {
   /// 0 = ThreadPool::DefaultThreads().
   size_t num_threads = 1;
 
-  /// Benchmark baseline knob: disables delta recosting and signature
-  /// hashing's string-elision (every state is fully recosted and its
-  /// string signature materialized). Search behavior and results are
-  /// identical either way; only the cost profile changes.
-  bool disable_fast_paths = false;
-
   /// HS/HS-Greedy ablation toggles; all true reproduces the paper's
   /// algorithm. Used by the heuristic-ablation bench to measure each
   /// phase's contribution.
@@ -91,10 +84,10 @@ struct SearchOptions {
 Status ValidateSearchOptions(const SearchOptions& options);
 
 /// Canonical string of exactly the options that can change a search's
-/// *result* (budgets, per-phase caps, ablation toggles). num_threads and
-/// disable_fast_paths are deliberately excluded: results are byte-identical
-/// across them by construction, so the serving layer's plan cache must not
-/// split entries on them. Note max_millis *is* included — a wall-clock
+/// *result* (budgets, per-phase caps, ablation toggles). num_threads is
+/// deliberately excluded: results are byte-identical across thread counts
+/// by construction, so the serving layer's plan cache must not split
+/// entries on it. Note max_millis *is* included — a wall-clock
 /// budget that actually fires makes results timing-dependent, so cached
 /// serving assumes deadlines generous enough that the state budget binds
 /// first.

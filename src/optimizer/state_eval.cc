@@ -8,12 +8,10 @@ namespace etlopt {
 
 namespace {
 
-State FinishState(Workflow workflow, CostBreakdown bd, double cost,
-                  bool materialize_sig) {
+State FinishState(Workflow workflow, CostBreakdown bd, double cost) {
   State s;
   s.cost = cost;
   s.signature_hash = workflow.SignatureHash();
-  if (materialize_sig) s.signature = workflow.Signature();
   s.breakdown = std::make_shared<const CostBreakdown>(std::move(bd));
   // The stored state is the new base: its figures are current, so the
   // dirty set restarts empty for the transitions derived from it.
@@ -33,18 +31,36 @@ StatusOr<State> StateEvaluator::Eval(Workflow workflow) const {
   full_recosts_.fetch_add(1, std::memory_order_relaxed);
   TrackPeakStateBytes(workflow.ApproxMemoryBytes());
   double cost = EffectiveCost(workflow, bd);
-  return FinishState(std::move(workflow), std::move(bd), cost,
-                     /*materialize_sig=*/!fast_paths_);
+  return FinishState(std::move(workflow), std::move(bd), cost);
 }
 
 StatusOr<State> StateEvaluator::EvalFrom(Workflow workflow,
                                          const State& base) const {
-  if (!fast_paths_ || base.breakdown == nullptr) {
-    return Eval(std::move(workflow));
-  }
   if (!workflow.fresh()) {
     ETLOPT_RETURN_NOT_OK(workflow.Refresh());
   }
+  ETLOPT_ASSIGN_OR_RETURN(CostBreakdown bd, DeltaRecost(workflow, base));
+  double cost = EffectiveCost(workflow, bd);
+  return FinishState(std::move(workflow), std::move(bd), cost);
+}
+
+StatusOr<NeighborEval> StateEvaluator::EvalNeighbor(const Workflow& applied,
+                                                    const State& base) const {
+  ETLOPT_CHECK(applied.fresh());
+  ETLOPT_ASSIGN_OR_RETURN(CostBreakdown bd, DeltaRecost(applied, base));
+  NeighborEval ne;
+  ne.cost = EffectiveCost(applied, bd);
+  ne.breakdown = std::make_shared<const CostBreakdown>(std::move(bd));
+  ne.signature_hash = applied.SignatureHash();
+#ifdef ETLOPT_PARANOID_CHECKS
+  ne.signature = applied.Signature();
+#endif
+  return ne;
+}
+
+StatusOr<CostBreakdown> StateEvaluator::DeltaRecost(const Workflow& workflow,
+                                                    const State& base) const {
+  ETLOPT_CHECK(base.breakdown != nullptr);
   CostReuseStats stats;
   ETLOPT_ASSIGN_OR_RETURN(
       CostBreakdown bd,
@@ -64,49 +80,7 @@ StatusOr<State> StateEvaluator::EvalFrom(Workflow workflow,
   delta_recosts_.fetch_add(1, std::memory_order_relaxed);
   reused_nodes_.fetch_add(stats.reused_nodes, std::memory_order_relaxed);
   recosted_nodes_.fetch_add(stats.recosted_nodes, std::memory_order_relaxed);
-  double cost = EffectiveCost(workflow, bd);
-  return FinishState(std::move(workflow), std::move(bd), cost,
-                     /*materialize_sig=*/false);
-}
-
-StatusOr<NeighborEval> StateEvaluator::EvalNeighbor(const Workflow& applied,
-                                                    const State& base) const {
-  ETLOPT_CHECK(applied.fresh());
-  NeighborEval ne;
-  if (fast_paths_ && base.breakdown != nullptr) {
-    CostReuseStats stats;
-    ETLOPT_ASSIGN_OR_RETURN(
-        CostBreakdown bd,
-        IncrementalCostBreakdown(applied, *base.breakdown, model_, &stats));
-#ifdef ETLOPT_PARANOID_CHECKS
-    {
-      auto full = ComputeCostBreakdown(applied, model_);
-      ETLOPT_CHECK_OK(full.status());
-      ETLOPT_CHECK(bd.total == full.value().total);
-      ETLOPT_CHECK(bd.node_cost == full.value().node_cost);
-      ETLOPT_CHECK(bd.node_output_cardinality ==
-                   full.value().node_output_cardinality);
-      ETLOPT_CHECK(bd.node_input_cardinality ==
-                   full.value().node_input_cardinality);
-    }
-#endif
-    delta_recosts_.fetch_add(1, std::memory_order_relaxed);
-    reused_nodes_.fetch_add(stats.reused_nodes, std::memory_order_relaxed);
-    recosted_nodes_.fetch_add(stats.recosted_nodes, std::memory_order_relaxed);
-    ne.cost = EffectiveCost(applied, bd);
-    ne.breakdown = std::make_shared<const CostBreakdown>(std::move(bd));
-  } else {
-    ETLOPT_ASSIGN_OR_RETURN(CostBreakdown bd,
-                            ComputeCostBreakdown(applied, model_));
-    full_recosts_.fetch_add(1, std::memory_order_relaxed);
-    ne.cost = EffectiveCost(applied, bd);
-    ne.breakdown = std::make_shared<const CostBreakdown>(std::move(bd));
-  }
-  ne.signature_hash = applied.SignatureHash();
-#ifdef ETLOPT_PARANOID_CHECKS
-  ne.signature = applied.Signature();
-#endif
-  return ne;
+  return bd;
 }
 
 State StateEvaluator::MaterializeState(const Workflow& applied,

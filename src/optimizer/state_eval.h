@@ -1,6 +1,6 @@
 // State evaluation for the search algorithms: costing, signing, and the
-// perf machinery behind the fast search paths — delta recosting against a
-// base state's cached CostBreakdown and hashed signatures that avoid
+// perf machinery behind the search — delta recosting against a base
+// state's cached CostBreakdown and hashed signatures that avoid
 // materializing the canonical string on the hot path.
 
 #ifndef ETLOPT_OPTIMIZER_STATE_EVAL_H_
@@ -68,7 +68,7 @@ struct State {
   /// algorithms key their visited/queued sets on.
   uint64_t signature_hash = 0;
 
-  /// Canonical string signature. The fast search paths leave this empty
+  /// Canonical string signature. The search algorithms leave this empty
   /// for interior states and materialize it only for the states they
   /// return; MakeState and EnumerateSuccessors always fill it.
   std::string signature;
@@ -107,17 +107,14 @@ struct SearchPerf {
   size_t threads = 1;
   /// Full Workflow copies made during the run (delta of the process-wide
   /// Workflow::TotalCopies() counter — approximate when other searches run
-  /// concurrently in the same process). The zero-copy neighbor path keeps
-  /// this near the number of *enqueued* states; the baseline pays one per
-  /// generated candidate.
+  /// concurrently in the same process). Zero-copy neighbor generation
+  /// keeps this near the number of *enqueued* states.
   size_t workflow_copies = 0;
   /// Surgery sessions rolled back (Workflow::TotalUndos() delta) — the
   /// neighbors that were evaluated in place instead of being copied.
   size_t undo_applies = 0;
   /// Largest ApproxMemoryBytes() over the states this run materialized
-  /// (from-scratch evals and promoted neighbors; the baseline path's
-  /// interior candidates are deliberately not measured — sizing them would
-  /// add per-candidate work to the path being benchmarked against).
+  /// (from-scratch evals and promoted neighbors).
   size_t peak_state_bytes = 0;
 
   /// Share of states costed by delta rather than from scratch.
@@ -136,12 +133,10 @@ struct SearchPerf {
 /// worker threads evaluate candidates concurrently; the counters are
 /// relaxed atomics read once at the end of the run.
 ///
-/// With fast_paths (the default), Eval/EvalFrom hash signatures instead of
-/// materializing strings and EvalFrom recosts only the delta a transition
-/// touched. With fast_paths off (SearchOptions::disable_fast_paths — the
-/// benchmark baseline), every state is fully recosted and its string
-/// signature materialized, reproducing the pre-optimization cost profile
-/// while keeping identical search behavior.
+/// Signatures are hashed, never materialized as strings, and a state
+/// derived from a base recosts only the delta its transitions touched.
+/// Paranoid builds check every delta recost bit for bit against a full
+/// ComputeCostBreakdown.
 class StateEvaluator {
  public:
   /// `hint` (optional, unowned, may outlive-checked by caller) turns on
@@ -151,20 +146,17 @@ class StateEvaluator {
   /// the expected checkpoint + recovery cost of the state's optimal
   /// recovery-point placement (see cost/reliability_model.h) on top;
   /// null reproduces legacy costing bit for bit.
-  StateEvaluator(const CostModel& model, bool fast_paths,
-                 const CacheCostHint* hint = nullptr,
-                 const ReliabilityParams* reliability = nullptr)
-      : model_(model),
-        fast_paths_(fast_paths),
-        hint_(hint),
-        reliability_(reliability) {}
+  explicit StateEvaluator(const CostModel& model,
+                          const CacheCostHint* hint = nullptr,
+                          const ReliabilityParams* reliability = nullptr)
+      : model_(model), hint_(hint), reliability_(reliability) {}
 
   /// Costs and signs a workflow from scratch (refreshing if needed).
   StatusOr<State> Eval(Workflow workflow) const;
 
   /// Costs and signs a workflow derived from `base` by transitions,
   /// reusing the base's per-node figures for everything the transitions
-  /// did not touch (see IncrementalCostBreakdown). Exact: debug builds
+  /// did not touch (see IncrementalCostBreakdown). Exact: paranoid builds
   /// assert the delta recost equals a full recost bit for bit.
   StatusOr<State> EvalFrom(Workflow workflow, const State& base) const;
 
@@ -172,7 +164,7 @@ class StateEvaluator {
   /// workflow (the surgery session is still open): hashes its signature
   /// and delta-costs it against the base without copying the workflow or
   /// building a State. Counter behavior matches EvalFrom exactly — one
-  /// delta (or full) recost per call — so A/B perf lines stay comparable.
+  /// delta recost per call.
   StatusOr<NeighborEval> EvalNeighbor(const Workflow& applied,
                                       const State& base) const;
 
@@ -199,10 +191,6 @@ class StateEvaluator {
   void ParanoidCheckRestore(const Workflow& restored, const Workflow& base_wf,
                             uint64_t base_hash, double base_cost) const;
 
-  /// True when the fast paths (delta recosting, hashed signatures, and
-  /// zero-copy neighbor generation) are enabled for this run.
-  bool fast_paths() const { return fast_paths_; }
-
   /// Snapshot of the counters (threads, workflow_copies and undo_applies
   /// are left at their defaults; the search run fills them in from the
   /// process-wide Workflow counters).
@@ -217,6 +205,10 @@ class StateEvaluator {
                        const CostBreakdown& bd) const;
 
  private:
+  /// The counted delta recost behind EvalFrom and EvalNeighbor.
+  StatusOr<CostBreakdown> DeltaRecost(const Workflow& workflow,
+                                      const State& base) const;
+
   /// bd.total minus the materialized-cone discount (no reliability term).
   double CacheDiscountedCost(const Workflow& workflow,
                              const CostBreakdown& bd) const;
@@ -224,7 +216,6 @@ class StateEvaluator {
   void TrackPeakStateBytes(size_t bytes) const;
 
   const CostModel& model_;
-  const bool fast_paths_;
   const CacheCostHint* hint_ = nullptr;
   const ReliabilityParams* reliability_ = nullptr;
   mutable std::atomic<size_t> full_recosts_{0};

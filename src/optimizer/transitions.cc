@@ -62,28 +62,38 @@ Status CheckBinaryActivityNode(const Workflow& w, NodeId id, const char* role) {
   return Status::OK();
 }
 
-// Both the copy-based and the in-place path of each transition run the
-// same precheck (on the unmodified workflow) and the same surgery body
-// (on the copy / under the undo log), so they accept and reject
-// identically — the byte-identical A/B guarantee hangs on this split.
+// Runs a transition's surgery (precheck already passed): in a new session
+// on `session` when one is given — rolled back again if the surgery is
+// rejected — or directly on `w`.
+template <typename Surgery>
+Status RunSurgery(Workflow& w, Workflow::UndoLog* session, Surgery surgery) {
+  if (session == nullptr) return surgery();
+  w.BeginSurgery(session);
+  Status st = surgery();
+  if (!st.ok()) w.RollbackSurgery();
+  return st;
+}
 
-Status CheckSwapPre(const Workflow& w, NodeId a1, NodeId a2) {
+}  // namespace
+
+Status ApplySwap(Workflow& w, NodeId a1, NodeId a2,
+                 Workflow::UndoLog* session) {
   ETLOPT_RETURN_NOT_OK(CheckUnaryActivityNode(w, a1, "swap"));
   ETLOPT_RETURN_NOT_OK(CheckUnaryActivityNode(w, a2, "swap"));
   std::vector<NodeId> consumers = w.Consumers(a1);
   if (consumers.size() != 1 || consumers[0] != a2) {
     return Status::FailedPrecondition("swap: activities are not adjacent");
   }
-  return CheckSwapSemantics(w.chain(a1), w.chain(a2));
+  ETLOPT_RETURN_NOT_OK(CheckSwapSemantics(w.chain(a1), w.chain(a2)));
+  return RunSurgery(w, session, [&] {
+    ETLOPT_RETURN_NOT_OK(w.SwapAdjacent(a1, a2));
+    // Schema regeneration is the final arbiter (conditions 3-4).
+    return w.Refresh().WithContext("swap rejected");
+  });
 }
 
-Status SwapSurgery(Workflow& w, NodeId a1, NodeId a2) {
-  ETLOPT_RETURN_NOT_OK(w.SwapAdjacent(a1, a2));
-  // Schema regeneration is the final arbiter (conditions 3-4).
-  return w.Refresh().WithContext("swap rejected");
-}
-
-Status CheckFactorizePre(const Workflow& w, NodeId ab, NodeId a1, NodeId a2) {
+Status ApplyFactorize(Workflow& w, NodeId ab, NodeId a1, NodeId a2,
+                      Workflow::UndoLog* session) {
   ETLOPT_RETURN_NOT_OK(CheckBinaryActivityNode(w, ab, "factorize"));
   ETLOPT_RETURN_NOT_OK(CheckUnaryActivityNode(w, a1, "factorize"));
   ETLOPT_RETURN_NOT_OK(CheckUnaryActivityNode(w, a2, "factorize"));
@@ -101,24 +111,24 @@ Status CheckFactorizePre(const Workflow& w, NodeId ab, NodeId a1, NodeId a2) {
     return Status::FailedPrecondition(
         "factorize: both activities must directly feed the binary");
   }
-  return CheckDistributesOverBinary(w.chain(a1), w.chain(ab));
+  ETLOPT_RETURN_NOT_OK(CheckDistributesOverBinary(w.chain(a1), w.chain(ab)));
+  return RunSurgery(w, session, [&] {
+    NodeId ab_consumer = w.Consumers(ab)[0];
+    // Keep a1's chain (the paper reuses one of the removed activities'
+    // identities for the new node; we keep the smaller priority label).
+    ActivityChain clone =
+        w.PriorityLabelOf(a1) <= w.PriorityLabelOf(a2) ? w.chain(a1)
+                                                       : w.chain(a2);
+    ETLOPT_RETURN_NOT_OK(w.RemoveChainNode(a1));
+    ETLOPT_RETURN_NOT_OK(w.RemoveChainNode(a2));
+    ETLOPT_RETURN_NOT_OK(
+        w.InsertOnEdge(std::move(clone), ab, ab_consumer).status());
+    return w.Refresh().WithContext("factorize rejected");
+  });
 }
 
-Status FactorizeSurgery(Workflow& w, NodeId ab, NodeId a1, NodeId a2) {
-  NodeId ab_consumer = w.Consumers(ab)[0];
-  // Keep a1's chain (the paper reuses one of the removed activities'
-  // identities for the new node; we keep the smaller priority label).
-  ActivityChain clone =
-      w.PriorityLabelOf(a1) <= w.PriorityLabelOf(a2) ? w.chain(a1)
-                                                     : w.chain(a2);
-  ETLOPT_RETURN_NOT_OK(w.RemoveChainNode(a1));
-  ETLOPT_RETURN_NOT_OK(w.RemoveChainNode(a2));
-  ETLOPT_RETURN_NOT_OK(
-      w.InsertOnEdge(std::move(clone), ab, ab_consumer).status());
-  return w.Refresh().WithContext("factorize rejected");
-}
-
-Status CheckDistributePre(const Workflow& w, NodeId ab, NodeId a) {
+Status ApplyDistribute(Workflow& w, NodeId ab, NodeId a,
+                       Workflow::UndoLog* session) {
   ETLOPT_RETURN_NOT_OK(CheckBinaryActivityNode(w, ab, "distribute"));
   ETLOPT_RETURN_NOT_OK(CheckUnaryActivityNode(w, a, "distribute"));
   // Condition 1: the binary is the provider of a.
@@ -126,59 +136,32 @@ Status CheckDistributePre(const Workflow& w, NodeId ab, NodeId a) {
     return Status::FailedPrecondition(
         "distribute: activity must directly consume the binary");
   }
-  return CheckDistributesOverBinary(w.chain(a), w.chain(ab));
+  ETLOPT_RETURN_NOT_OK(CheckDistributesOverBinary(w.chain(a), w.chain(ab)));
+  return RunSurgery(w, session, [&] {
+    ActivityChain clone = w.chain(a);
+    std::vector<NodeId> flows = w.Providers(ab);
+    ETLOPT_RETURN_NOT_OK(w.RemoveChainNode(a));
+    for (NodeId flow : flows) {
+      ETLOPT_RETURN_NOT_OK(w.InsertOnEdge(clone, flow, ab).status());
+    }
+    return w.Refresh().WithContext("distribute rejected");
+  });
 }
 
-Status DistributeSurgery(Workflow& w, NodeId ab, NodeId a) {
-  ActivityChain clone = w.chain(a);
-  std::vector<NodeId> flows = w.Providers(ab);
-  ETLOPT_RETURN_NOT_OK(w.RemoveChainNode(a));
-  for (NodeId flow : flows) {
-    ETLOPT_RETURN_NOT_OK(w.InsertOnEdge(clone, flow, ab).status());
-  }
-  return w.Refresh().WithContext("distribute rejected");
+Status ApplyMerge(Workflow& w, NodeId a1, NodeId a2,
+                  Workflow::UndoLog* session) {
+  return RunSurgery(w, session, [&] {
+    ETLOPT_RETURN_NOT_OK(w.MergeInto(a1, a2));
+    return w.Refresh().WithContext("merge rejected");
+  });
 }
 
-Status MergeSurgery(Workflow& w, NodeId a1, NodeId a2) {
-  ETLOPT_RETURN_NOT_OK(w.MergeInto(a1, a2));
-  return w.Refresh().WithContext("merge rejected");
-}
-
-Status SplitSurgery(Workflow& w, NodeId a, size_t at) {
-  ETLOPT_RETURN_NOT_OK(w.SplitNode(a, at).status());
-  return w.Refresh().WithContext("split rejected");
-}
-
-// Shared tail of the in-place variants: run the surgery under the already
-// armed log; on rejection restore the scratch before reporting.
-Status SurgeryOrRollback(Workflow& w, Status surgery_result) {
-  if (!surgery_result.ok()) w.RollbackSurgery();
-  return surgery_result;
-}
-
-}  // namespace
-
-StatusOr<Workflow> ApplySwap(const Workflow& w, NodeId a1, NodeId a2) {
-  ETLOPT_RETURN_NOT_OK(CheckSwapPre(w, a1, a2));
-  Workflow next = w;
-  ETLOPT_RETURN_NOT_OK(SwapSurgery(next, a1, a2));
-  return next;
-}
-
-Status ApplySwapInPlace(Workflow& w, NodeId a1, NodeId a2,
-                        Workflow::UndoLog& log) {
-  ETLOPT_RETURN_NOT_OK(CheckSwapPre(w, a1, a2));
-  w.BeginSurgery(&log);
-  return SurgeryOrRollback(w, SwapSurgery(w, a1, a2));
-}
-
-Status ApplySwapDirect(Workflow& w, NodeId a1, NodeId a2) {
-  ETLOPT_RETURN_NOT_OK(CheckSwapPre(w, a1, a2));
-  return SwapSurgery(w, a1, a2);
-}
-
-bool CanSwap(const Workflow& w, NodeId a1, NodeId a2) {
-  return ApplySwap(w, a1, a2).ok();
+Status ApplySplit(Workflow& w, NodeId a, size_t at,
+                  Workflow::UndoLog* session) {
+  return RunSurgery(w, session, [&] {
+    ETLOPT_RETURN_NOT_OK(w.SplitNode(a, at).status());
+    return w.Refresh().WithContext("split rejected");
+  });
 }
 
 Status CheckDistributesOverBinary(const ActivityChain& chain,
@@ -249,69 +232,6 @@ Status CheckDistributesOverBinary(const ActivityChain& chain,
     }
   }
   return Status::OK();
-}
-
-StatusOr<Workflow> ApplyFactorize(const Workflow& w, NodeId ab, NodeId a1,
-                                  NodeId a2) {
-  ETLOPT_RETURN_NOT_OK(CheckFactorizePre(w, ab, a1, a2));
-  Workflow next = w;
-  ETLOPT_RETURN_NOT_OK(FactorizeSurgery(next, ab, a1, a2));
-  return next;
-}
-
-Status ApplyFactorizeInPlace(Workflow& w, NodeId ab, NodeId a1, NodeId a2,
-                             Workflow::UndoLog& log) {
-  ETLOPT_RETURN_NOT_OK(CheckFactorizePre(w, ab, a1, a2));
-  w.BeginSurgery(&log);
-  return SurgeryOrRollback(w, FactorizeSurgery(w, ab, a1, a2));
-}
-
-Status ApplyFactorizeDirect(Workflow& w, NodeId ab, NodeId a1, NodeId a2) {
-  ETLOPT_RETURN_NOT_OK(CheckFactorizePre(w, ab, a1, a2));
-  return FactorizeSurgery(w, ab, a1, a2);
-}
-
-StatusOr<Workflow> ApplyDistribute(const Workflow& w, NodeId ab, NodeId a) {
-  ETLOPT_RETURN_NOT_OK(CheckDistributePre(w, ab, a));
-  Workflow next = w;
-  ETLOPT_RETURN_NOT_OK(DistributeSurgery(next, ab, a));
-  return next;
-}
-
-Status ApplyDistributeInPlace(Workflow& w, NodeId ab, NodeId a,
-                              Workflow::UndoLog& log) {
-  ETLOPT_RETURN_NOT_OK(CheckDistributePre(w, ab, a));
-  w.BeginSurgery(&log);
-  return SurgeryOrRollback(w, DistributeSurgery(w, ab, a));
-}
-
-Status ApplyDistributeDirect(Workflow& w, NodeId ab, NodeId a) {
-  ETLOPT_RETURN_NOT_OK(CheckDistributePre(w, ab, a));
-  return DistributeSurgery(w, ab, a);
-}
-
-StatusOr<Workflow> ApplyMerge(const Workflow& w, NodeId a1, NodeId a2) {
-  Workflow next = w;
-  ETLOPT_RETURN_NOT_OK(MergeSurgery(next, a1, a2));
-  return next;
-}
-
-Status ApplyMergeInPlace(Workflow& w, NodeId a1, NodeId a2,
-                         Workflow::UndoLog& log) {
-  w.BeginSurgery(&log);
-  return SurgeryOrRollback(w, MergeSurgery(w, a1, a2));
-}
-
-StatusOr<Workflow> ApplySplit(const Workflow& w, NodeId a, size_t at) {
-  Workflow next = w;
-  ETLOPT_RETURN_NOT_OK(SplitSurgery(next, a, at));
-  return next;
-}
-
-Status ApplySplitInPlace(Workflow& w, NodeId a, size_t at,
-                         Workflow::UndoLog& log) {
-  w.BeginSurgery(&log);
-  return SurgeryOrRollback(w, SplitSurgery(w, a, at));
 }
 
 }  // namespace etlopt

@@ -1,27 +1,32 @@
 // The five state transitions of the paper (§2.2, §3.3): Swap, Factorize,
 // Distribute, Merge, Split.
 //
-// Each Apply* function checks the transition's applicability conditions,
-// then produces a NEW workflow (states are immutable values); the input
-// state is never modified. A non-OK status means "transition not
-// applicable here" — the search layers treat that as pruning, not as an
-// error.
+// Each transition is one function that rewires a workflow in place: it
+// checks the transition's applicability conditions on the unmodified
+// workflow, performs the surgery, and revalidates with Refresh(). A
+// non-OK status means "transition not applicable here" — the search
+// layers treat that as pruning, not as an error.
 //
-// Each transition also has an Apply*InPlace variant that mutates a scratch
-// workflow under a Workflow::UndoLog instead of copying — the zero-copy
-// neighbor-generation path. On success the surgery session is left OPEN:
-// the caller inspects the mutated neighbor (hash it, delta-cost it, copy
-// it if it survives pruning) and then MUST call RollbackSurgery() to
-// restore the scratch byte-identically (or CommitSurgery() to keep the
-// mutation). On failure the variant rolls back internally and the scratch
-// is already restored. Both paths run the same precondition checks and the
-// same Refresh() validation, so they accept/reject identically.
+// The caller owns the surgery session (Workflow::BeginSurgery). It picks
+// one of two forms through the optional `session` log:
+//  * with a log, the transition opens a new session on it once the
+//    precheck has passed. On success the session is left OPEN: the caller
+//    inspects the neighbor (hash it, delta-cost it, copy it if it
+//    survives pruning) and then calls RollbackSurgery() to restore the
+//    workflow byte-identically, or CommitSurgery() to keep it. On failure
+//    the session is already rolled back. A rejected precheck opens no
+//    session at all.
+//  * without a log, `w` is rewired directly. This is for transition
+//    chains run inside one session the caller opened itself, and for
+//    workflows the caller discards on failure: a rejected transition may
+//    leave `w` partially rewired.
+// A copying transition is "clone, then apply".
 //
 // Correctness (the paper's Theorems 1-2) is enforced in two layers:
 //  1. structural/semantic preconditions checked up front (conditions 1-4
 //     of §3.3, plus the distributivity rules for FAC/DIS);
 //  2. full schema regeneration via Workflow::Refresh() on the rewired
-//     copy — any state whose schemata no longer line up is rejected.
+//     workflow — any state whose schemata no longer line up is rejected.
 
 #ifndef ETLOPT_OPTIMIZER_TRANSITIONS_H_
 #define ETLOPT_OPTIMIZER_TRANSITIONS_H_
@@ -37,52 +42,27 @@ namespace etlopt {
 ///       checked both via the value-changed/functionality dependency test
 ///       (neither activity may read or re-change what the other computes)
 ///       and via full schema regeneration.
-StatusOr<Workflow> ApplySwap(const Workflow& w, NodeId a1, NodeId a2);
-
-/// True iff ApplySwap(w, a1, a2) would succeed (cheaper: no copy on the
-/// happy path is still required, so this simply wraps ApplySwap's checks).
-bool CanSwap(const Workflow& w, NodeId a1, NodeId a2);
+Status ApplySwap(Workflow& w, NodeId a1, NodeId a2,
+                 Workflow::UndoLog* session = nullptr);
 
 /// FAC(ab, a1, a2): replace homologous activities a1, a2 (each adjacent
 /// providers of binary ab through different ports) with a single clone
 /// placed right after ab.
-StatusOr<Workflow> ApplyFactorize(const Workflow& w, NodeId ab, NodeId a1,
-                                  NodeId a2);
+Status ApplyFactorize(Workflow& w, NodeId ab, NodeId a1, NodeId a2,
+                      Workflow::UndoLog* session = nullptr);
 
 /// DIS(ab, a): remove a (the direct consumer of binary ab) and clone it
 /// into each flow entering ab.
-StatusOr<Workflow> ApplyDistribute(const Workflow& w, NodeId ab, NodeId a);
+Status ApplyDistribute(Workflow& w, NodeId ab, NodeId a,
+                       Workflow::UndoLog* session = nullptr);
 
 /// MER(a1+2, a1, a2): package a2 (a1's only consumer) into a1's node.
-StatusOr<Workflow> ApplyMerge(const Workflow& w, NodeId a1, NodeId a2);
+Status ApplyMerge(Workflow& w, NodeId a1, NodeId a2,
+                  Workflow::UndoLog* session = nullptr);
 
 /// SPL(a1+2, a1, a2): unpackage a merged node at member position `at`.
-StatusOr<Workflow> ApplySplit(const Workflow& w, NodeId a, size_t at);
-
-// --- In-place variants (see file comment for the session contract) ---
-
-Status ApplySwapInPlace(Workflow& w, NodeId a1, NodeId a2,
-                        Workflow::UndoLog& log);
-Status ApplyFactorizeInPlace(Workflow& w, NodeId ab, NodeId a1, NodeId a2,
-                             Workflow::UndoLog& log);
-Status ApplyDistributeInPlace(Workflow& w, NodeId ab, NodeId a,
-                              Workflow::UndoLog& log);
-Status ApplyMergeInPlace(Workflow& w, NodeId a1, NodeId a2,
-                         Workflow::UndoLog& log);
-Status ApplySplitInPlace(Workflow& w, NodeId a, size_t at,
-                         Workflow::UndoLog& log);
-
-// --- Destructive chain variants ---
-//
-// Mutate `w` directly with no undo log — for transition *chains* on a
-// locally owned workflow (the heuristic's shift-then-factorize and
-// shift-then-distribute sequences), where a mid-chain rejection discards
-// the whole workflow anyway. On failure `w` may be left partially rewired
-// and must not be used further.
-
-Status ApplySwapDirect(Workflow& w, NodeId a1, NodeId a2);
-Status ApplyFactorizeDirect(Workflow& w, NodeId ab, NodeId a1, NodeId a2);
-Status ApplyDistributeDirect(Workflow& w, NodeId ab, NodeId a);
+Status ApplySplit(Workflow& w, NodeId a, size_t at,
+                  Workflow::UndoLog* session = nullptr);
 
 /// The shared FAC/DIS legality rule: can `chain` be moved across binary
 /// activity `binary` (in either direction) without changing semantics?

@@ -4,9 +4,9 @@
 // Key = (workflow signature hash) x (request context hash), where the
 // context covers everything else that can change the answer: algorithm,
 // cost-model fingerprint, result-affecting search options, and merge
-// constraints. num_threads and disable_fast_paths are excluded on
-// purpose — results are byte-identical across them (PR 2's guarantee), so
-// splitting cache entries on them would only lower the hit rate.
+// constraints. num_threads is excluded on purpose — results are
+// byte-identical across thread counts, so splitting cache entries on it
+// would only lower the hit rate.
 //
 // Storage and concurrency come from ShardedCache (service/
 // sharded_cache.h): N-way sharding keeps unrelated requests from

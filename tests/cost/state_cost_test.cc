@@ -49,9 +49,9 @@ TEST_F(StateCostTest, SwapReducesCostWhenFilterMovesEarly) {
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
   double before = *StateCost(s->workflow, model_);
-  auto swapped = ApplySwap(s->workflow, s->a2e_date, s->aggregate);
-  ASSERT_TRUE(swapped.ok());
-  double after = *StateCost(*swapped, model_);
+  Workflow swapped = s->workflow;
+  ASSERT_TRUE(ApplySwap(swapped, s->a2e_date, s->aggregate).ok());
+  double after = *StateCost(swapped, model_);
   EXPECT_LT(after, before);
   // The delta is exactly the date-conversion rows saved: 3000 -> 1200.
   EXPECT_DOUBLE_EQ(before - after, 1800.0);
@@ -62,10 +62,10 @@ TEST_F(StateCostTest, IncrementalMatchesFullAfterSwap) {
   ASSERT_TRUE(s.ok());
   auto base = ComputeCostBreakdown(s->workflow, model_);
   ASSERT_TRUE(base.ok());
-  auto swapped = ApplySwap(s->workflow, s->a2e_date, s->aggregate);
-  ASSERT_TRUE(swapped.ok());
-  auto full = ComputeCostBreakdown(*swapped, model_);
-  auto incr = IncrementalCostBreakdown(*swapped, *base, model_);
+  Workflow swapped = s->workflow;
+  ASSERT_TRUE(ApplySwap(swapped, s->a2e_date, s->aggregate).ok());
+  auto full = ComputeCostBreakdown(swapped, model_);
+  auto incr = IncrementalCostBreakdown(swapped, *base, model_);
   ASSERT_TRUE(full.ok() && incr.ok());
   EXPECT_DOUBLE_EQ(full->total, incr->total);
   EXPECT_EQ(full->node_cost, incr->node_cost);
@@ -78,10 +78,10 @@ TEST_F(StateCostTest, IncrementalMatchesFullAfterDistribute) {
   ASSERT_TRUE(s.ok());
   auto base = ComputeCostBreakdown(s->workflow, model_);
   ASSERT_TRUE(base.ok());
-  auto dist = ApplyDistribute(s->workflow, s->union_node, s->threshold);
-  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  auto full = ComputeCostBreakdown(*dist, model_);
-  auto incr = IncrementalCostBreakdown(*dist, *base, model_);
+  Workflow dist = s->workflow;
+  ASSERT_TRUE(ApplyDistribute(dist, s->union_node, s->threshold).ok());
+  auto full = ComputeCostBreakdown(dist, model_);
+  auto incr = IncrementalCostBreakdown(dist, *base, model_);
   ASSERT_TRUE(full.ok() && incr.ok());
   EXPECT_DOUBLE_EQ(full->total, incr->total);
 }
@@ -93,10 +93,10 @@ TEST_F(StateCostTest, IncrementalReusesUntouchedBranch) {
   ASSERT_TRUE(s.ok());
   auto base = ComputeCostBreakdown(s->workflow, model_);
   ASSERT_TRUE(base.ok());
-  auto swapped = ApplySwap(s->workflow, s->a2e_date, s->aggregate);
-  ASSERT_TRUE(swapped.ok());
+  Workflow swapped = s->workflow;
+  ASSERT_TRUE(ApplySwap(swapped, s->a2e_date, s->aggregate).ok());
   CostReuseStats stats;
-  auto incr = IncrementalCostBreakdown(*swapped, *base, model_, &stats);
+  auto incr = IncrementalCostBreakdown(swapped, *base, model_, &stats);
   ASSERT_TRUE(incr.ok());
   EXPECT_DOUBLE_EQ(incr->node_cost.at(s->not_null),
                    base->node_cost.at(s->not_null));
@@ -115,24 +115,23 @@ TEST_F(StateCostTest, IncrementalExactAcrossTransitionChain) {
   auto bd = ComputeCostBreakdown(s->workflow, model_);
   ASSERT_TRUE(bd.ok());
 
-  auto swapped = ApplySwap(s->workflow, s->a2e_date, s->aggregate);
-  ASSERT_TRUE(swapped.ok());
-  auto bd1 = IncrementalCostBreakdown(*swapped, *bd, model_);
+  Workflow swapped = s->workflow;
+  ASSERT_TRUE(ApplySwap(swapped, s->a2e_date, s->aggregate).ok());
+  auto bd1 = IncrementalCostBreakdown(swapped, *bd, model_);
   ASSERT_TRUE(bd1.ok());
-  auto full1 = ComputeCostBreakdown(*swapped, model_);
+  auto full1 = ComputeCostBreakdown(swapped, model_);
   ASSERT_TRUE(full1.ok());
   EXPECT_TRUE(bd1->total == full1->total);  // exact, not approximate
   EXPECT_EQ(bd1->node_cost, full1->node_cost);
 
   // Derive the next state from the swapped one; its dirty set restarts
   // from the swapped workflow's accumulated marks.
-  Workflow w1 = *swapped;
-  w1.ClearDirtyNodes();
-  auto dist = ApplyDistribute(w1, s->union_node, s->threshold);
-  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
-  auto bd2 = IncrementalCostBreakdown(*dist, *bd1, model_);
+  Workflow dist = swapped;
+  dist.ClearDirtyNodes();
+  ASSERT_TRUE(ApplyDistribute(dist, s->union_node, s->threshold).ok());
+  auto bd2 = IncrementalCostBreakdown(dist, *bd1, model_);
   ASSERT_TRUE(bd2.ok());
-  auto full2 = ComputeCostBreakdown(*dist, model_);
+  auto full2 = ComputeCostBreakdown(dist, model_);
   ASSERT_TRUE(full2.ok());
   EXPECT_TRUE(bd2->total == full2->total);
   EXPECT_EQ(bd2->node_cost, full2->node_cost);
@@ -148,14 +147,14 @@ TEST_F(StateCostTest, IncrementalWithoutDirtyMarksStillExact) {
   ASSERT_TRUE(s.ok());
   auto base = ComputeCostBreakdown(s->workflow, model_);
   ASSERT_TRUE(base.ok());
-  auto swapped = ApplySwap(s->workflow, s->a2e_date, s->aggregate);
-  ASSERT_TRUE(swapped.ok());
-  auto swapped_back = ApplySwap(*swapped, s->aggregate, s->a2e_date);
-  ASSERT_TRUE(swapped_back.ok());
+  Workflow swapped = s->workflow;
+  ASSERT_TRUE(ApplySwap(swapped, s->a2e_date, s->aggregate).ok());
+  Workflow swapped_back = swapped;
+  ASSERT_TRUE(ApplySwap(swapped_back, s->aggregate, s->a2e_date).ok());
   CostReuseStats stats;
-  auto incr = IncrementalCostBreakdown(*swapped_back, *base, model_, &stats);
+  auto incr = IncrementalCostBreakdown(swapped_back, *base, model_, &stats);
   ASSERT_TRUE(incr.ok());
-  auto full = ComputeCostBreakdown(*swapped_back, model_);
+  auto full = ComputeCostBreakdown(swapped_back, model_);
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(incr->node_cost, full->node_cost);
   EXPECT_DOUBLE_EQ(incr->total, full->total);

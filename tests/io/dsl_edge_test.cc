@@ -39,6 +39,56 @@ TEST(DslEdgeTest, SelectivityOutOfRangeRejected) {
       "notnull nn in=A attr=V sel=1.5\n"
       "target T in=nn schema=V:double\n");
   EXPECT_FALSE(w.ok());
+  // Non-finite selectivities fail the range check too (NaN compares
+  // false both ways, so the check must be written to fail it).
+  for (const char* sel : {"nan", "inf", "-inf"}) {
+    auto bad = ParseWorkflowText(
+        std::string("source A card=10 schema=V:double\n"
+                    "notnull nn in=A attr=V sel=") +
+        sel + "\ntarget T in=nn schema=V:double\n");
+    ASSERT_FALSE(bad.ok()) << sel;
+    EXPECT_TRUE(bad.status().IsInvalidArgument()) << bad.status().ToString();
+  }
+}
+
+TEST(DslEdgeTest, NonFiniteOrNegativeCardRejected) {
+  for (const char* card : {"nan", "inf", "-1"}) {
+    auto w = ParseWorkflowText(std::string("source A card=") + card +
+                               " schema=V:double\n"
+                               "target T in=A schema=V:double\n");
+    ASSERT_FALSE(w.ok()) << card;
+    EXPECT_TRUE(w.status().IsInvalidArgument()) << w.status().ToString();
+  }
+}
+
+// A predicate with `levels` nested parentheses: (NOT (NOT ... (V > 1))).
+std::string NotChain(int levels) {
+  std::string pred;
+  for (int i = 1; i < levels; ++i) pred += "(NOT ";
+  return pred + "(V > 1)" + std::string(levels - 1, ')');
+}
+
+TEST(DslEdgeTest, PredicateNestingLimitIsExact) {
+  auto at_limit = ParsePredicate(NotChain(kMaxPredicateNesting));
+  EXPECT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  auto past_limit = ParsePredicate(NotChain(kMaxPredicateNesting + 1));
+  ASSERT_FALSE(past_limit.ok());
+  EXPECT_TRUE(past_limit.status().IsInvalidArgument());
+}
+
+TEST(DslEdgeTest, DeeplyNestedPredicateFailsCleanly) {
+  // 50,000 redundant parentheses (about 100 KB of text) once overflowed
+  // the recursive-descent parser's stack.
+  const int depth = 50000;
+  std::string text = "source A card=10 schema=V:double\n"
+                     "selection s in=A pred=" +
+                     std::string(depth, '(') + "(V > 1)" +
+                     std::string(depth, ')') +
+                     " sel=0.5\n"
+                     "target T in=s schema=V:double\n";
+  auto w = ParseWorkflowText(text);
+  ASSERT_FALSE(w.ok());
+  EXPECT_TRUE(w.status().IsInvalidArgument()) << w.status().ToString();
 }
 
 TEST(DslEdgeTest, PredicateWithNestedParensInLine) {

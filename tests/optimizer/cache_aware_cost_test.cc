@@ -42,10 +42,10 @@ Workflow SmallWorkflow(uint64_t seed) {
 
 TEST_F(CacheAwareCostTest, NeverHitHintCostsExactlyLikeNoHint) {
   Workflow w = MediumWorkflow(3);
-  StateEvaluator plain(model_, /*fast_paths=*/true);
+  StateEvaluator plain(model_);
   CacheCostHint hint;
   hint.is_materialized = [](uint64_t) { return false; };
-  StateEvaluator hinted(model_, /*fast_paths=*/true, &hint);
+  StateEvaluator hinted(model_, &hint);
   auto a = plain.Eval(w);
   auto b = hinted.Eval(w);
   ASSERT_TRUE(a.ok() && b.ok());
@@ -55,14 +55,14 @@ TEST_F(CacheAwareCostTest, NeverHitHintCostsExactlyLikeNoHint) {
 
 TEST_F(CacheAwareCostTest, AlwaysHitHintChargesOnlyTheResidual) {
   Workflow w = MediumWorkflow(3);
-  StateEvaluator plain(model_, /*fast_paths=*/true);
+  StateEvaluator plain(model_);
   auto base = plain.Eval(w);
   ASSERT_TRUE(base.ok());
 
   CacheCostHint hint;
   hint.is_materialized = [](uint64_t) { return true; };
   hint.residual = 0.1;
-  StateEvaluator hinted(model_, /*fast_paths=*/true, &hint);
+  StateEvaluator hinted(model_, &hint);
   auto discounted = hinted.Eval(w);
   ASSERT_TRUE(discounted.ok());
   // Every activity node sits in the cone of the most-downstream
@@ -90,14 +90,14 @@ TEST_F(CacheAwareCostTest, DeltaRecostAgreesWithFullRecostUnderHint) {
   hint.is_materialized = [&materialized](uint64_t s) {
     return materialized.count(s) != 0;
   };
-  StateEvaluator hinted(model_, /*fast_paths=*/true, &hint);
+  StateEvaluator hinted(model_, &hint);
   auto base = hinted.Eval(w);
   ASSERT_TRUE(base.ok());
   EXPECT_LT(base->cost, base->breakdown->total);
 
   // Every successor costed by delta against the base must match a
   // from-scratch hinted eval bit for bit.
-  StateEvaluator plain(model_, /*fast_paths=*/true);
+  StateEvaluator plain(model_);
   auto plain_base = plain.Eval(w);
   ASSERT_TRUE(plain_base.ok());
   auto succ = EnumerateSuccessors(*plain_base, model_);

@@ -117,26 +117,26 @@ size_t SweepAllTransitions(Workflow& w) {
   for (NodeId u : w.ActivityNodeIds()) {
     for (NodeId d : w.Consumers(u)) {
       if (!w.IsActivity(d)) continue;
-      run(ApplySwapInPlace(w, u, d, log));
+      run(ApplySwap(w, u, d, &log));
     }
   }
   for (const auto& h : FindHomologousPairs(w)) {
-    run(ApplyFactorizeInPlace(w, h.binary, h.a1, h.a2, log));
+    run(ApplyFactorize(w, h.binary, h.a1, h.a2, &log));
   }
   for (const auto& d : FindDistributable(w)) {
-    run(ApplyDistributeInPlace(w, d.binary, d.node, log));
+    run(ApplyDistribute(w, d.binary, d.node, &log));
   }
   // MER over every single-consumer activity pair.
   for (NodeId u : w.ActivityNodeIds()) {
     std::vector<NodeId> consumers = w.Consumers(u);
     if (consumers.size() != 1 || !w.IsActivity(consumers[0])) continue;
-    run(ApplyMergeInPlace(w, u, consumers[0], log));
+    run(ApplyMerge(w, u, consumers[0], &log));
   }
   // SPL at every position, legal (interior of a multi-member chain) and
   // illegal (0 and size()).
   for (NodeId id : w.ActivityNodeIds()) {
     for (size_t at = 0; at <= w.chain(id).size(); ++at) {
-      run(ApplySplitInPlace(w, id, at, log));
+      run(ApplySplit(w, id, at, &log));
     }
   }
   return applied;
@@ -198,11 +198,11 @@ TEST_P(TransitionUndoTest, RandomWalkWithCommitsKeepsRoundTripInvariant) {
     const Snapshot before = Capture(w);
     Status st = Status::OK();
     switch (m.kind) {
-      case 0: st = ApplySwapInPlace(w, m.a, m.b, log); break;
-      case 1: st = ApplyFactorizeInPlace(w, m.binary, m.a, m.b, log); break;
-      case 2: st = ApplyDistributeInPlace(w, m.binary, m.a, log); break;
-      case 3: st = ApplyMergeInPlace(w, m.a, m.b, log); break;
-      case 4: st = ApplySplitInPlace(w, m.a, m.at, log); break;
+      case 0: st = ApplySwap(w, m.a, m.b, &log); break;
+      case 1: st = ApplyFactorize(w, m.binary, m.a, m.b, &log); break;
+      case 2: st = ApplyDistribute(w, m.binary, m.a, &log); break;
+      case 3: st = ApplyMerge(w, m.a, m.b, &log); break;
+      case 4: st = ApplySplit(w, m.a, m.at, &log); break;
     }
     if (st.ok() && rng.Bernoulli(0.5)) {
       w.CommitSurgery();  // walk forward from the mutated state
@@ -233,7 +233,7 @@ TEST_P(TransitionUndoTest, NestedSessionRollsBackInnermostFirst) {
   for (NodeId u : w.ActivityNodeIds()) {
     std::vector<NodeId> consumers = w.Consumers(u);
     if (consumers.size() != 1 || !w.IsActivity(consumers[0])) continue;
-    if (ApplySwapDirect(w, u, consumers[0]).ok()) {
+    if (ApplySwap(w, u, consumers[0]).ok()) {
       if (++replayed >= 2) break;
     }
   }
@@ -249,7 +249,7 @@ TEST_P(TransitionUndoTest, NestedSessionRollsBackInnermostFirst) {
   for (NodeId u : w.ActivityNodeIds()) {
     for (NodeId d : w.Consumers(u)) {
       if (!w.IsActivity(d)) continue;
-      Status st = ApplySwapInPlace(w, u, d, inner_log);
+      Status st = ApplySwap(w, u, d, &inner_log);
       if (st.ok()) {
         ++inner_applied;
         w.RollbackSurgery();  // pops the inner session only

@@ -14,13 +14,45 @@
 namespace etlopt {
 namespace {
 
+// Clone, then apply: the copying form of each transition, so a test can
+// compare the rewritten workflow against the untouched original.
+template <typename Transition>
+StatusOr<Workflow> CloneApply(const Workflow& w, Transition transition) {
+  Workflow next = w;
+  ETLOPT_RETURN_NOT_OK(transition(next));
+  return next;
+}
+
+StatusOr<Workflow> CopySwap(const Workflow& w, NodeId a1, NodeId a2) {
+  return CloneApply(w, [&](Workflow& n) { return ApplySwap(n, a1, a2); });
+}
+
+StatusOr<Workflow> CopyFactorize(const Workflow& w, NodeId ab, NodeId a1,
+                                 NodeId a2) {
+  return CloneApply(
+      w, [&](Workflow& n) { return ApplyFactorize(n, ab, a1, a2); });
+}
+
+StatusOr<Workflow> CopyDistribute(const Workflow& w, NodeId ab, NodeId a) {
+  return CloneApply(w,
+                    [&](Workflow& n) { return ApplyDistribute(n, ab, a); });
+}
+
+StatusOr<Workflow> CopyMerge(const Workflow& w, NodeId a1, NodeId a2) {
+  return CloneApply(w, [&](Workflow& n) { return ApplyMerge(n, a1, a2); });
+}
+
+StatusOr<Workflow> CopySplit(const Workflow& w, NodeId a, size_t at) {
+  return CloneApply(w, [&](Workflow& n) { return ApplySplit(n, a, at); });
+}
+
 // --- Swap legality: the paper's running-example cases ---
 
 TEST(SwapTest, CurrencyAndDateConversionsCommute) {
   // $2E touches COST; A2E touches DATE: independent, swappable.
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
-  auto swapped = ApplySwap(s->workflow, s->to_euro, s->a2e_date);
+  auto swapped = CopySwap(s->workflow, s->to_euro, s->a2e_date);
   ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
   EXPECT_TRUE(swapped->EquivalentTo(s->workflow));
   // Empirically: same DW contents.
@@ -34,7 +66,7 @@ TEST(SwapTest, AggregationMovesBeforeDateConversion) {
   // (entity-preserving) American-to-European date conversion.
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
-  auto swapped = ApplySwap(s->workflow, s->a2e_date, s->aggregate);
+  auto swapped = CopySwap(s->workflow, s->a2e_date, s->aggregate);
   ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
   EXPECT_TRUE(swapped->EquivalentTo(s->workflow));
   auto same = ProduceSameOutput(s->workflow, *swapped, MakeFig1Input(2, 150));
@@ -49,13 +81,13 @@ TEST(SwapTest, SelectionCannotPassAggregation) {
   // aggregation").
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
-  auto dist = ApplyDistribute(s->workflow, s->union_node, s->threshold);
+  auto dist = CopyDistribute(s->workflow, s->union_node, s->threshold);
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
   // Find the clone adjacent after the aggregation.
   NodeId clone = dist->Consumers(s->aggregate)[0];
   ASSERT_TRUE(dist->IsActivity(clone));
   ASSERT_EQ(dist->chain(clone).front().kind(), ActivityKind::kSelection);
-  Status blocked = ApplySwap(*dist, s->aggregate, clone).status();
+  Status blocked = CopySwap(*dist, s->aggregate, clone).status();
   EXPECT_TRUE(blocked.IsFailedPrecondition()) << blocked.ToString();
 }
 
@@ -83,7 +115,7 @@ TEST(SwapTest, SelectionCannotPassCurrencyConversion) {
        0});
   ETLOPT_CHECK_OK(w.Connect(sel, tgt));
   ETLOPT_CHECK_OK(w.Finalize());
-  Status blocked = ApplySwap(w, to_euro, sel).status();
+  Status blocked = CopySwap(w, to_euro, sel).status();
   EXPECT_TRUE(blocked.IsFailedPrecondition()) << blocked.ToString();
 }
 
@@ -100,7 +132,7 @@ TEST(SwapTest, ProjectionCannotPassReaderOfDroppedAttr) {
       {"TGT", Schema::MakeOrDie({{"PKEY", DataType::kInt64}}), 0});
   ETLOPT_CHECK_OK(w.Connect(proj, tgt));
   ETLOPT_CHECK_OK(w.Finalize());
-  Status blocked = ApplySwap(w, nn, proj).status();
+  Status blocked = CopySwap(w, nn, proj).status();
   EXPECT_TRUE(blocked.IsFailedPrecondition()) << blocked.ToString();
 }
 
@@ -109,10 +141,10 @@ TEST(SwapTest, TwoFiltersAlwaysCommute) {
   ASSERT_TRUE(s.ok());
   // Distribute sigma, then in each branch sigma + SK: sigma reads QTY,
   // SK changes SKEY -> swappable.
-  auto dist = ApplyDistribute(s->workflow, s->union_node, s->selection);
+  auto dist = CopyDistribute(s->workflow, s->union_node, s->selection);
   ASSERT_TRUE(dist.ok());
   NodeId sigma1 = dist->Consumers(s->sk1)[0];
-  auto swapped = ApplySwap(*dist, s->sk1, sigma1);
+  auto swapped = CopySwap(*dist, s->sk1, sigma1);
   ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
   auto same = ProduceSameOutput(*dist, *swapped, MakeFig4Input(3, 64));
   ASSERT_TRUE(same.ok());
@@ -122,21 +154,33 @@ TEST(SwapTest, TwoFiltersAlwaysCommute) {
 TEST(SwapTest, NonAdjacentRejected) {
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
-  EXPECT_FALSE(ApplySwap(s->workflow, s->to_euro, s->aggregate).ok());
+  EXPECT_FALSE(CopySwap(s->workflow, s->to_euro, s->aggregate).ok());
 }
 
 TEST(SwapTest, BinaryRejected) {
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
-  EXPECT_FALSE(ApplySwap(s->workflow, s->union_node, s->threshold).ok());
-  EXPECT_FALSE(ApplySwap(s->workflow, s->aggregate, s->union_node).ok());
+  EXPECT_FALSE(CopySwap(s->workflow, s->union_node, s->threshold).ok());
+  EXPECT_FALSE(CopySwap(s->workflow, s->aggregate, s->union_node).ok());
 }
 
 TEST(SwapTest, CanSwapAgreesWithApplySwap) {
+  // An applicability probe — apply in a session, then roll back — agrees
+  // with the copying form and leaves the workflow untouched either way; a
+  // rejected precheck opens no session at all.
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
-  EXPECT_TRUE(CanSwap(s->workflow, s->to_euro, s->a2e_date));
-  EXPECT_FALSE(CanSwap(s->workflow, s->to_euro, s->aggregate));
+  Workflow w = s->workflow;
+  Workflow::UndoLog log;
+  ASSERT_TRUE(ApplySwap(w, s->to_euro, s->a2e_date, &log).ok());
+  EXPECT_TRUE(log.active());
+  w.RollbackSurgery();
+  EXPECT_TRUE(w.DebugEquals(s->workflow));
+  EXPECT_TRUE(CopySwap(s->workflow, s->to_euro, s->a2e_date).ok());
+  EXPECT_FALSE(ApplySwap(w, s->to_euro, s->aggregate, &log).ok());
+  EXPECT_FALSE(log.active());
+  EXPECT_TRUE(w.DebugEquals(s->workflow));
+  EXPECT_FALSE(CopySwap(s->workflow, s->to_euro, s->aggregate).ok());
 }
 
 // --- Factorize / Distribute ---
@@ -144,7 +188,7 @@ TEST(SwapTest, CanSwapAgreesWithApplySwap) {
 TEST(FactorizeTest, Fig4SurrogateKeys) {
   auto s = BuildFig4Scenario();
   ASSERT_TRUE(s.ok());
-  auto fac = ApplyFactorize(s->workflow, s->union_node, s->sk1, s->sk2);
+  auto fac = CopyFactorize(s->workflow, s->union_node, s->sk1, s->sk2);
   ASSERT_TRUE(fac.ok()) << fac.status().ToString();
   // One fewer activity; the SK now sits right after the union.
   EXPECT_EQ(fac->ActivityCount(), s->workflow.ActivityCount() - 1);
@@ -164,14 +208,14 @@ TEST(FactorizeTest, NonHomologousRejected) {
   ASSERT_TRUE(s.ok());
   // not_null and aggregate both feed the union but differ semantically.
   EXPECT_FALSE(
-      ApplyFactorize(s->workflow, s->union_node, s->not_null, s->aggregate)
+      CopyFactorize(s->workflow, s->union_node, s->not_null, s->aggregate)
           .ok());
 }
 
 TEST(FactorizeTest, SameNodeRejected) {
   auto s = BuildFig4Scenario();
   ASSERT_TRUE(s.ok());
-  EXPECT_TRUE(ApplyFactorize(s->workflow, s->union_node, s->sk1, s->sk1)
+  EXPECT_TRUE(CopyFactorize(s->workflow, s->union_node, s->sk1, s->sk1)
                   .status()
                   .IsInvalidArgument());
 }
@@ -181,7 +225,7 @@ TEST(DistributeTest, Fig1ThresholdIntoBranches) {
   // into both branches so low values are pruned early.
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
-  auto dist = ApplyDistribute(s->workflow, s->union_node, s->threshold);
+  auto dist = CopyDistribute(s->workflow, s->union_node, s->threshold);
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
   EXPECT_EQ(dist->ActivityCount(), s->workflow.ActivityCount() + 1);
   EXPECT_TRUE(dist->EquivalentTo(s->workflow));
@@ -193,11 +237,11 @@ TEST(DistributeTest, Fig1ThresholdIntoBranches) {
 TEST(DistributeTest, RoundTripWithFactorize) {
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
-  auto dist = ApplyDistribute(s->workflow, s->union_node, s->threshold);
+  auto dist = CopyDistribute(s->workflow, s->union_node, s->threshold);
   ASSERT_TRUE(dist.ok());
   NodeId c1 = dist->Consumers(s->not_null)[0];
   NodeId c2 = dist->Consumers(s->aggregate)[0];
-  auto fac = ApplyFactorize(*dist, s->union_node, c1, c2);
+  auto fac = CopyFactorize(*dist, s->union_node, c1, c2);
   ASSERT_TRUE(fac.ok()) << fac.status().ToString();
   // Same signature as the original state (ids are reused).
   EXPECT_EQ(fac->Signature(), s->workflow.Signature());
@@ -216,7 +260,7 @@ TEST(DistributeTest, AggregationOverUnionRejected) {
   NodeId tgt = w.AddRecordSet({"T", sch, 0});
   ETLOPT_CHECK_OK(w.Connect(agg, tgt));
   ETLOPT_CHECK_OK(w.Finalize());
-  Status blocked = ApplyDistribute(w, u, agg).status();
+  Status blocked = CopyDistribute(w, u, agg).status();
   EXPECT_TRUE(blocked.IsFailedPrecondition()) << blocked.ToString();
 }
 
@@ -231,7 +275,7 @@ TEST(DistributeTest, PkCheckOverUnionRejected) {
   NodeId tgt = w.AddRecordSet({"T", sch, 0});
   ETLOPT_CHECK_OK(w.Connect(pk, tgt));
   ETLOPT_CHECK_OK(w.Finalize());
-  EXPECT_FALSE(ApplyDistribute(w, u, pk).ok());
+  EXPECT_FALSE(CopyDistribute(w, u, pk).ok());
 }
 
 TEST(DistributeTest, FilterOverDifferenceAllowedFunctionRejected) {
@@ -251,7 +295,7 @@ TEST(DistributeTest, FilterOverDifferenceAllowedFunctionRejected) {
   ETLOPT_CHECK_OK(w.Connect(sel, tgt));
   ETLOPT_CHECK_OK(w.Finalize());
   // Filter distributes over difference.
-  auto dist = ApplyDistribute(w, diff, sel);
+  auto dist = CopyDistribute(w, diff, sel);
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
   EXPECT_TRUE(dist->EquivalentTo(w));
 
@@ -265,7 +309,7 @@ TEST(DistributeTest, FilterOverDifferenceAllowedFunctionRejected) {
   NodeId tgt2 = w2.AddRecordSet({"T", sch, 0});
   ETLOPT_CHECK_OK(w2.Connect(fn, tgt2));
   ETLOPT_CHECK_OK(w2.Finalize());
-  EXPECT_FALSE(ApplyDistribute(w2, diff2, fn).ok());
+  EXPECT_FALSE(CopyDistribute(w2, diff2, fn).ok());
 }
 
 TEST(DistributeTest, KeyFilterOverJoinAllowedNonKeyRejected) {
@@ -289,7 +333,7 @@ TEST(DistributeTest, KeyFilterOverJoinAllowedNonKeyRejected) {
   NodeId tgt = w.AddRecordSet({"T", out, 0});
   ETLOPT_CHECK_OK(w.Connect(key_sel, tgt));
   ETLOPT_CHECK_OK(w.Finalize());
-  auto dist = ApplyDistribute(w, join, key_sel);
+  auto dist = CopyDistribute(w, join, key_sel);
   EXPECT_TRUE(dist.ok()) << dist.status().ToString();
 
   // Non-key filter cannot be cloned into both inputs (B only exists on
@@ -307,14 +351,14 @@ TEST(DistributeTest, KeyFilterOverJoinAllowedNonKeyRejected) {
   NodeId tgt2 = w2.AddRecordSet({"T", out, 0});
   ETLOPT_CHECK_OK(w2.Connect(b_sel, tgt2));
   ETLOPT_CHECK_OK(w2.Finalize());
-  EXPECT_FALSE(ApplyDistribute(w2, join2, b_sel).ok());
+  EXPECT_FALSE(CopyDistribute(w2, join2, b_sel).ok());
 }
 
 TEST(DistributeTest, NotDirectConsumerRejected) {
   auto s = BuildFig4Scenario();
   ASSERT_TRUE(s.ok());
   // sk1 is a provider, not a consumer, of the union.
-  EXPECT_FALSE(ApplyDistribute(s->workflow, s->union_node, s->sk1).ok());
+  EXPECT_FALSE(CopyDistribute(s->workflow, s->union_node, s->sk1).ok());
 }
 
 // --- Merge / Split ---
@@ -322,7 +366,7 @@ TEST(DistributeTest, NotDirectConsumerRejected) {
 TEST(MergeTest, PackagesPairAndBlocksInterleaving) {
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
-  auto merged = ApplyMerge(s->workflow, s->to_euro, s->a2e_date);
+  auto merged = CopyMerge(s->workflow, s->to_euro, s->a2e_date);
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   EXPECT_EQ(merged->chain(s->to_euro).size(), 2u);
   // Merging preserves semantics.
@@ -333,7 +377,7 @@ TEST(MergeTest, PackagesPairAndBlocksInterleaving) {
   // The merged unit can NOT swap with the aggregation: the aggregation
   // reads COST_EUR, which the packaged $2E member computes. Merging makes
   // the pair inherit the union of its members' constraints.
-  Status blocked = ApplySwap(*merged, s->to_euro, s->aggregate).status();
+  Status blocked = CopySwap(*merged, s->to_euro, s->aggregate).status();
   EXPECT_TRUE(blocked.IsFailedPrecondition()) << blocked.ToString();
 }
 
@@ -356,9 +400,9 @@ TEST(MergeTest, MergedFilterPairSwapsAsAUnit) {
   ETLOPT_CHECK_OK(w.Connect(sel, tgt));
   ETLOPT_CHECK_OK(w.Finalize());
 
-  auto merged = ApplyMerge(w, nnv, nnw);
+  auto merged = CopyMerge(w, nnv, nnw);
   ASSERT_TRUE(merged.ok());
-  auto swapped = ApplySwap(*merged, nnv, sel);
+  auto swapped = CopySwap(*merged, nnv, sel);
   ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
   // The selection now runs first; the merged pair follows it.
   EXPECT_EQ(swapped->Providers(sel), (std::vector<NodeId>{src}));
@@ -369,9 +413,9 @@ TEST(MergeTest, MergedFilterPairSwapsAsAUnit) {
 TEST(MergeTest, SplitRestoresOriginal) {
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
-  auto merged = ApplyMerge(s->workflow, s->to_euro, s->a2e_date);
+  auto merged = CopyMerge(s->workflow, s->to_euro, s->a2e_date);
   ASSERT_TRUE(merged.ok());
-  auto split = ApplySplit(*merged, s->to_euro, 1);
+  auto split = CopySplit(*merged, s->to_euro, 1);
   ASSERT_TRUE(split.ok());
   EXPECT_EQ(split->Signature(), s->workflow.Signature());
 }
@@ -379,7 +423,7 @@ TEST(MergeTest, SplitRestoresOriginal) {
 TEST(MergeTest, NonAdjacentRejected) {
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
-  EXPECT_FALSE(ApplyMerge(s->workflow, s->to_euro, s->aggregate).ok());
+  EXPECT_FALSE(CopyMerge(s->workflow, s->to_euro, s->aggregate).ok());
 }
 
 // --- Theorem 1: untouched schemata are preserved ---
@@ -387,7 +431,7 @@ TEST(MergeTest, NonAdjacentRejected) {
 TEST(TheoremTest, SwapPreservesSchemataOutsideAffectedSet) {
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
-  auto swapped = ApplySwap(s->workflow, s->a2e_date, s->aggregate);
+  auto swapped = CopySwap(s->workflow, s->a2e_date, s->aggregate);
   ASSERT_TRUE(swapped.ok());
   // Nodes outside {a2e_date, aggregate} keep their schemata.
   for (NodeId id : s->workflow.NodeIds()) {

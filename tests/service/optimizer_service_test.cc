@@ -185,7 +185,6 @@ TEST(OptimizerServiceTest, ThreadKnobVariantsShareOneEntry) {
   OptimizeRequest a = RequestFor(4);
   OptimizeRequest b = RequestFor(4);
   b.options.num_threads = 4;
-  b.options.disable_fast_paths = true;
   ASSERT_TRUE(service.Optimize(std::move(a)).ok());
   auto second = service.Optimize(std::move(b));
   ASSERT_TRUE(second.ok());

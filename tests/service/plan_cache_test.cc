@@ -49,16 +49,15 @@ TEST(PlanCacheKeyTest, ContextHashSeparatesRequests) {
 }
 
 TEST(PlanCacheKeyTest, ThreadKnobsDoNotSplitEntries) {
-  // num_threads and disable_fast_paths are excluded from the options
-  // fingerprint: results are byte-identical across them, so requests that
-  // differ only there must share one cache entry.
+  // num_threads is excluded from the options fingerprint: results are
+  // byte-identical across thread counts, so requests that differ only
+  // there must share one cache entry.
   auto generated = GenerateWorkflow({});
   ASSERT_TRUE(generated.ok());
   LinearLogCostModel model;
   SearchOptions a;
   SearchOptions b;
   b.num_threads = 8;
-  b.disable_fast_paths = true;
   auto ka = MakePlanCacheKey(generated->workflow, SearchAlgorithm::kHeuristic,
                              model, a, {});
   auto kb = MakePlanCacheKey(generated->workflow, SearchAlgorithm::kHeuristic,
