@@ -1,46 +1,16 @@
-// Execution semantics of the activity templates.
+// Execution semantics of the activity templates: the row kernels every
+// engine shares. Each kernel binds names to positions (activity/binding.h)
+// once per call, before its row loop.
 
-#include <algorithm>
 #include <map>
 
 #include "activity/activity.h"
 #include "activity/agg_accumulator.h"
+#include "activity/binding.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 
 namespace etlopt {
-
-namespace {
-
-// Extracts the values of `attrs` from `row` laid out by `schema`.
-StatusOr<std::vector<Value>> KeyOf(const Record& row, const Schema& schema,
-                                   const std::vector<std::string>& attrs) {
-  std::vector<Value> key;
-  key.reserve(attrs.size());
-  for (const auto& a : attrs) {
-    auto idx = schema.IndexOf(a);
-    if (!idx.has_value()) return Status::Internal("missing attr: " + a);
-    key.push_back(row.value(*idx));
-  }
-  return key;
-}
-
-// Rearranges `row` (laid out by `from`) into the layout of `to`.
-// Requires: to's attributes are a subset of from's.
-StatusOr<Record> Realign(const Record& row, const Schema& from,
-                         const Schema& to) {
-  Record out;
-  for (const auto& a : to.attributes()) {
-    auto idx = from.IndexOf(a.name);
-    if (!idx.has_value()) {
-      return Status::Internal("realign: missing attribute " + a.name);
-    }
-    out.Append(row.value(*idx));
-  }
-  return out;
-}
-
-}  // namespace
 
 StatusOr<std::vector<Record>> Activity::Execute(
     const std::vector<Schema>& input_schemas,
@@ -59,10 +29,11 @@ StatusOr<std::vector<Record>> Activity::Execute(
 
   switch (kind_) {
     case ActivityKind::kSelection: {
-      const auto& p = params_as<SelectionParams>();
+      const ExprPtr predicate =
+          params_as<SelectionParams>().predicate->Bind(in);
       for (const auto& r : rows) {
         ETLOPT_ASSIGN_OR_RETURN(bool keep,
-                                EvaluatePredicate(*p.predicate, r, in));
+                                EvaluatePredicate(*predicate, r, in));
         if (keep) out.push_back(r);
       }
       return out;
@@ -95,81 +66,60 @@ StatusOr<std::vector<Record>> Activity::Execute(
     }
 
     case ActivityKind::kPrimaryKeyCheck: {
-      const auto& p = params_as<PrimaryKeyParams>();
+      ETLOPT_ASSIGN_OR_RETURN(
+          std::vector<size_t> key_idx,
+          AttrIndices(in, params_as<PrimaryKeyParams>().key_attrs));
       std::map<std::vector<Value>, bool> seen;
       for (const auto& r : rows) {
-        ETLOPT_ASSIGN_OR_RETURN(std::vector<Value> key,
-                                KeyOf(r, in, p.key_attrs));
-        if (seen.emplace(std::move(key), true).second) out.push_back(r);
+        if (seen.emplace(ExtractKey(r, key_idx), true).second) {
+          out.push_back(r);
+        }
       }
       return out;
     }
 
     case ActivityKind::kProjection: {
-      for (const auto& r : rows) {
-        ETLOPT_ASSIGN_OR_RETURN(Record nr, Realign(r, in, out_schema));
-        out.push_back(std::move(nr));
-      }
+      ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> mapping,
+                              ColumnMapping(in, out_schema));
+      out.reserve(rows.size());
+      for (const auto& r : rows) out.push_back(Realign(r, mapping));
       return out;
     }
 
     case ActivityKind::kFunction: {
+      // An unregistered function fails only once a row flows.
+      if (rows.empty()) return out;
       const auto& p = params_as<FunctionParams>();
-      std::vector<ExprPtr> arg_exprs;
-      arg_exprs.reserve(p.args.size());
-      for (const auto& a : p.args) arg_exprs.push_back(Column(a));
-      ExprPtr call = Function(p.function, std::move(arg_exprs));
-      size_t out_idx = *out_schema.IndexOf(p.output);
+      ETLOPT_ASSIGN_OR_RETURN(BoundFunction f,
+                              BindFunction(p, in, out_schema));
+      out.reserve(rows.size());
+      std::vector<Value> args(f.args.size());
       for (const auto& r : rows) {
-        ETLOPT_ASSIGN_OR_RETURN(Value v, call->Evaluate(r, in));
-        Record nr;
-        for (size_t i = 0; i < out_schema.size(); ++i) {
-          if (i == out_idx) {
-            nr.Append(v);
-          } else {
-            auto src = in.IndexOf(out_schema.attribute(i).name);
-            if (!src.has_value())
-              return Status::Internal("function: missing passthrough attr");
-            nr.Append(r.value(*src));
+        for (size_t a = 0; a < f.args.size(); ++a) {
+          if (f.args[a] >= r.size()) {
+            return Status::Internal("record narrower than schema at " +
+                                    p.args[a]);
           }
+          args[a] = r.value(f.args[a]);
         }
-        out.push_back(std::move(nr));
+        ETLOPT_ASSIGN_OR_RETURN(Value v, f.fn(args));
+        out.push_back(f.layout.Assemble(r, std::move(v)));
       }
       return out;
     }
 
     case ActivityKind::kSurrogateKey: {
-      const auto& p = params_as<SurrogateKeyParams>();
-      auto lut = ctx.lookups.find(p.lookup_name);
-      if (lut == ctx.lookups.end()) {
-        return Status::NotFound(
-            StrFormat("activity '%s': lookup table '%s' not bound",
-                      label_.c_str(), p.lookup_name.c_str()));
-      }
-      size_t out_idx = *out_schema.IndexOf(p.output);
+      ETLOPT_ASSIGN_OR_RETURN(BoundSurrogateKey sk,
+                              BindSurrogateKey(*this, in, out_schema, ctx));
+      out.reserve(rows.size());
+      std::vector<Value> key(sk.keys.size());
       for (const auto& r : rows) {
-        ETLOPT_ASSIGN_OR_RETURN(std::vector<Value> key,
-                                KeyOf(r, in, p.key_attrs));
-        auto hit = lut->second.find(key);
-        if (hit == lut->second.end()) {
-          std::vector<std::string> parts;
-          for (const auto& v : key) parts.push_back(v.ToString());
-          return Status::NotFound(StrFormat(
-              "activity '%s': surrogate key miss for (%s)", label_.c_str(),
-              Join(parts, ",").c_str()));
+        for (size_t k = 0; k < sk.keys.size(); ++k) {
+          key[k] = r.value(sk.keys[k]);
         }
-        Record nr;
-        for (size_t i = 0; i < out_schema.size(); ++i) {
-          if (i == out_idx) {
-            nr.Append(hit->second);
-          } else {
-            auto src = in.IndexOf(out_schema.attribute(i).name);
-            if (!src.has_value())
-              return Status::Internal("surrogate key: missing attr");
-            nr.Append(r.value(*src));
-          }
-        }
-        out.push_back(std::move(nr));
+        auto hit = sk.table->find(key);
+        if (hit == sk.table->end()) return SurrogateKeyMiss(label_, key);
+        out.push_back(sk.layout.Assemble(r, hit->second));
       }
       return out;
     }
@@ -179,14 +129,14 @@ StatusOr<std::vector<Record>> Activity::Execute(
       // std::map keyed by group values gives deterministic output order,
       // making executed outputs comparable across equivalent workflows.
       std::map<std::vector<Value>, std::vector<AggAcc>> groups;
+      ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> group_idx,
+                              AttrIndices(in, p.group_by));
       std::vector<size_t> arg_idx;
       arg_idx.reserve(p.aggregates.size());
       for (const auto& a : p.aggregates) arg_idx.push_back(*in.IndexOf(a.arg));
       for (const auto& r : rows) {
-        ETLOPT_ASSIGN_OR_RETURN(std::vector<Value> key,
-                                KeyOf(r, in, p.group_by));
         auto [it, inserted] = groups.try_emplace(
-            std::move(key), std::vector<AggAcc>(p.aggregates.size()));
+            ExtractKey(r, group_idx), std::vector<AggAcc>(p.aggregates.size()));
         (void)inserted;
         for (size_t i = 0; i < p.aggregates.size(); ++i) {
           it->second[i].Add(r.value(arg_idx[i]));
@@ -204,24 +154,21 @@ StatusOr<std::vector<Record>> Activity::Execute(
     }
 
     case ActivityKind::kUnion: {
-      out = rows;
-      for (const auto& r : inputs[1]) {
-        ETLOPT_ASSIGN_OR_RETURN(Record nr,
-                                Realign(r, input_schemas[1], out_schema));
-        out.push_back(std::move(nr));
-      }
+      ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> right_map,
+                              ColumnMapping(input_schemas[1], out_schema));
+      out.reserve(rows.size() + inputs[1].size());
+      out.insert(out.end(), rows.begin(), rows.end());
+      for (const auto& r : inputs[1]) out.push_back(Realign(r, right_map));
       return out;
     }
 
     case ActivityKind::kDifference:
     case ActivityKind::kIntersection: {
       // Bag semantics over name-aligned records.
+      ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> right_map,
+                              ColumnMapping(input_schemas[1], out_schema));
       std::map<Record, int64_t> right_counts;
-      for (const auto& r : inputs[1]) {
-        ETLOPT_ASSIGN_OR_RETURN(Record nr,
-                                Realign(r, input_schemas[1], out_schema));
-        ++right_counts[nr];
-      }
+      for (const auto& r : inputs[1]) ++right_counts[Realign(r, right_map)];
       bool keep_matched = kind_ == ActivityKind::kIntersection;
       for (const auto& r : rows) {
         auto it = right_counts.find(r);
@@ -234,32 +181,26 @@ StatusOr<std::vector<Record>> Activity::Execute(
 
     case ActivityKind::kJoin: {
       const auto& p = params_as<JoinParams>();
+      ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> left_key,
+                              AttrIndices(in, p.key_attrs));
+      ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> right_key,
+                              AttrIndices(input_schemas[1], p.key_attrs));
+      const std::vector<size_t> right_pass =
+          JoinPassthrough(input_schemas[1], p.key_attrs);
       std::map<std::vector<Value>, std::vector<const Record*>> right_index;
       for (const auto& r : inputs[1]) {
-        ETLOPT_ASSIGN_OR_RETURN(std::vector<Value> key,
-                                KeyOf(r, input_schemas[1], p.key_attrs));
-        // NULL keys never join (SQL semantics).
-        if (std::any_of(key.begin(), key.end(),
-                        [](const Value& v) { return v.is_null(); }))
-          continue;
+        std::vector<Value> key = ExtractKey(r, right_key);
+        if (HasNull(key)) continue;  // NULL keys never join (SQL semantics)
         right_index[std::move(key)].push_back(&r);
       }
       for (const auto& l : rows) {
-        ETLOPT_ASSIGN_OR_RETURN(std::vector<Value> key,
-                                KeyOf(l, in, p.key_attrs));
-        if (std::any_of(key.begin(), key.end(),
-                        [](const Value& v) { return v.is_null(); }))
-          continue;
+        std::vector<Value> key = ExtractKey(l, left_key);
+        if (HasNull(key)) continue;
         auto hit = right_index.find(key);
         if (hit == right_index.end()) continue;
         for (const Record* r : hit->second) {
           Record nr = l;
-          for (const auto& a : input_schemas[1].attributes()) {
-            if (std::find(p.key_attrs.begin(), p.key_attrs.end(), a.name) !=
-                p.key_attrs.end())
-              continue;
-            nr.Append(r->value(*input_schemas[1].IndexOf(a.name)));
-          }
+          for (size_t c : right_pass) nr.Append(r->value(c));
           out.push_back(std::move(nr));
         }
       }

@@ -54,18 +54,42 @@ StatusOr<std::vector<uint32_t>> DomainCheckFilter(const RecordBatch& batch,
   return sel;
 }
 
-StatusOr<std::vector<size_t>> ColumnMapping(const Schema& from,
-                                            const Schema& to) {
-  std::vector<size_t> mapping;
-  mapping.reserve(to.size());
-  for (const auto& a : to.attributes()) {
-    auto idx = from.IndexOf(a.name);
-    if (!idx.has_value()) {
-      return Status::Internal("realign: missing attribute " + a.name);
+StatusOr<RecordBatch> FunctionBatch(const RecordBatch& batch,
+                                    const BoundFunction& f,
+                                    const Schema& out_schema) {
+  const size_t n = batch.num_rows();
+  ColumnVector computed(out_schema.attribute(f.layout.computed).type);
+  computed.Reserve(n);
+  std::vector<Value> args(f.args.size());
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t a = 0; a < f.args.size(); ++a) {
+      args[a] = batch.column(f.args[a]).ValueAt(i);
     }
-    mapping.push_back(*idx);
+    ETLOPT_ASSIGN_OR_RETURN(Value v, f.fn(args));
+    computed.Append(v);
   }
-  return mapping;
+  return batch.SelectColumns(f.layout.source, out_schema, f.layout.computed,
+                             std::move(computed));
+}
+
+StatusOr<RecordBatch> SurrogateKeyBatch(const RecordBatch& batch,
+                                        const BoundSurrogateKey& sk,
+                                        const Schema& out_schema,
+                                        const std::string& label) {
+  const size_t n = batch.num_rows();
+  ColumnVector computed(out_schema.attribute(sk.layout.computed).type);
+  computed.Reserve(n);
+  std::vector<Value> key(sk.keys.size());
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t k = 0; k < sk.keys.size(); ++k) {
+      key[k] = batch.column(sk.keys[k]).ValueAt(i);
+    }
+    auto hit = sk.table->find(key);
+    if (hit == sk.table->end()) return SurrogateKeyMiss(label, key);
+    computed.Append(hit->second);
+  }
+  return batch.SelectColumns(sk.layout.source, out_schema, sk.layout.computed,
+                             std::move(computed));
 }
 
 std::vector<Value> KeyAt(const RecordBatch& batch,

@@ -25,6 +25,7 @@
 
 #include "activity/activity.h"
 #include "activity/agg_accumulator.h"
+#include "activity/binding.h"
 #include "columnar/record_batch.h"
 #include "columnar/vector_eval.h"
 #include "common/statusor.h"
@@ -50,11 +51,21 @@ StatusOr<std::vector<uint32_t>> DomainCheckFilter(const RecordBatch& batch,
                                                   const std::string& label,
                                                   const std::string& attr);
 
-/// Column indices of `from` producing `to`'s attribute order (the
-/// realign/projection mapping); Internal error if an attribute of `to`
-/// is missing from `from`.
-StatusOr<std::vector<size_t>> ColumnMapping(const Schema& from,
-                                            const Schema& to);
+/// A Function over one batch: output column `f.layout.computed` holds
+/// f.fn of each row's argument cells, the other columns are copied per
+/// `f.layout.source`. Fails with the row engine's Status at the first
+/// failing row. A result whose runtime type disagrees with the declared
+/// output type demotes that column to boxed storage.
+StatusOr<RecordBatch> FunctionBatch(const RecordBatch& batch,
+                                    const BoundFunction& f,
+                                    const Schema& out_schema);
+
+/// A SurrogateKey over one batch, laid out like FunctionBatch. The first
+/// row whose key is absent from the table fails with SurrogateKeyMiss.
+StatusOr<RecordBatch> SurrogateKeyBatch(const RecordBatch& batch,
+                                        const BoundSurrogateKey& sk,
+                                        const Schema& out_schema,
+                                        const std::string& label);
 
 /// Key cell values of row `row` at `key_cols`, in order.
 std::vector<Value> KeyAt(const RecordBatch& batch,

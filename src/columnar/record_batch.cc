@@ -80,6 +80,24 @@ RecordBatch RecordBatch::SelectColumns(const std::vector<size_t>& mapping,
   return out;
 }
 
+RecordBatch RecordBatch::SelectColumns(const std::vector<size_t>& mapping,
+                                       const Schema& to, size_t at,
+                                       ColumnVector computed) const {
+  ETLOPT_CHECK(computed.size() == rows_);
+  RecordBatch out;
+  out.schema_ = to;
+  out.columns_.reserve(mapping.size());
+  for (size_t j = 0; j < mapping.size(); ++j) {
+    if (j == at) {
+      out.columns_.push_back(std::move(computed));
+    } else {
+      out.columns_.push_back(columns_[mapping[j]]);
+    }
+  }
+  out.rows_ = rows_;
+  return out;
+}
+
 const std::vector<uint64_t>& RecordBatch::KeyHashes(
     const std::vector<size_t>& key_cols) const {
   if (hashes_cached_ && cached_key_cols_ == key_cols) return cached_hashes_;

@@ -73,6 +73,13 @@ class RecordBatch {
   RecordBatch SelectColumns(const std::vector<size_t>& mapping,
                             const Schema& to) const;
 
+  /// SelectColumns, except that output column `at` is `computed` (which
+  /// must hold num_rows() cells) and mapping[at] is ignored: how the
+  /// Function and SurrogateKey kernels assemble their output.
+  RecordBatch SelectColumns(const std::vector<size_t>& mapping,
+                            const Schema& to, size_t at,
+                            ColumnVector computed) const;
+
   /// Per-row FNV hash over the cells of `key_cols`, bit-identical to
   /// Record::Hash() of the extracted key record. The result is cached on
   /// the batch: the join and PK kernels hash each batch once and reuse

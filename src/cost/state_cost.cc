@@ -1,6 +1,7 @@
 #include "cost/state_cost.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "common/macros.h"
@@ -10,17 +11,33 @@ namespace etlopt {
 
 namespace {
 
-// Folds cost and cardinality over a chain's members.
-void CostChain(const ActivityChain& chain, const std::vector<double>& inputs,
-               const CostModel& model, double* cost, double* out_card) {
+// Folds cost and cardinality over a chain's members. A non-finite
+// estimate (cardinalities multiplied past the double range by joins, say)
+// is an InvalidArgument naming the activity, never a cost of inf or nan.
+Status CostChain(const ActivityChain& chain, const std::vector<double>& inputs,
+                 const CostModel& model, double* cost, double* out_card) {
   *cost = 0.0;
   std::vector<double> cur = inputs;
   for (const auto& m : chain.members()) {
     *cost += model.ActivityCost(m.activity, cur);
     double out = model.OutputCardinality(m.activity, cur);
+    if (!std::isfinite(*cost) || !std::isfinite(out)) {
+      return Status::InvalidArgument(StrFormat(
+          "cost: activity '%s' has a non-finite %s estimate",
+          m.activity.label().c_str(),
+          std::isfinite(out) ? "cost" : "cardinality"));
+    }
     cur = {out};
   }
   *out_card = cur[0];
+  return Status::OK();
+}
+
+Status CheckTotal(double total) {
+  if (!std::isfinite(total)) {
+    return Status::InvalidArgument("cost: state cost is not finite");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -45,13 +62,15 @@ StatusOr<CostBreakdown> ComputeCostBreakdown(const Workflow& workflow,
     } else {
       double cost = 0.0;
       double out = 0.0;
-      CostChain(workflow.chain(id), inputs, model, &cost, &out);
+      ETLOPT_RETURN_NOT_OK(
+          CostChain(workflow.chain(id), inputs, model, &cost, &out));
       bd.node_cost[id] = cost;
       bd.node_output_cardinality[id] = out;
       bd.node_input_cardinality[id] = std::move(inputs);
       bd.total += cost;
     }
   }
+  ETLOPT_RETURN_NOT_OK(CheckTotal(bd.total));
   return bd;
 }
 
@@ -111,7 +130,8 @@ StatusOr<CostBreakdown> IncrementalCostBreakdown(const Workflow& next,
     if (!reusable) {
       double cost = 0.0;
       double out = 0.0;
-      CostChain(next.chain(id), inputs, model, &cost, &out);
+      ETLOPT_RETURN_NOT_OK(
+          CostChain(next.chain(id), inputs, model, &cost, &out));
       bd.node_cost[id] = cost;
       bd.node_output_cardinality[id] = out;
     }
@@ -121,6 +141,7 @@ StatusOr<CostBreakdown> IncrementalCostBreakdown(const Workflow& next,
     bd.total += bd.node_cost[id];
     bd.node_input_cardinality[id] = std::move(inputs);
   }
+  ETLOPT_RETURN_NOT_OK(CheckTotal(bd.total));
   return bd;
 }
 

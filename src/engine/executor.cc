@@ -1,6 +1,6 @@
 #include "engine/executor.h"
 
-#include "columnar/kernels.h"
+#include "activity/binding.h"
 #include "common/macros.h"
 #include "engine/node_driver.h"
 #include "engine/shared_cache_exec.h"
@@ -12,14 +12,10 @@ StatusOr<std::vector<Record>> RealignRecords(const std::vector<Record>& rows,
                                              const Schema& to) {
   if (from == to) return rows;
   ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> mapping,
-                          kernels::ColumnMapping(from, to));
+                          ColumnMapping(from, to));
   std::vector<Record> out;
   out.reserve(rows.size());
-  for (const auto& r : rows) {
-    Record nr;
-    for (size_t idx : mapping) nr.Append(r.value(idx));
-    out.push_back(std::move(nr));
-  }
+  for (const auto& r : rows) out.push_back(Realign(r, mapping));
   return out;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "columnar/kernels.h"
 #include "common/macros.h"
 #include "engine/node_driver.h"
 #include "engine/partition.h"
@@ -52,7 +51,7 @@ StatusOr<std::vector<Record>> ParallelRealign(const Engine& eng,
   const bool identity = from == to;
   std::vector<size_t> mapping;
   if (!identity) {
-    ETLOPT_ASSIGN_OR_RETURN(mapping, kernels::ColumnMapping(from, to));
+    ETLOPT_ASSIGN_OR_RETURN(mapping, ColumnMapping(from, to));
   }
   std::vector<Record> out(rows.size());
   std::vector<Morsel> morsels = MakeMorsels(rows.size(), eng.morsel_size);
@@ -64,9 +63,7 @@ StatusOr<std::vector<Record>> ParallelRealign(const Engine& eng,
           if (identity) {
             out[i] = rows[i];
           } else {
-            Record nr;
-            for (size_t src : mapping) nr.Append(rows[i].value(src));
-            out[i] = std::move(nr);
+            out[i] = Realign(rows[i], mapping);
           }
         }
         eng.CountRows(worker, morsels[m].size());
@@ -80,11 +77,13 @@ StatusOr<std::vector<Record>> ParallelRealign(const Engine& eng,
 // the engines cannot diverge on per-row behaviour).
 // Filters and 1:1 transforms preserve input order within a morsel, and
 // morsel outputs concatenate in morsel order, so the result is exactly
-// the serial output.
+// the serial output. An empty input still runs the kernel once, so its
+// up-front checks (an unbound lookup table) fail as on the serial engine.
 StatusOr<std::vector<Record>> RunStreaming(const Engine& eng,
                                            const Activity& activity,
                                            const Schema& in_schema,
                                            const std::vector<Record>& rows) {
+  if (rows.empty()) return activity.Execute({in_schema}, {{}}, *eng.ctx);
   std::vector<Morsel> morsels = MakeMorsels(rows.size(), eng.morsel_size);
   eng.stats->streaming_morsels += morsels.size();
   eng.stats->streamed_rows += rows.size();
@@ -110,7 +109,7 @@ StatusOr<std::vector<Record>> RunUnion(const Engine& eng,
                                        const std::vector<Record>& left,
                                        const std::vector<Record>& right) {
   ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> right_map,
-                          kernels::ColumnMapping(in_schemas[1], out_schema));
+                          ColumnMapping(in_schemas[1], out_schema));
   std::vector<Record> out(left.size() + right.size());
   std::vector<Morsel> lm = MakeMorsels(left.size(), eng.morsel_size);
   std::vector<Morsel> rm = MakeMorsels(right.size(), eng.morsel_size);
@@ -124,9 +123,7 @@ StatusOr<std::vector<Record>> RunUnion(const Engine& eng,
         } else {
           const Morsel& m = rm[t - lm.size()];
           for (size_t i = m.begin; i < m.end; ++i) {
-            Record nr;
-            for (size_t src : right_map) nr.Append(right[i].value(src));
-            out[left.size() + i] = std::move(nr);
+            out[left.size() + i] = Realign(right[i], right_map);
           }
           eng.CountRows(worker, m.size());
         }

@@ -17,43 +17,6 @@ std::vector<Morsel> MakeMorsels(size_t n, size_t morsel_size) {
   return morsels;
 }
 
-StatusOr<std::vector<size_t>> AttrIndices(
-    const Schema& schema, const std::vector<std::string>& attrs) {
-  std::vector<size_t> idx;
-  idx.reserve(attrs.size());
-  for (const auto& a : attrs) {
-    auto i = schema.IndexOf(a);
-    if (!i.has_value()) return Status::Internal("missing attribute " + a);
-    idx.push_back(*i);
-  }
-  return idx;
-}
-
-std::vector<Value> ExtractKey(const Record& row,
-                              const std::vector<size_t>& idx) {
-  std::vector<Value> key;
-  key.reserve(idx.size());
-  for (size_t i : idx) key.push_back(row.value(i));
-  return key;
-}
-
-bool HasNull(const std::vector<Value>& key) {
-  return std::any_of(key.begin(), key.end(),
-                     [](const Value& v) { return v.is_null(); });
-}
-
-std::vector<size_t> JoinPassthrough(const Schema& right,
-                                    const std::vector<std::string>& keys) {
-  std::vector<size_t> pass;
-  for (size_t i = 0; i < right.size(); ++i) {
-    if (std::find(keys.begin(), keys.end(), right.attribute(i).name) ==
-        keys.end()) {
-      pass.push_back(i);
-    }
-  }
-  return pass;
-}
-
 std::optional<std::vector<std::string>> PartitionKeysFor(
     const Activity& activity) {
   switch (activity.kind()) {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "activity/activity.h"
+#include "activity/binding.h"
 #include "records/record.h"
 #include "schema/schema.h"
 
@@ -42,22 +43,6 @@ struct Morsel {
 
 /// Splits [0, n) into morsels of at most `morsel_size` rows.
 std::vector<Morsel> MakeMorsels(size_t n, size_t morsel_size);
-
-/// Positions of `attrs` within `schema`; Internal if one is missing.
-StatusOr<std::vector<size_t>> AttrIndices(
-    const Schema& schema, const std::vector<std::string>& attrs);
-
-/// The values of `row` at positions `idx`, in order.
-std::vector<Value> ExtractKey(const Record& row,
-                              const std::vector<size_t>& idx);
-
-/// True iff any value of `key` is NULL (NULL keys never join).
-bool HasNull(const std::vector<Value>& key);
-
-/// Positions of the right join input's attributes that are not join keys
-/// (in schema order): the columns a join appends to each left row.
-std::vector<size_t> JoinPassthrough(const Schema& right,
-                                    const std::vector<std::string>& keys);
 
 /// The exchange keys a blocking activity needs, or nullopt when the
 /// activity streams (is data-parallel over arbitrary morsels). An engaged

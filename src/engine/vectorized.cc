@@ -62,20 +62,64 @@ StatusOr<BatchVec> MakeBatches(const VEngine& eng, const Schema& schema,
   return out;
 }
 
+// A 1:1 kind: one task per batch, each batch replaced by its kernel's
+// output. ParallelFor reports the failing batch with the smallest index,
+// and a kernel fails at its first failing row, so the Status is the one
+// the row engines raise at the first failing row in flow order.
+template <typename MapFn>
+StatusOr<BatchVec> RunMap(const VEngine& eng, BatchVec batches,
+                          const MapFn& map_batch) {
+  eng.stats->batches += batches.size();
+  ETLOPT_RETURN_NOT_OK(eng.pool->ParallelFor(
+      batches.size(), [&](size_t b, size_t) -> Status {
+        ETLOPT_FAULT_HIT(FaultSite::kVectorizedBatch);
+        ETLOPT_ASSIGN_OR_RETURN(batches[b], map_batch(batches[b]));
+        return Status::OK();
+      }));
+  return batches;
+}
+
 // Column-level realign of every batch into `to`'s attribute order.
 StatusOr<BatchVec> RealignBatches(const VEngine& eng, BatchVec batches,
                                   const Schema& from, const Schema& to) {
   if (from == to) return batches;
   ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> mapping,
-                          kernels::ColumnMapping(from, to));
-  eng.stats->batches += batches.size();
-  ETLOPT_RETURN_NOT_OK(eng.pool->ParallelFor(
-      batches.size(), [&](size_t b, size_t) -> Status {
-        ETLOPT_FAULT_HIT(FaultSite::kVectorizedBatch);
-        batches[b] = batches[b].SelectColumns(mapping, to);
-        return Status::OK();
-      }));
-  return batches;
+                          ColumnMapping(from, to));
+  return RunMap(eng, std::move(batches),
+                [&](const RecordBatch& b) -> StatusOr<RecordBatch> {
+                  return b.SelectColumns(mapping, to);
+                });
+}
+
+// Function: bound once, then one column-building task per batch. As on
+// the row engines, an unregistered function fails only once a row flows.
+StatusOr<BatchVec> RunFunction(const VEngine& eng, const Activity& activity,
+                               const Schema& in_schema,
+                               const Schema& out_schema, BatchVec batches) {
+  if (TotalRows(batches) == 0) return BatchVec{};
+  ETLOPT_ASSIGN_OR_RETURN(
+      BoundFunction f,
+      BindFunction(activity.params_as<FunctionParams>(), in_schema,
+                   out_schema));
+  return RunMap(eng, std::move(batches), [&](const RecordBatch& b) {
+    return kernels::FunctionBatch(b, f, out_schema);
+  });
+}
+
+// SurrogateKey: bound once (an unbound table fails even with no rows),
+// then one lookup task per batch.
+StatusOr<BatchVec> RunSurrogateKey(const VEngine& eng,
+                                   const Activity& activity,
+                                   const Schema& in_schema,
+                                   const Schema& out_schema,
+                                   BatchVec batches) {
+  ETLOPT_ASSIGN_OR_RETURN(
+      BoundSurrogateKey sk,
+      BindSurrogateKey(activity, in_schema, out_schema, *eng.ctx));
+  if (TotalRows(batches) == 0) return BatchVec{};
+  return RunMap(eng, std::move(batches), [&](const RecordBatch& b) {
+    return kernels::SurrogateKeyBatch(b, sk, out_schema, activity.label());
+  });
 }
 
 // Precomputes each batch's cached key hashes (one task per batch) so the
@@ -276,9 +320,10 @@ StatusOr<BatchVec> RunJoin(const VEngine& eng, const Activity& activity,
   return left;
 }
 
-// Row-path fallback for kinds without a vectorized kernel: flatten,
-// Activity::Execute (the oracle itself), re-batch. Keeps the engine
-// total over every workflow with identical results and errors.
+// Row-path fallback for the kinds without a vectorized kernel (bag
+// difference / intersection, predicates CanVectorizePredicate rejects):
+// flatten, Activity::Execute (the oracle itself), re-batch. Keeps the
+// engine total over every workflow with identical results and errors.
 StatusOr<BatchVec> RunFallback(const VEngine& eng, const Activity& activity,
                                const std::vector<Schema>& in_schemas,
                                const Schema& out_schema, const BatchVec& left,
@@ -328,6 +373,12 @@ StatusOr<BatchVec> RunMemberVec(const VEngine& eng, const Activity& activity,
     }
     case ActivityKind::kProjection:
       return vectorized(RealignBatches(eng, std::move(left), in, out_schema));
+    case ActivityKind::kFunction:
+      return vectorized(
+          RunFunction(eng, activity, in, out_schema, std::move(left)));
+    case ActivityKind::kSurrogateKey:
+      return vectorized(
+          RunSurrogateKey(eng, activity, in, out_schema, std::move(left)));
     case ActivityKind::kPrimaryKeyCheck: {
       ETLOPT_ASSIGN_OR_RETURN(
           std::vector<size_t> key_cols,

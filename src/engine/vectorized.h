@@ -6,15 +6,14 @@
 // computed. Data flows between nodes as ordered lists of RecordBatches
 // (src/columnar/): rows are batched once at every source, kernels
 // process whole batches, and targets flatten back to rows only at the
-// very end. Hot activity kinds
-// — Selection (for predicates vector_eval can compile), NotNull,
-// DomainCheck, Projection, PrimaryKeyCheck, Aggregation, Union and Join
-// — run through the vectorized kernels; everything else (Function,
-// SurrogateKey, Difference/Intersection, and Selections with
-// unsupported predicate shapes) falls back per-activity to the row
-// path: flatten, Activity::Execute, re-batch. The fallback keeps the
-// engine total over every workflow the row engines accept, with
-// identical results and identical errors.
+// very end. Selection (for predicates vector_eval can compile), NotNull,
+// DomainCheck, Projection, PrimaryKeyCheck, Function, SurrogateKey,
+// Aggregation, Union and Join run through the vectorized kernels; the
+// rest (Difference/Intersection, and Selections with unsupported
+// predicate shapes) falls back per-activity to the row path: flatten,
+// Activity::Execute, re-batch. The fallback keeps the engine total over
+// every workflow the row engines accept, with identical results and
+// identical errors.
 //
 // Parallelism reuses the PR 1 ThreadPool/morsel structure, with batches
 // as the morsels: streaming kernels fan out one task per batch, and the

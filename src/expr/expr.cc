@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -168,17 +169,22 @@ bool EnsureBuiltinsRegistered() {
 
 class ColumnExpr final : public Expr {
  public:
-  explicit ColumnExpr(std::string name)
-      : Expr(Kind::kColumn), name_(std::move(name)) {}
+  explicit ColumnExpr(std::string name,
+                      std::optional<size_t> index = std::nullopt)
+      : Expr(Kind::kColumn), name_(std::move(name)), index_(index) {}
 
   StatusOr<Value> Evaluate(const Record& record,
                            const Schema& schema) const override {
-    auto idx = schema.IndexOf(name_);
+    auto idx = index_.has_value() ? index_ : schema.IndexOf(name_);
     if (!idx.has_value())
       return Status::NotFound("column not in schema: " + name_);
     if (*idx >= record.size())
       return Status::Internal("record narrower than schema at " + name_);
     return record.value(*idx);
+  }
+
+  ExprPtr Bind(const Schema& schema) const override {
+    return std::make_shared<ColumnExpr>(name_, schema.IndexOf(name_));
   }
 
   void CollectColumns(std::vector<std::string>* out) const override {
@@ -195,6 +201,7 @@ class ColumnExpr final : public Expr {
 
  private:
   std::string name_;
+  std::optional<size_t> index_;  // set when bound
 };
 
 class LiteralExpr final : public Expr {
@@ -203,6 +210,10 @@ class LiteralExpr final : public Expr {
 
   StatusOr<Value> Evaluate(const Record&, const Schema&) const override {
     return value_;
+  }
+
+  ExprPtr Bind(const Schema&) const override {
+    return std::make_shared<LiteralExpr>(value_);
   }
 
   void CollectColumns(std::vector<std::string>*) const override {}
@@ -250,6 +261,11 @@ class CompareExpr final : public Expr {
         return Value::Bool(!(l < r));
     }
     return Status::Internal("bad compare op");
+  }
+
+  ExprPtr Bind(const Schema& schema) const override {
+    return std::make_shared<CompareExpr>(op_, lhs_->Bind(schema),
+                                         rhs_->Bind(schema));
   }
 
   void CollectColumns(std::vector<std::string>* out) const override {
@@ -312,6 +328,11 @@ class LogicalExpr final : public Expr {
     return Value::Bool(false);
   }
 
+  ExprPtr Bind(const Schema& schema) const override {
+    return std::make_shared<LogicalExpr>(
+        op_, lhs_->Bind(schema), rhs_ ? rhs_->Bind(schema) : nullptr);
+  }
+
   void CollectColumns(std::vector<std::string>* out) const override {
     lhs_->CollectColumns(out);
     if (rhs_) rhs_->CollectColumns(out);
@@ -364,6 +385,11 @@ class ArithExpr final : public Expr {
     return Status::Internal("bad arith op");
   }
 
+  ExprPtr Bind(const Schema& schema) const override {
+    return std::make_shared<ArithExpr>(op_, lhs_->Bind(schema),
+                                       rhs_->Bind(schema));
+  }
+
   void CollectColumns(std::vector<std::string>* out) const override {
     lhs_->CollectColumns(out);
     rhs_->CollectColumns(out);
@@ -390,13 +416,15 @@ class ArithExpr final : public Expr {
 
 class FunctionExpr final : public Expr {
  public:
-  FunctionExpr(std::string name, std::vector<ExprPtr> args)
-      : Expr(Kind::kFunction), name_(std::move(name)), args_(std::move(args)) {}
+  FunctionExpr(std::string name, std::vector<ExprPtr> args,
+               ScalarFn fn = nullptr)
+      : Expr(Kind::kFunction), name_(std::move(name)), args_(std::move(args)),
+        fn_(fn) {}
 
   StatusOr<Value> Evaluate(const Record& record,
                            const Schema& schema) const override {
-    auto it = Registry().find(name_);
-    if (it == Registry().end())
+    ScalarFn fn = fn_ != nullptr ? fn_ : FindScalarFunction(name_);
+    if (fn == nullptr)
       return Status::NotFound("unregistered scalar function: " + name_);
     std::vector<Value> vals;
     vals.reserve(args_.size());
@@ -404,7 +432,15 @@ class FunctionExpr final : public Expr {
       ETLOPT_ASSIGN_OR_RETURN(Value v, a->Evaluate(record, schema));
       vals.push_back(std::move(v));
     }
-    return it->second(vals);
+    return fn(vals);
+  }
+
+  ExprPtr Bind(const Schema& schema) const override {
+    std::vector<ExprPtr> args;
+    args.reserve(args_.size());
+    for (const auto& a : args_) args.push_back(a->Bind(schema));
+    return std::make_shared<FunctionExpr>(name_, std::move(args),
+                                          FindScalarFunction(name_));
   }
 
   void CollectColumns(std::vector<std::string>* out) const override {
@@ -421,6 +457,7 @@ class FunctionExpr final : public Expr {
  private:
   std::string name_;
   std::vector<ExprPtr> args_;
+  ScalarFn fn_;  // set when bound
 };
 
 class NullTestExpr final : public Expr {
@@ -433,6 +470,10 @@ class NullTestExpr final : public Expr {
     ETLOPT_ASSIGN_OR_RETURN(Value v, inner_->Evaluate(record, schema));
     bool isnull = v.is_null();
     return Value::Bool(kind() == Kind::kIsNull ? isnull : !isnull);
+  }
+
+  ExprPtr Bind(const Schema& schema) const override {
+    return std::make_shared<NullTestExpr>(kind(), inner_->Bind(schema));
   }
 
   void CollectColumns(std::vector<std::string>* out) const override {
@@ -550,7 +591,12 @@ Status RegisterScalarFunction(const std::string& name, ScalarFn fn) {
 }
 
 bool IsScalarFunctionRegistered(const std::string& name) {
-  return Registry().count(name) > 0;
+  return FindScalarFunction(name) != nullptr;
+}
+
+ScalarFn FindScalarFunction(const std::string& name) {
+  auto it = Registry().find(name);
+  return it == Registry().end() ? nullptr : it->second;
 }
 
 StatusOr<bool> EvaluatePredicate(const Expr& expr, const Record& record,

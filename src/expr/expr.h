@@ -80,6 +80,14 @@ class Expr {
   virtual StatusOr<Value> Evaluate(const Record& record,
                                    const Schema& schema) const = 0;
 
+  /// A copy of this tree bound to `schema`: column references carry
+  /// their positions and function calls their registered ScalarFn, so
+  /// Evaluate does no name lookup per row. Evaluate it only on records
+  /// laid out by `schema`; its results and errors are this tree's (a
+  /// column or function that does not resolve stays unbound and fails as
+  /// it would unbound). ToString, CollectColumns and parts are unchanged.
+  virtual ExprPtr Bind(const Schema& schema) const = 0;
+
   /// Appends the names of all referenced columns (with duplicates).
   virtual void CollectColumns(std::vector<std::string>* out) const = 0;
 
@@ -122,6 +130,11 @@ Status RegisterScalarFunction(const std::string& name, ScalarFn fn);
 
 /// True iff `name` resolves to a registered scalar function.
 bool IsScalarFunctionRegistered(const std::string& name);
+
+/// The function registered under `name`, or nullptr. Registration only
+/// adds entries, so a kernel may resolve a name once and call the pointer
+/// for every row.
+ScalarFn FindScalarFunction(const std::string& name);
 
 /// Evaluates a predicate: NULL and non-bool results are false.
 StatusOr<bool> EvaluatePredicate(const Expr& expr, const Record& record,

@@ -386,6 +386,11 @@ StatusOr<Workflow> ParseWorkflowText(const std::string& text) {
         return Status::InvalidArgument(StrFormat(
             "line %d: card must be finite and non-negative", number));
       }
+      if (card > kMaxSourceCardinality) {
+        return Status::InvalidArgument(
+            StrFormat("line %d: card %g exceeds the limit %g", number, card,
+                      kMaxSourceCardinality));
+      }
       record_node(line, w.AddRecordSet({line.name, schema, card}));
       continue;
     }

@@ -58,6 +58,12 @@ StatusOr<std::string> PrintWorkflowText(const Workflow& workflow,
 /// the workload generator write.
 inline constexpr int kMaxPredicateNesting = 256;
 
+/// Largest source `card` the parser accepts (10^15 rows). Larger finite
+/// values are rejected with InvalidArgument: they describe no real source,
+/// and their products under joins leave the range where costs print as
+/// numbers.
+inline constexpr double kMaxSourceCardinality = 1e15;
+
 /// Parses a canonical predicate string ("(V1 >= 300)", "((A > 1) AND
 /// (B IS NOT NULL))", ...). Exposed for tests and tools.
 StatusOr<ExprPtr> ParsePredicate(const std::string& text);

@@ -793,9 +793,8 @@ class StreamRun : public SerialStrategy {
 
       case MemberMode::kBagRefresh: {
         for (const Record& r : inputs[1]) {
-          Record nr;
-          for (size_t i : mp.right_realign_idx) nr.Append(r.value(i));
-          ++OverlayCount(mstg.right_counts_overlay, ms.right_counts, nr);
+          ++OverlayCount(mstg.right_counts_overlay, ms.right_counts,
+                         etlopt::Realign(r, mp.right_realign_idx));
         }
         for (const Record& l : inputs[0]) {
           int64_t& c =

@@ -97,6 +97,45 @@ TEST(ExecTest, InPlaceFunctionUpdatesColumn) {
   EXPECT_EQ((*out)[0].size(), 3u);
 }
 
+TEST(ExecTest, FunctionNullArgumentGivesNull) {
+  auto a = MakeFunction("f", "dollar2euro", {"VAL"}, "VAL_EUR",
+                        DataType::kDouble, {"VAL"});
+  auto out = RunActivity(*a, {RowNullVal(3, "a"), Row(1, "a", 10)});
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->size(), 2u);
+  EXPECT_TRUE((*out)[0].value(2).is_null());
+  EXPECT_DOUBLE_EQ((*out)[1].value(2).double_value(), 8.0);
+}
+
+TEST(ExecTest, FunctionOverZeroRowsIsOk) {
+  auto a = MakeFunction("f", "dollar2euro", {"VAL"}, "VAL_EUR",
+                        DataType::kDouble);
+  auto out = RunActivity(*a, {});
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_TRUE(out->empty());
+}
+
+TEST(ExecTest, FunctionMissingArgumentColumnFails) {
+  auto a = MakeFunction("f", "dollar2euro", {"PRICE"}, "PRICE_EUR",
+                        DataType::kDouble);
+  auto out = RunActivity(*a, {Row(1, "a", 10)});
+  ASSERT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsFailedPrecondition()) << out.status().ToString();
+  EXPECT_NE(out.status().message().find("arg attribute 'PRICE' missing"),
+            std::string::npos)
+      << out.status().ToString();
+}
+
+// The error is the first failing row's, in input order.
+TEST(ExecTest, FunctionFailsAtFirstFailingRow) {
+  auto a = MakeInPlaceFunction("f", "a2e_date", "TAG", DataType::kString);
+  auto out = RunActivity(
+      *a, {Row(1, "01/02/2004", 1), Row(2, "x1", 2), Row(3, "x2", 3)});
+  ASSERT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsInvalidArgument());
+  EXPECT_EQ(out.status().message(), "a2e_date: bad date 'x1'");
+}
+
 TEST(ExecTest, SurrogateKeyLooksUp) {
   ExecutionContext ctx;
   ctx.lookups["lut"].emplace(std::vector<Value>{Value::Int(1)},
@@ -122,6 +161,27 @@ TEST(ExecTest, SurrogateKeyMissFails) {
 TEST(ExecTest, SurrogateKeyUnboundTableFails) {
   auto a = MakeSurrogateKey("sk", {"ID"}, "SKEY", "lut");
   EXPECT_TRUE(RunActivity(*a, {Row(1, "a", 10)}).status().IsNotFound());
+}
+
+TEST(ExecTest, SurrogateKeyUnboundTableFailsWithoutRows) {
+  auto a = MakeSurrogateKey("sk", {"ID"}, "SKEY", "lut");
+  auto out = RunActivity(*a, {});
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().message(),
+            "activity 'sk': lookup table 'lut' not bound");
+}
+
+TEST(ExecTest, SurrogateKeyMissNamesFirstMissingKey) {
+  auto a = MakeSurrogateKey("sk", {"ID", "TAG"}, "SKEY", "lut");
+  ExecutionContext ctx;
+  ctx.lookups["lut"].emplace(
+      std::vector<Value>{Value::Int(1), Value::String("a")}, Value::Int(101));
+  auto out = RunActivity(*a, {Row(1, "a", 10), Row(4, "c", 1), Row(5, "d", 2)},
+                         ctx);
+  ASSERT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsNotFound());
+  EXPECT_EQ(out.status().message(),
+            "activity 'sk': surrogate key miss for (4,c)");
 }
 
 TEST(ExecTest, AggregationSumPerGroup) {

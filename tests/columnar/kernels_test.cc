@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "activity/templates.h"
 #include "columnar/vector_eval.h"
+#include "common/macros.h"
 #include "expr/expr.h"
 
 namespace etlopt {
@@ -107,12 +111,12 @@ TEST(KernelsTest, ColumnMappingErrorsOnMissingAttribute) {
                                    {"B", DataType::kInt64}});
   Schema to = Schema::MakeOrDie({{"B", DataType::kInt64},
                                  {"C", DataType::kInt64}});
-  auto ok = kernels::ColumnMapping(
+  auto ok = ColumnMapping(
       from, Schema::MakeOrDie({{"B", DataType::kInt64},
                                {"A", DataType::kInt64}}));
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(*ok, (std::vector<size_t>{1, 0}));
-  EXPECT_FALSE(kernels::ColumnMapping(from, to).ok());
+  EXPECT_FALSE(ColumnMapping(from, to).ok());
 }
 
 // Keep-first across batches and partitions: whatever the partition
@@ -259,6 +263,181 @@ TEST(KernelsTest, JoinBuildProbeMatchesRowJoin) {
     }
   }
   EXPECT_EQ(got, expected);
+}
+
+// ---- Function and SurrogateKey kernels against the row kernels ----
+
+Schema ItemSchema() {
+  return Schema::MakeOrDie({{"ID", DataType::kInt64},
+                            {"TAG", DataType::kString},
+                            {"VAL", DataType::kDouble},
+                            {"DAY", DataType::kString}});
+}
+
+// Row i: VAL NULL every fourth row, DAY NULL every fifth; DAY is
+// "bad<i>" for the rows listed in `bad_days`.
+std::vector<Record> ItemRows(size_t n, std::vector<size_t> bad_days = {}) {
+  std::vector<Record> rows;
+  for (size_t i = 0; i < n; ++i) {
+    const bool bad =
+        std::find(bad_days.begin(), bad_days.end(), i) != bad_days.end();
+    Value day = bad ? Value::String("bad" + std::to_string(i))
+                : i % 5 == 0
+                    ? Value::Null()
+                    : Value::String("0" + std::to_string(1 + i % 9) +
+                                    "/1" + std::to_string(i % 10) + "/2004");
+    rows.push_back(Record({Value::Int(static_cast<int64_t>(i % 7)),
+                           Value::String("t" + std::to_string(i)),
+                           i % 4 == 0 ? Value::Null() : Value::Double(i * 2.5),
+                           day}));
+  }
+  return rows;
+}
+
+// Same rows, and the same runtime type in every cell (Value equality
+// alone would let an int cell stand for an equal double).
+void ExpectExactRows(const std::vector<Record>& got,
+                     const std::vector<Record>& want) {
+  ASSERT_EQ(got, want);
+  for (size_t r = 0; r < got.size(); ++r) {
+    for (size_t c = 0; c < got[r].size(); ++c) {
+      EXPECT_EQ(got[r].value(c).type(), want[r].value(c).type())
+          << "row " << r << " col " << c;
+    }
+  }
+}
+
+// Runs a 1:1 batch kernel over `rows` cut into batches of 6, stopping at
+// the first failing batch, and returns the flattened output.
+template <typename Kernel>
+StatusOr<std::vector<Record>> RunBatched(const std::vector<Record>& rows,
+                                         const Kernel& kernel) {
+  std::vector<Record> out;
+  for (const RecordBatch& b : BatchRows(ItemSchema(), rows, 6)) {
+    ETLOPT_ASSIGN_OR_RETURN(RecordBatch ob, kernel(b));
+    ob.AppendRowsTo(&out);
+  }
+  return out;
+}
+
+StatusOr<std::vector<Record>> RunFunctionBatched(
+    const Activity& a, const std::vector<Record>& rows) {
+  ETLOPT_ASSIGN_OR_RETURN(Schema out, a.ComputeOutputSchema({ItemSchema()}));
+  ETLOPT_ASSIGN_OR_RETURN(
+      BoundFunction f,
+      BindFunction(a.params_as<FunctionParams>(), ItemSchema(), out));
+  return RunBatched(rows, [&](const RecordBatch& b) {
+    return kernels::FunctionBatch(b, f, out);
+  });
+}
+
+TEST(KernelsTest, FunctionBatchMatchesRowKernel) {
+  const std::vector<Record> rows = ItemRows(23);
+  std::vector<Activity> fns = {
+      *MakeFunction("to_euro", "dollar2euro", {"VAL"}, "VAL_EUR",
+                    DataType::kDouble, {"VAL"}),
+      *MakeInPlaceFunction("shout", "upper", "TAG", DataType::kString),
+      *MakeInPlaceFunction("eu_day", "a2e_date", "DAY", DataType::kString),
+      *MakeFunction("tag_id", "concat", {"TAG", "ID"}, "TAG_ID",
+                    DataType::kString),
+      // year_of yields ints under a declared string type: the output
+      // column demotes to boxed storage and keeps the int cells.
+      *MakeFunction("year", "year_of", {"DAY"}, "YEAR", DataType::kString),
+  };
+  for (const Activity& a : fns) {
+    SCOPED_TRACE(a.label());
+    auto want = a.Execute({ItemSchema()}, {rows}, ExecutionContext{});
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    auto got = RunFunctionBatched(a, rows);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectExactRows(*got, *want);
+  }
+}
+
+TEST(KernelsTest, FunctionBatchFailsAtFirstFailingRow) {
+  auto a = MakeInPlaceFunction("eu_day", "a2e_date", "DAY", DataType::kString);
+  ASSERT_TRUE(a.ok());
+  // Rows 8 and 10 share a batch; row 15 sits in a later one.
+  const std::vector<Record> rows = ItemRows(20, {10, 8, 15});
+  auto want = a->Execute({ItemSchema()}, {rows}, ExecutionContext{});
+  ASSERT_FALSE(want.ok());
+  EXPECT_EQ(want.status().message(), "a2e_date: bad date 'bad8'");
+  auto got = RunFunctionBatched(*a, rows);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), want.status().code());
+  EXPECT_EQ(got.status().message(), want.status().message());
+}
+
+TEST(KernelsTest, BindFunctionRejectsUnregisteredFunction) {
+  FunctionParams p;
+  p.function = "no_such_fn";
+  p.args = {"VAL"};
+  p.output = "OUT";
+  Schema out = ItemSchema();
+  ASSERT_TRUE(out.Append({"OUT", DataType::kDouble}).ok());
+  auto f = BindFunction(p, ItemSchema(), out);
+  ASSERT_FALSE(f.ok());
+  EXPECT_TRUE(f.status().IsNotFound());
+  EXPECT_EQ(f.status().message(), "unregistered scalar function: no_such_fn");
+}
+
+StatusOr<std::vector<Record>> RunSurrogateKeyBatched(
+    const Activity& a, const std::vector<Record>& rows,
+    const ExecutionContext& ctx) {
+  ETLOPT_ASSIGN_OR_RETURN(Schema out, a.ComputeOutputSchema({ItemSchema()}));
+  ETLOPT_ASSIGN_OR_RETURN(BoundSurrogateKey sk,
+                          BindSurrogateKey(a, ItemSchema(), out, ctx));
+  return RunBatched(rows, [&](const RecordBatch& b) {
+    return kernels::SurrogateKeyBatch(b, sk, out, a.label());
+  });
+}
+
+TEST(KernelsTest, SurrogateKeyBatchMatchesRowKernel) {
+  ExecutionContext ctx;
+  auto& lut = ctx.lookups["lut"];
+  for (int64_t id = 0; id < 7; ++id) {
+    // One string surrogate demotes the int output column to boxed storage.
+    lut.emplace(std::vector<Value>{Value::Int(id)},
+                id == 3 ? Value::String("s3") : Value::Int(100 + id));
+  }
+  auto a = MakeSurrogateKey("sk", {"ID"}, "SKEY", "lut", {"ID"});
+  ASSERT_TRUE(a.ok());
+  const std::vector<Record> rows = ItemRows(23);
+  auto want = a->Execute({ItemSchema()}, {rows}, ctx);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  auto got = RunSurrogateKeyBatched(*a, rows, ctx);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectExactRows(*got, *want);
+}
+
+TEST(KernelsTest, SurrogateKeyBatchMissMatchesRowKernel) {
+  ExecutionContext ctx;
+  auto& lut = ctx.lookups["lut"];
+  lut.emplace(std::vector<Value>{Value::Int(0)}, Value::Int(100));
+  lut.emplace(std::vector<Value>{Value::Int(1)}, Value::Int(101));
+  auto a = MakeSurrogateKey("sk", {"ID"}, "SKEY", "lut");
+  ASSERT_TRUE(a.ok());
+  const std::vector<Record> rows = ItemRows(20);  // ID 2 first at row 2
+  auto want = a->Execute({ItemSchema()}, {rows}, ctx);
+  ASSERT_FALSE(want.ok());
+  EXPECT_EQ(want.status().message(),
+            "activity 'sk': surrogate key miss for (2)");
+  auto got = RunSurrogateKeyBatched(*a, rows, ctx);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), want.status().code());
+  EXPECT_EQ(got.status().message(), want.status().message());
+}
+
+TEST(KernelsTest, BindSurrogateKeyRejectsUnboundTable) {
+  auto a = MakeSurrogateKey("sk", {"ID"}, "SKEY", "lut");
+  ASSERT_TRUE(a.ok());
+  auto out = a->ComputeOutputSchema({ItemSchema()});
+  ASSERT_TRUE(out.ok());
+  auto sk = BindSurrogateKey(*a, ItemSchema(), *out, ExecutionContext{});
+  ASSERT_FALSE(sk.ok());
+  EXPECT_TRUE(sk.status().IsNotFound());
+  EXPECT_EQ(sk.status().message(),
+            "activity 'sk': lookup table 'lut' not bound");
 }
 
 }  // namespace

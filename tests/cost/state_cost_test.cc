@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "activity/templates.h"
+#include "common/macros.h"
 #include "optimizer/transitions.h"
 #include "workload/scenarios.h"
 
@@ -158,6 +160,31 @@ TEST_F(StateCostTest, IncrementalWithoutDirtyMarksStillExact) {
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(incr->node_cost, full->node_cost);
   EXPECT_DOUBLE_EQ(incr->total, full->total);
+}
+
+// Two 1e300-row sources joined estimate 1e600 rows: the breakdown fails
+// with InvalidArgument naming the join instead of costing it as inf.
+TEST_F(StateCostTest, NonFiniteEstimateIsInvalidArgument) {
+  Schema left = Schema::MakeOrDie({{"K", DataType::kInt64},
+                                   {"A", DataType::kDouble}});
+  Schema right = Schema::MakeOrDie({{"K", DataType::kInt64},
+                                    {"B", DataType::kDouble}});
+  Schema joined = Schema::MakeOrDie({{"K", DataType::kInt64},
+                                     {"A", DataType::kDouble},
+                                     {"B", DataType::kDouble}});
+  Workflow w;
+  NodeId l = w.AddRecordSet({"L", left, 1e300});
+  NodeId r = w.AddRecordSet({"R", right, 1e300});
+  NodeId j = *w.AddActivity(*MakeJoin("big_join", {"K"}, 1.0), {l, r});
+  NodeId t = w.AddRecordSet({"T", joined, 0});
+  ETLOPT_CHECK_OK(w.Connect(j, t));
+  ETLOPT_CHECK_OK(w.Finalize());
+
+  auto bd = ComputeCostBreakdown(w, model_);
+  ASSERT_FALSE(bd.ok());
+  EXPECT_TRUE(bd.status().IsInvalidArgument()) << bd.status().ToString();
+  EXPECT_NE(bd.status().message().find("'big_join'"), std::string::npos)
+      << bd.status().ToString();
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Error paths, table-driven over every engine: the serial reference,
-// parallel and vectorized at one and four threads, the recoverable
+// parallel and vectorized at one, two and four threads, the recoverable
 // executor, and the stream executor over three micro-batches. All of
 // them run the same node driver, so each failure case
 // must surface the same Status code — and, where a node fails, the same
@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
@@ -14,6 +15,8 @@
 #include "engine/executor.h"
 #include "engine/parallel.h"
 #include "engine/recovery.h"
+#include "activity/templates.h"
+#include "common/macros.h"
 #include "engine/vectorized.h"
 #include "stream/stream_executor.h"
 #include "workload/scenarios.h"
@@ -34,7 +37,7 @@ std::vector<EngineCase> AllEngines() {
                                   const ExecutionInput& in) {
                        return ExecuteWorkflow(w, in);
                      }});
-  for (size_t threads : {1u, 4u}) {
+  for (size_t threads : {1u, 2u, 4u}) {
     engines.push_back(
         {"parallel" + std::to_string(threads),
          [threads](const Workflow& w, const ExecutionInput& in) {
@@ -125,6 +128,129 @@ TEST(EngineErrorPathTest, EveryEngineFailsTheSameWay) {
           << engine.name << ": " << r.status().ToString();
       EXPECT_EQ(r.status().message(), reference.status().message())
           << engine.name;
+    }
+  }
+}
+
+// The Function and SurrogateKey kernels, end to end. One flow:
+//   S(ID, DAY, USD, K) -> a2e_date(DAY) in place -> USD_EUR = dollar2euro(USD)
+//   dropping USD -> SKEY = lut(K) dropping K -> T(ID, DAY, USD_EUR, SKEY).
+// Row r carries DAY "MM/DD/YYYY", USD r * 1.5 and K r % 7. Rows listed in
+// `bad_dates` carry "bad<r>" instead (a2e_date fails on them), rows in
+// `misses` carry K 1000 + r (absent from the lookup), and every fifth row
+// has NULL USD and NULL DAY (NULL arguments give NULL results).
+struct KernelFlow {
+  Workflow workflow;
+  ExecutionInput input;
+};
+
+KernelFlow MakeKernelFlow(size_t rows, std::vector<size_t> bad_dates,
+                          std::vector<size_t> misses, bool bind_lookup) {
+  Schema src = Schema::MakeOrDie({{"ID", DataType::kInt64},
+                                  {"DAY", DataType::kString},
+                                  {"USD", DataType::kDouble},
+                                  {"K", DataType::kInt64}});
+  Schema out = Schema::MakeOrDie({{"ID", DataType::kInt64},
+                                  {"DAY", DataType::kString},
+                                  {"USD_EUR", DataType::kDouble},
+                                  {"SKEY", DataType::kInt64}});
+  KernelFlow f;
+  Workflow& w = f.workflow;
+  NodeId s = w.AddRecordSet({"S", src, 100});
+  NodeId date = *w.AddActivity(
+      *MakeInPlaceFunction("to_eu_date", "a2e_date", "DAY", DataType::kString),
+      {s});
+  NodeId euro = *w.AddActivity(*MakeFunction("to_euro", "dollar2euro", {"USD"},
+                                             "USD_EUR", DataType::kDouble,
+                                             {"USD"}),
+                               {date});
+  NodeId sk = *w.AddActivity(
+      *MakeSurrogateKey("assign_sk", {"K"}, "SKEY", "lut", {"K"}), {euro});
+  NodeId t = w.AddRecordSet({"T", out, 0});
+  ETLOPT_CHECK_OK(w.Connect(sk, t));
+  ETLOPT_CHECK_OK(w.Finalize());
+
+  auto listed = [](const std::vector<size_t>& v, size_t r) {
+    return std::find(v.begin(), v.end(), r) != v.end();
+  };
+  std::vector<Record>& data = f.input.source_data["S"];
+  for (size_t r = 0; r < rows; ++r) {
+    const bool nulls = r % 5 == 0;
+    Value day = listed(bad_dates, r)
+                    ? Value::String("bad" + std::to_string(r))
+                : nulls ? Value::Null()
+                        : Value::String(std::to_string(1 + r % 12) + "/" +
+                                        std::to_string(1 + r % 28) + "/2004");
+    Value usd = nulls ? Value::Null() : Value::Double(r * 1.5);
+    int64_t k = listed(misses, r) ? 1000 + static_cast<int64_t>(r)
+                                  : static_cast<int64_t>(r % 7);
+    data.push_back(Record({Value::Int(static_cast<int64_t>(r)), day, usd,
+                           Value::Int(k)}));
+  }
+  if (bind_lookup) {
+    auto& lut = f.input.context.lookups["lut"];
+    for (int64_t k = 0; k < 7; ++k) {
+      lut.emplace(std::vector<Value>{Value::Int(k)}, Value::Int(500 + k));
+    }
+  }
+  return f;
+}
+
+// Every engine returns the serial engine's rows, or its exact Status —
+// raised by the same row (the first failing one in flow order) of the
+// same member. The stream executor runs every member per micro-batch, so
+// a later member failing on an early row beats an earlier member failing
+// on a late row there; it is held to the reference only where one member
+// fails.
+TEST(EngineErrorPathTest, FunctionAndSurrogateKeyKernelsMatchSerial) {
+  struct Case {
+    std::string name;
+    KernelFlow flow;
+    StatusCode code;       // kOk: the run succeeds
+    std::string expected;  // substring of the failure message
+    bool one_member_fails = true;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"null_args_and_in_place", MakeKernelFlow(90, {}, {}, true),
+                   StatusCode::kOk, ""});
+  cases.push_back({"function_fails_at_row_k",
+                   MakeKernelFlow(90, {37, 61}, {}, true),
+                   StatusCode::kInvalidArgument, "a2e_date: bad date 'bad37'"});
+  cases.push_back({"surrogate_key_miss", MakeKernelFlow(90, {}, {44, 12}, true),
+                   StatusCode::kNotFound,
+                   "activity 'assign_sk': surrogate key miss for (1012)"});
+  cases.push_back({"earlier_member_fails_first",
+                   MakeKernelFlow(90, {70}, {3}, true),
+                   StatusCode::kInvalidArgument, "bad date 'bad70'", false});
+  cases.push_back({"unbound_lookup", MakeKernelFlow(90, {}, {}, false),
+                   StatusCode::kNotFound,
+                   "activity 'assign_sk': lookup table 'lut' not bound"});
+  cases.push_back({"unbound_lookup_zero_rows", MakeKernelFlow(0, {}, {}, false),
+                   StatusCode::kNotFound,
+                   "activity 'assign_sk': lookup table 'lut' not bound"});
+
+  const std::vector<EngineCase> engines = AllEngines();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto reference = ExecuteWorkflow(c.flow.workflow, c.flow.input);
+    EXPECT_EQ(reference.status().code(), c.code)
+        << reference.status().ToString();
+    if (c.code != StatusCode::kOk) {
+      EXPECT_NE(reference.status().message().find(c.expected),
+                std::string::npos)
+          << reference.status().ToString();
+    }
+    for (const EngineCase& engine : engines) {
+      if (engine.name == "stream" && !c.one_member_fails) continue;
+      auto r = engine.run(c.flow.workflow, c.flow.input);
+      EXPECT_EQ(r.status().code(), reference.status().code())
+          << engine.name << ": " << r.status().ToString();
+      EXPECT_EQ(r.status().message(), reference.status().message())
+          << engine.name;
+      if (r.ok() && reference.ok()) {
+        EXPECT_EQ(r->target_data, reference->target_data) << engine.name;
+        EXPECT_EQ(r->rows_out, reference->rows_out) << engine.name;
+      }
     }
   }
 }

@@ -165,6 +165,78 @@ TEST(VectorizedAgreementTest, AgreesOnFallbackKinds) {
   }
 }
 
+// Generated workflows carry Function and SurrogateKey members; every
+// member now runs a columnar kernel, so no member falls back to rows.
+TEST(VectorizedAgreementTest, GeneratedWorkflowsNeedNoFallback) {
+  size_t functions = 0, surrogate_keys = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    GeneratorOptions options;
+    options.category =
+        seed % 2 == 0 ? WorkloadCategory::kMedium : WorkloadCategory::kSmall;
+    options.seed = seed;
+    auto g = GenerateWorkflow(options);
+    ASSERT_TRUE(g.ok());
+    for (NodeId id : g->workflow.ActivityNodeIds()) {
+      for (const auto& m : g->workflow.chain(id).members()) {
+        functions += m.activity.kind() == ActivityKind::kFunction;
+        surrogate_keys += m.activity.kind() == ActivityKind::kSurrogateKey;
+      }
+    }
+    ExecutionInput input = GenerateInputFor(g->workflow, seed, 150);
+    auto serial = ExecuteWorkflow(g->workflow, input);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    for (size_t threads : {1u, 2u}) {
+      VectorizedOptions vopts;
+      vopts.num_threads = threads;
+      vopts.batch_size = 32;
+      VectorizedStats stats;
+      auto vec = ExecuteVectorized(g->workflow, input, vopts, &stats);
+      ASSERT_TRUE(vec.ok()) << vec.status().ToString();
+      EXPECT_EQ(serial->target_data, vec->target_data)
+          << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(serial->rows_out, vec->rows_out);
+      EXPECT_EQ(stats.fallback_members, 0u) << "seed " << seed;
+      EXPECT_GT(stats.vectorized_members, 0u);
+    }
+  }
+  EXPECT_GT(functions, 0u);
+  EXPECT_GT(surrogate_keys, 0u);
+}
+
+// Difference and intersection keep the row-path fallback: one member,
+// one fallback.
+TEST(VectorizedAgreementTest, DifferenceCountsOneFallback) {
+  Schema sch = Schema::MakeOrDie({{"K", DataType::kInt64}});
+  for (bool difference : {true, false}) {
+    Workflow w;
+    NodeId a = w.AddRecordSet({"A", sch, 100});
+    NodeId b = w.AddRecordSet({"B", sch, 100});
+    Activity op = difference ? *MakeDifference("diff", 0.5)
+                             : *MakeIntersection("isect", 0.5);
+    NodeId n = *w.AddActivity(op, {a, b});
+    NodeId tgt = w.AddRecordSet({"T", sch, 0});
+    ETLOPT_CHECK_OK(w.Connect(n, tgt));
+    ETLOPT_CHECK_OK(w.Finalize());
+    ExecutionInput input;
+    for (int i = 0; i < 100; ++i) {
+      input.source_data["A"].push_back(Record({Value::Int(i % 10)}));
+      input.source_data["B"].push_back(Record({Value::Int(i % 15)}));
+    }
+    auto serial = ExecuteWorkflow(w, input);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    VectorizedOptions vopts;
+    vopts.num_threads = 2;
+    vopts.batch_size = 16;
+    VectorizedStats stats;
+    auto vec = ExecuteVectorized(w, input, vopts, &stats);
+    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
+    EXPECT_EQ(serial->target_data, vec->target_data);
+    EXPECT_EQ(stats.fallback_members, 1u);
+    EXPECT_EQ(stats.fallback_rows, 100u);
+    EXPECT_EQ(stats.vectorized_members, 0u);
+  }
+}
+
 TEST(VectorizedAgreementTest, DeterministicAcrossRunsAndTuning) {
   GeneratorOptions g_options;
   g_options.category = WorkloadCategory::kSmall;
@@ -252,8 +324,8 @@ TEST(VectorizedAgreementTest, FailsOnStaleWorkflow) {
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 
-// A missing surrogate-key lookup flows through the row-path fallback and
-// must surface the node context, identically to the other engines.
+// A missing surrogate-key lookup fails the columnar SurrogateKey kernel
+// and must surface the node context, identically to the other engines.
 TEST(VectorizedAgreementTest, PropagatesActivityErrorsWithNodeContext) {
   auto s = BuildFig4Scenario();  // always carries surrogate-key activities
   ASSERT_TRUE(s.ok());

@@ -218,5 +218,49 @@ TEST_F(ExprTest, PredicateRejectsNonBool) {
   EXPECT_FALSE(EvaluatePredicate(*e, row_, schema_).ok());
 }
 
+// A bound tree gives the unbound tree's value or Status on every row —
+// including a column or function that does not resolve, and a record
+// narrower than the schema — and prints the same.
+TEST_F(ExprTest, BoundTreeEvaluatesLikeUnbound) {
+  std::vector<ExprPtr> exprs = {
+      And(Compare(CompareOp::kGe, Column("COST"),
+                  Literal(Value::Double(100.0))),
+          Not(IsNull(Column("DATE")))),
+      Or(Compare(CompareOp::kLt, Arith(ArithOp::kDiv, Column("COST"),
+                                       Column("QTY")),
+                 Literal(Value::Double(10))),
+         IsNotNull(Function("a2e_date", {Column("DATE")}))),
+      Function("concat", {Column("DATE"), Column("QTY")}),
+      Column("MISSING"),
+      Function("no_such_fn", {Column("COST")}),
+      And(Column("COST"), Literal(Value::Bool(true))),
+      Arith(ArithOp::kDiv, Column("COST"), Literal(Value::Double(0))),
+  };
+  std::vector<Record> rows = {
+      row_,
+      Record({Value::Null(), Value::String("bad"), Value::Int(0)}),
+      Record({Value::Double(5), Value::Null(), Value::Int(2)}),
+      Record({Value::Double(5)}),  // narrower than the schema
+  };
+  for (const ExprPtr& e : exprs) {
+    ExprPtr bound = e->Bind(schema_);
+    EXPECT_EQ(bound->ToString(), e->ToString());
+    EXPECT_EQ(bound->ReferencedColumns(), e->ReferencedColumns());
+    for (const Record& r : rows) {
+      SCOPED_TRACE(e->ToString() + " on " + r.ToString());
+      auto want = e->Evaluate(r, schema_);
+      auto got = bound->Evaluate(r, schema_);
+      ASSERT_EQ(got.ok(), want.ok());
+      if (want.ok()) {
+        EXPECT_EQ(*got, *want);
+        EXPECT_EQ(got->type(), want->type());
+      } else {
+        EXPECT_EQ(got.status().code(), want.status().code());
+        EXPECT_EQ(got.status().message(), want.status().message());
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace etlopt

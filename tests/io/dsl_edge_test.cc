@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "cost/state_cost.h"
 #include "io/text_format.h"
 
 namespace etlopt {
@@ -59,6 +62,33 @@ TEST(DslEdgeTest, NonFiniteOrNegativeCardRejected) {
     ASSERT_FALSE(w.ok()) << card;
     EXPECT_TRUE(w.status().IsInvalidArgument()) << w.status().ToString();
   }
+}
+
+// A finite but absurd card is rejected naming its line; one just under
+// the limit parses and costs to a finite number.
+TEST(DslEdgeTest, CardAboveLimitRejected) {
+  auto huge = ParseWorkflowText(
+      "source A card=1e300 schema=V:double\n"
+      "target T in=A schema=V:double\n");
+  ASSERT_FALSE(huge.ok());
+  EXPECT_TRUE(huge.status().IsInvalidArgument()) << huge.status().ToString();
+  EXPECT_NE(huge.status().message().find("line 1"), std::string::npos)
+      << huge.status().ToString();
+
+  auto just_over = ParseWorkflowText(
+      "source A card=1.0000001e15 schema=V:double\n"
+      "target T in=A schema=V:double\n");
+  EXPECT_TRUE(just_over.status().IsInvalidArgument())
+      << just_over.status().ToString();
+
+  auto under = ParseWorkflowText(
+      "source A card=9.99e14 schema=V:double\n"
+      "function f in=A fn=dollar2euro args=V out=E:double drop=V\n"
+      "target T in=f schema=E:double\n");
+  ASSERT_TRUE(under.ok()) << under.status().ToString();
+  auto cost = StateCost(*under, LinearLogCostModel());
+  ASSERT_TRUE(cost.ok()) << cost.status().ToString();
+  EXPECT_TRUE(std::isfinite(*cost));
 }
 
 // A predicate with `levels` nested parentheses: (NOT (NOT ... (V > 1))).
