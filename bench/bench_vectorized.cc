@@ -17,14 +17,16 @@
 // hardware threads vs. the serial row engine), enforced on machines with
 // >= 4 hardware threads; ETLOPT_BENCH_QUICK=1 shrinks the inputs for
 // smoke runs and relaxes the check (tiny inputs are dispatch-bound).
+// Within a scenario the row, vectorized@1 and vectorized@hardware legs
+// run interleaved round-robin, and every figure is a leg's median over
+// the rounds (perfbench's rule): a burst of host load then slows all
+// three legs instead of deciding the ratio.
 //
 // Emits BENCH_vectorized.json.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <random>
 #include <thread>
 
@@ -38,18 +40,6 @@ namespace {
 
 using namespace etlopt;
 using namespace etlopt::bench;
-
-double MillisOf(const std::function<void()>& fn, int repeats) {
-  double best = 1e300;
-  for (int i = 0; i < repeats; ++i) {
-    auto t0 = std::chrono::steady_clock::now();
-    fn();
-    auto t1 = std::chrono::steady_clock::now();
-    best = std::min(
-        best, std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  return best;
-}
 
 struct Scenario {
   Workflow workflow;
@@ -198,51 +188,56 @@ Scenario AggregationHeavy(size_t rows) {
   return s;
 }
 
-// Returns the vectorized-vs-serial speedup at hardware threads, after
-// hard-failing (exit) on any output divergence.
-double RunScenario(const char* name, const Scenario& s, int repeats,
+// Returns the vectorized-vs-serial speedup at hardware threads (ratio of
+// the legs' medians), after reporting any output divergence.
+double RunScenario(const char* name, const Scenario& s, int rounds,
                    JsonReport* report, bool* identity_ok) {
-  StatusOr<ExecutionResult> serial = ExecutionResult{};
-  double serial_ms = MillisOf(
-      [&] { serial = ExecuteWorkflow(s.workflow, s.input); }, repeats);
-  ETLOPT_CHECK_OK(serial.status());
+  // The reference output for the identity check, computed untimed.
+  StatusOr<ExecutionResult> reference = ExecuteWorkflow(s.workflow, s.input);
+  ETLOPT_CHECK_OK(reference.status());
 
-  double vec_hw_ms = 0;
-  double t1_ms = 0;
-  for (size_t threads : {size_t{1}, size_t{0}}) {  // 0 = hardware threads
-    VectorizedOptions options;
-    options.num_threads = threads;
-    VectorizedStats stats;
-    StatusOr<ExecutionResult> vec = ExecutionResult{};
-    double ms = MillisOf(
-        [&] {
-          vec = ExecuteVectorized(s.workflow, s.input, options, &stats);
-        },
-        repeats);
-    ETLOPT_CHECK_OK(vec.status());
-    if (vec->target_data != serial->target_data ||
-        vec->rows_out != serial->rows_out) {
-      std::fprintf(stderr,
-                   "FAIL: %s: vectorized(threads=%zu) output differs from "
-                   "the row engine\n",
-                   name, threads);
-      *identity_ok = false;
-    }
-    char key[96];
-    std::snprintf(key, sizeof(key), "%s.vectorized.t%zu.rows_per_sec", name,
-                  threads == 0 ? stats.num_threads : threads);
-    report->Add(key, 1000.0 * s.total_rows / ms, "rows/s");
-    if (threads == 1) {
-      t1_ms = ms;
-    } else {
-      vec_hw_ms = ms;
-    }
-    std::printf("  %-18s vectorized t%-2zu %8.1f ms  %12.0f rows/s\n", name,
-                threads == 0 ? stats.num_threads : threads, ms,
-                1000.0 * s.total_rows / ms);
-  }
+  // Legs: 0 = serial row engine, 1 = vectorized@1, 2 = vectorized at
+  // hardware threads (num_threads 0).
+  size_t hw_threads = 0;
+  StatusOr<ExecutionResult> out = ExecutionResult{};
+  std::vector<double> ms = InterleavedMedianMillis(
+      3, rounds,
+      [&](size_t leg) {
+        if (leg == 0) {
+          out = ExecuteWorkflow(s.workflow, s.input);
+          return;
+        }
+        VectorizedOptions options;
+        options.num_threads = leg == 1 ? 1 : 0;
+        VectorizedStats stats;
+        out = ExecuteVectorized(s.workflow, s.input, options, &stats);
+        if (leg == 2) hw_threads = stats.num_threads;
+      },
+      [&](size_t leg) {
+        ETLOPT_CHECK_OK(out.status());
+        if (out->target_data != reference->target_data ||
+            out->rows_out != reference->rows_out) {
+          std::fprintf(stderr,
+                       "FAIL: %s: %s output differs from the row engine's "
+                       "reference run\n",
+                       name, leg == 0 ? "row serial" : "vectorized");
+          *identity_ok = false;
+        }
+        out = ExecutionResult{};  // freed here, outside the timing
+      });
+  const double serial_ms = ms[0], t1_ms = ms[1], vec_hw_ms = ms[2];
 
   char key[96];
+  std::snprintf(key, sizeof(key), "%s.vectorized.t1.rows_per_sec", name);
+  report->Add(key, 1000.0 * s.total_rows / t1_ms, "rows/s");
+  std::snprintf(key, sizeof(key), "%s.vectorized.t%zu.rows_per_sec", name,
+                hw_threads);
+  report->Add(key, 1000.0 * s.total_rows / vec_hw_ms, "rows/s");
+  std::printf("  %-18s vectorized t1  %8.1f ms  %12.0f rows/s\n", name,
+              t1_ms, 1000.0 * s.total_rows / t1_ms);
+  std::printf("  %-18s vectorized t%-2zu %8.1f ms  %12.0f rows/s\n", name,
+              hw_threads, vec_hw_ms, 1000.0 * s.total_rows / vec_hw_ms);
+
   std::snprintf(key, sizeof(key), "%s.row_serial.rows_per_sec", name);
   report->Add(key, 1000.0 * s.total_rows / serial_ms, "rows/s");
   std::snprintf(key, sizeof(key), "%s.speedup.vec_vs_row", name);
@@ -250,8 +245,8 @@ double RunScenario(const char* name, const Scenario& s, int repeats,
   report->Add(key, speedup, "x");
   std::printf("  %-18s row serial     %8.1f ms  %12.0f rows/s\n", name,
               serial_ms, 1000.0 * s.total_rows / serial_ms);
-  std::printf("  %-18s speedup %.2fx (t1: %.2fx)\n", name, speedup,
-              serial_ms / t1_ms);
+  std::printf("  %-18s speedup %.2fx (t1: %.2fx), medians of %d rounds\n",
+              name, speedup, serial_ms / t1_ms, rounds);
   return speedup;
 }
 
@@ -261,7 +256,7 @@ int Run() {
     return q != nullptr && q[0] == '1';
   }();
   const size_t rows = quick ? 4000 : 400000;
-  const int repeats = quick ? 1 : 3;
+  const int rounds = quick ? 1 : 7;
 
   std::printf("vectorized A/B: %zu rows per scenario\n", rows);
   JsonReport report("vectorized");
@@ -269,9 +264,9 @@ int Run() {
 
   bool identity_ok = true;
   double sel_speedup = RunScenario("selection_heavy", SelectionHeavy(rows),
-                                   repeats, &report, &identity_ok);
-  RunScenario("join_heavy", JoinHeavy(rows), repeats, &report, &identity_ok);
-  RunScenario("aggregation_heavy", AggregationHeavy(rows), repeats, &report,
+                                   rounds, &report, &identity_ok);
+  RunScenario("join_heavy", JoinHeavy(rows), rounds, &report, &identity_ok);
+  RunScenario("aggregation_heavy", AggregationHeavy(rows), rounds, &report,
               &identity_ok);
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());

@@ -7,8 +7,10 @@
 #define ETLOPT_BENCH_SUITE_RUNNER_H_
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -142,6 +144,36 @@ inline std::string GitRevision() {
     rev.pop_back();
   }
   return rev.empty() ? "unknown" : rev;
+}
+
+/// Wall times for an A/B gate on a shared host, by perfbench's rule
+/// (perfbench/README.md): every round runs each of the `legs` once,
+/// interleaved round-robin with the starting leg rotating, and each leg
+/// reports its median over the rounds. Host drift then lands on every
+/// leg alike instead of on whichever leg ran while it lasted. `verify`
+/// runs untimed after each timed `run`.
+inline std::vector<double> InterleavedMedianMillis(
+    size_t legs, int rounds, const std::function<void(size_t leg)>& run,
+    const std::function<void(size_t leg)>& verify) {
+  std::vector<std::vector<double>> samples(legs);
+  for (int r = 0; r < rounds; ++r) {
+    for (size_t k = 0; k < legs; ++k) {
+      const size_t leg = (static_cast<size_t>(r) + k) % legs;
+      auto t0 = std::chrono::steady_clock::now();
+      run(leg);
+      auto t1 = std::chrono::steady_clock::now();
+      samples[leg].push_back(
+          std::chrono::duration<double, std::milli>(t1 - t0).count());
+      verify(leg);
+    }
+  }
+  std::vector<double> medians;
+  for (std::vector<double>& s : samples) {
+    std::sort(s.begin(), s.end());
+    const size_t n = s.size();
+    medians.push_back(n % 2 == 1 ? s[n / 2] : (s[n / 2 - 1] + s[n / 2]) / 2);
+  }
+  return medians;
 }
 
 /// Machine-readable bench output: collects (metric, value, units) triples

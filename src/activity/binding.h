@@ -1,10 +1,10 @@
 // Binding: activity parameters resolved against a concrete input layout.
 //
 // Activities name attributes; rows and batches are positional. Every
-// kernel — the row kernels in Activity::Execute, the parallel engine's
-// exchanges and the columnar kernels — turns names into positions (and a
-// Function's name into its ScalarFn) once per call, before its row loop,
-// with the helpers below. No kernel looks a name up inside a row loop.
+// kernel — the row kernels in Activity::Execute and the columnar
+// kernels — turns names into positions (and a Function's name into its
+// ScalarFn) once per call, before its row loop, with the helpers below.
+// No kernel looks a name up inside a row loop.
 //
 // The name-resolution errors here are Internal: Activity::
 // ComputeOutputSchema has already checked that every named attribute is

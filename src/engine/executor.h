@@ -85,27 +85,25 @@ StatusOr<ExecutionResult> ExecuteWorkflow(const Workflow& workflow,
                                           const ExecutionInput& input,
                                           const CacheOptions& cache_options);
 
-/// The engines. All run the same node driver (engine/node_driver.h) and
+/// The engines. Both run the same node driver (engine/node_driver.h) and
 /// produce byte-identical results on every workflow (the engine-agreement
 /// property); they differ only in how they compute one node's rows.
 enum class EngineKind : int {
   kSerial = 0,      // materializing row engine (ExecuteWorkflow)
-  kParallel = 1,    // morsel-driven parallel row engine (ExecuteParallel)
-  kVectorized = 2,  // columnar batch engine (ExecuteVectorized)
+  kVectorized = 1,  // columnar, parallel batch engine (ExecuteVectorized)
 };
 
-/// Engine selection plus the knobs each engine reads. Unused knobs are
-/// ignored (e.g. batch_size under kSerial); zeros mean per-engine
-/// defaults. Every knob is content-neutral.
+/// Engine selection plus the knobs each engine reads. The serial engine
+/// reads only `cache`; zeros mean engine defaults. Every knob is
+/// content-neutral.
 struct ExecutionOptions {
   EngineKind engine = EngineKind::kSerial;
-  /// kParallel / kVectorized: worker threads (0 = default).
+  /// kVectorized: worker threads (0 = default).
   size_t num_threads = 0;
-  /// kParallel: rows per morsel.
-  size_t morsel_size = 0;
-  /// kVectorized: rows per batch.
+  /// kVectorized: rows per batch (0 = default).
   size_t batch_size = 0;
-  /// kParallel / kVectorized: hash-exchange partition count.
+  /// kVectorized: hash-exchange partition count (0 = derived from
+  /// num_threads).
   size_t num_partitions = 0;
   /// All engines: shared-result-cache knobs (off when cache == nullptr).
   CacheOptions cache;

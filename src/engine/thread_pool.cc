@@ -8,6 +8,16 @@
 
 namespace etlopt {
 
+std::vector<Morsel> MakeMorsels(size_t n, size_t morsel_size) {
+  morsel_size = std::max<size_t>(1, morsel_size);
+  std::vector<Morsel> morsels;
+  morsels.reserve(n / morsel_size + 1);
+  for (size_t begin = 0; begin < n; begin += morsel_size) {
+    morsels.push_back({begin, std::min(n, begin + morsel_size)});
+  }
+  return morsels;
+}
+
 ThreadPool::ThreadPool(size_t num_threads) {
   num_threads = std::max<size_t>(1, num_threads);
   workers_.reserve(num_threads);

@@ -1,8 +1,10 @@
-// ThreadPool: a fixed-size worker pool for the parallel execution engine.
+// ThreadPool: a fixed-size worker pool for the parallel (vectorized)
+// execution engine and the parallel search.
 //
 // The pool is deliberately small-surface: fire-and-collect tasks
 // (Submit) and a blocking data-parallel loop (ParallelFor) built on an
-// atomic work counter, which is all the morsel-driven engine needs.
+// atomic work counter, plus MakeMorsels to cut a row range into the
+// chunks ParallelFor hands out.
 // Workers are numbered 0..num_threads-1 and the number is passed to every
 // task, so callers can keep contention-free per-worker accumulators.
 
@@ -20,6 +22,17 @@
 #include "common/statusor.h"
 
 namespace etlopt {
+
+/// A half-open morsel of row indices [begin, end).
+struct Morsel {
+  size_t begin = 0;
+  size_t end = 0;
+  size_t size() const { return end - begin; }
+};
+
+/// Splits [0, n) into morsels of at most `morsel_size` rows (a zero size
+/// counts as 1).
+std::vector<Morsel> MakeMorsels(size_t n, size_t morsel_size);
 
 class ThreadPool {
  public:

@@ -9,8 +9,6 @@
 #include "columnar/vector_eval.h"
 #include "common/macros.h"
 #include "engine/node_driver.h"
-#include "engine/parallel.h"
-#include "engine/partition.h"
 #include "engine/shared_cache_exec.h"
 #include "engine/thread_pool.h"
 #include "fault/fault_injector.h"
@@ -488,14 +486,6 @@ StatusOr<ExecutionResult> ExecuteWith(const Workflow& workflow,
   switch (options.engine) {
     case EngineKind::kSerial:
       return ExecuteWorkflow(workflow, input, options.cache);
-    case EngineKind::kParallel: {
-      ParallelOptions popts;
-      popts.num_threads = options.num_threads;
-      popts.morsel_size = options.morsel_size;
-      popts.num_partitions = options.num_partitions;
-      popts.cache = options.cache;
-      return ExecuteParallel(workflow, input, popts);
-    }
     case EngineKind::kVectorized: {
       VectorizedOptions vopts;
       vopts.num_threads = options.num_threads;

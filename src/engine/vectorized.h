@@ -1,5 +1,5 @@
-// Vectorized executor: columnar batch execution with the row engines as
-// the correctness oracle.
+// Vectorized executor: columnar batch execution, and the one parallel
+// engine, with the serial row engine as the correctness oracle.
 //
 // Nodes execute in topological order on the shared node driver
 // (node_driver.h); this engine supplies only how one node's rows are
@@ -11,22 +11,23 @@
 // Aggregation, Union and Join run through the vectorized kernels; the
 // rest (Difference/Intersection, and Selections with unsupported
 // predicate shapes) falls back per-activity to the row path: flatten,
-// Activity::Execute, re-batch. The fallback keeps the engine total over
-// every workflow the row engines accept, with identical results and
-// identical errors.
+// one Activity::Execute over the whole flow, re-batch. The fallback
+// keeps the engine total over every workflow the row engine accepts,
+// with identical results and identical errors.
 //
-// Parallelism reuses the PR 1 ThreadPool/morsel structure, with batches
-// as the morsels: streaming kernels fan out one task per batch, and the
-// blocking kinds (PK, aggregation, join build) exchange over hash
-// partitions of the batches' cached key hashes — each key is owned by
-// exactly one partition that scans batches in flow order, so keep-first
-// decisions and accumulation order match the serial scan exactly.
+// Parallelism: a ThreadPool of num_threads workers, with batches as the
+// morsels. 1:1 and filter kernels fan out one task per batch, and the
+// blocking kinds (PK, aggregation, join build) exchange over
+// num_partitions hash partitions of the batches' cached key hashes —
+// each key is owned by exactly one partition that scans batches in flow
+// order, so keep-first decisions and accumulation order match the serial
+// scan exactly.
 //
 // Output contract: byte-identical to ExecuteWorkflow — same rows, same
 // order, same rows_out — for every workflow, at any thread count, batch
 // size or partition count. The engine-agreement property test
 // (tests/engine/vectorized_agreement_test.cc) enforces this against the
-// serial and morsel-parallel engines.
+// serial engine.
 
 #ifndef ETLOPT_ENGINE_VECTORIZED_H_
 #define ETLOPT_ENGINE_VECTORIZED_H_

@@ -12,13 +12,13 @@
 
 #include "activity/activity.h"
 #include "activity/agg_accumulator.h"
+#include "activity/binding.h"
 #include "common/file_util.h"
 #include "common/macros.h"
 #include "common/random.h"
 #include "common/retry.h"
 #include "common/string_util.h"
 #include "engine/node_driver.h"
-#include "engine/partition.h"
 #include "engine/recovery.h"
 #include "fault/fault_injector.h"
 #include "io/wire_codec.h"

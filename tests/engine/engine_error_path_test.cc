@@ -1,6 +1,6 @@
 // Error paths, table-driven over every engine: the serial reference,
-// parallel and vectorized at one, two and four threads, the recoverable
-// executor, and the stream executor over three micro-batches. All of
+// vectorized at one, two and four threads, the recoverable executor, and
+// the stream executor over three micro-batches. All of
 // them run the same node driver, so each failure case
 // must surface the same Status code — and, where a node fails, the same
 // message with the same node context — on every engine.
@@ -9,11 +9,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "engine/executor.h"
-#include "engine/parallel.h"
 #include "engine/recovery.h"
 #include "activity/templates.h"
 #include "common/macros.h"
@@ -38,14 +38,6 @@ std::vector<EngineCase> AllEngines() {
                        return ExecuteWorkflow(w, in);
                      }});
   for (size_t threads : {1u, 2u, 4u}) {
-    engines.push_back(
-        {"parallel" + std::to_string(threads),
-         [threads](const Workflow& w, const ExecutionInput& in) {
-           ParallelOptions options;
-           options.num_threads = threads;
-           options.morsel_size = 8;
-           return ExecuteParallel(w, in, options);
-         }});
     engines.push_back(
         {"vectorized" + std::to_string(threads),
          [threads](const Workflow& w, const ExecutionInput& in) {
@@ -198,17 +190,20 @@ KernelFlow MakeKernelFlow(size_t rows, std::vector<size_t> bad_dates,
 
 // Every engine returns the serial engine's rows, or its exact Status —
 // raised by the same row (the first failing one in flow order) of the
-// same member. The stream executor runs every member per micro-batch, so
-// a later member failing on an early row beats an earlier member failing
-// on a late row there; it is held to the reference only where one member
-// fails.
+// same member. The stream executor reports the first failure in
+// micro-batch order instead: it runs every member on one micro-batch
+// before the next, so where two members fail, a later member failing on
+// an early row beats an earlier member failing on a late row. Such a
+// case pins the stream's exact Status separately.
 TEST(EngineErrorPathTest, FunctionAndSurrogateKeyKernelsMatchSerial) {
   struct Case {
     std::string name;
     KernelFlow flow;
     StatusCode code;       // kOk: the run succeeds
     std::string expected;  // substring of the failure message
-    bool one_member_fails = true;
+    // Set where the stream's first failure in micro-batch order is not
+    // the reference's: its exact Status.
+    std::optional<Status> stream_status = std::nullopt;
   };
   std::vector<Case> cases;
   cases.push_back({"null_args_and_in_place", MakeKernelFlow(90, {}, {}, true),
@@ -219,9 +214,14 @@ TEST(EngineErrorPathTest, FunctionAndSurrogateKeyKernelsMatchSerial) {
   cases.push_back({"surrogate_key_miss", MakeKernelFlow(90, {}, {44, 12}, true),
                    StatusCode::kNotFound,
                    "activity 'assign_sk': surrogate key miss for (1012)"});
+  // Rows 0-29 are the stream's first micro-batch: its surrogate-key miss
+  // at row 3 fails before the second member sees row 70.
   cases.push_back({"earlier_member_fails_first",
                    MakeKernelFlow(90, {70}, {3}, true),
-                   StatusCode::kInvalidArgument, "bad date 'bad70'", false});
+                   StatusCode::kInvalidArgument, "bad date 'bad70'",
+                   Status::NotFound("executing node 4 ('assign_sk'): activity "
+                                    "'assign_sk': surrogate key miss for "
+                                    "(1003)")});
   cases.push_back({"unbound_lookup", MakeKernelFlow(90, {}, {}, false),
                    StatusCode::kNotFound,
                    "activity 'assign_sk': lookup table 'lut' not bound"});
@@ -241,12 +241,13 @@ TEST(EngineErrorPathTest, FunctionAndSurrogateKeyKernelsMatchSerial) {
           << reference.status().ToString();
     }
     for (const EngineCase& engine : engines) {
-      if (engine.name == "stream" && !c.one_member_fails) continue;
       auto r = engine.run(c.flow.workflow, c.flow.input);
-      EXPECT_EQ(r.status().code(), reference.status().code())
+      const Status& expected = engine.name == "stream" && c.stream_status
+                                   ? *c.stream_status
+                                   : reference.status();
+      EXPECT_EQ(r.status().code(), expected.code())
           << engine.name << ": " << r.status().ToString();
-      EXPECT_EQ(r.status().message(), reference.status().message())
-          << engine.name;
+      EXPECT_EQ(r.status().message(), expected.message()) << engine.name;
       if (r.ok() && reference.ok()) {
         EXPECT_EQ(r->target_data, reference->target_data) << engine.name;
         EXPECT_EQ(r->rows_out, reference->rows_out) << engine.name;

@@ -1,4 +1,4 @@
-#include "engine/parallel.h"
+#include "engine/vectorized.h"
 
 #include <gtest/gtest.h>
 
@@ -11,15 +11,15 @@
 namespace etlopt {
 namespace {
 
-// The parallel engine's contract is stronger than multiset agreement: it
-// reconstructs the serial engine's output byte-for-byte — same rows, same
-// order, same rows_out — at every thread count.
+// Parallel execution (the vectorized engine at several threads). Its
+// contract is stronger than multiset agreement: it reconstructs the
+// serial engine's output byte-for-byte — same rows, same order, same
+// rows_out — at every thread count.
 void ExpectIdenticalToBatch(const Workflow& w, const ExecutionInput& input,
-                            const ParallelOptions& options) {
+                            const VectorizedOptions& options) {
   auto batch = ExecuteWorkflow(w, input);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ParallelStats stats;
-  auto par = ExecuteParallel(w, input, options, &stats);
+  auto par = ExecuteVectorized(w, input, options);
   ASSERT_TRUE(par.ok()) << par.status().ToString();
   ASSERT_EQ(batch->target_data.size(), par->target_data.size());
   for (const auto& [name, rows] : batch->target_data) {
@@ -32,9 +32,9 @@ void ExpectIdenticalToBatch(const Workflow& w, const ExecutionInput& input,
 
 void SweepThreadCounts(const Workflow& w, const ExecutionInput& input) {
   for (size_t threads : {1u, 2u, 8u}) {
-    ParallelOptions options;
+    VectorizedOptions options;
     options.num_threads = threads;
-    options.morsel_size = 64;  // small morsels force real fan-out in tests
+    options.batch_size = 64;  // small batches force real fan-out in tests
     ExpectIdenticalToBatch(w, input, options);
   }
 }
@@ -151,20 +151,20 @@ TEST(ParallelExecTest, DeterministicAcrossRunsAndTuning) {
 
   auto reference = ExecuteWorkflow(g->workflow, input);
   ASSERT_TRUE(reference.ok());
-  // Any combination of threads / morsel size / partition count, run
+  // Any combination of threads / batch size / partition count, run
   // repeatedly, must reproduce the reference bytes.
   for (size_t threads : {1u, 3u, 8u}) {
-    for (size_t morsel : {16u, 1024u}) {
+    for (size_t batch : {16u, 1024u}) {
       for (size_t partitions : {1u, 5u, 32u}) {
         for (int run = 0; run < 2; ++run) {
-          ParallelOptions options;
+          VectorizedOptions options;
           options.num_threads = threads;
-          options.morsel_size = morsel;
+          options.batch_size = batch;
           options.num_partitions = partitions;
-          auto par = ExecuteParallel(g->workflow, input, options);
+          auto par = ExecuteVectorized(g->workflow, input, options);
           ASSERT_TRUE(par.ok()) << par.status().ToString();
           EXPECT_EQ(reference->target_data, par->target_data)
-              << "threads=" << threads << " morsel=" << morsel
+              << "threads=" << threads << " batch=" << batch
               << " partitions=" << partitions;
           EXPECT_EQ(reference->rows_out, par->rows_out);
         }
@@ -176,30 +176,29 @@ TEST(ParallelExecTest, DeterministicAcrossRunsAndTuning) {
 TEST(ParallelExecTest, ReportsStats) {
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
-  ParallelOptions options;
+  VectorizedOptions options;
   options.num_threads = 4;
-  options.morsel_size = 32;
-  ParallelStats stats;
-  auto r = ExecuteParallel(s->workflow, MakeFig1Input(1, 400), options,
-                           &stats);
+  options.batch_size = 32;
+  VectorizedStats stats;
+  auto r = ExecuteVectorized(s->workflow, MakeFig1Input(1, 400), options,
+                             &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(stats.num_threads, 4u);
-  EXPECT_GT(stats.streaming_morsels, 0u);
-  EXPECT_GT(stats.streamed_rows, 0u);
-  // Fig. 1 has an aggregation, so an exchange must have happened.
-  EXPECT_GT(stats.exchange_partitions, 0u);
-  EXPECT_GT(stats.exchanged_rows, 0u);
-  ASSERT_EQ(stats.worker_rows.size(), 4u);
-  size_t total_worker_rows = 0;
-  for (size_t n : stats.worker_rows) total_worker_rows += n;
-  EXPECT_GT(total_worker_rows, 0u);
+  // 400 rows per source in batches of 32 are at least 13 batch tasks at
+  // each source alone.
+  EXPECT_GE(stats.batches, 13u);
+  // Fig. 1 runs every member (its aggregation included) on a kernel.
+  EXPECT_GT(stats.vectorized_members, 0u);
+  EXPECT_GT(stats.vectorized_rows, 0u);
+  EXPECT_EQ(stats.fallback_members, 0u);
+  EXPECT_EQ(stats.fallback_rows, 0u);
 }
 
 TEST(ParallelExecTest, FailsOnMissingSourceData) {
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
   ExecutionInput empty;
-  auto r = ExecuteParallel(s->workflow, empty);
+  auto r = ExecuteVectorized(s->workflow, empty);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
@@ -211,23 +210,23 @@ TEST(ParallelExecTest, FailsOnStaleWorkflow) {
   // Mutate without Refresh(): the engine must refuse, like the others.
   Schema sch = Schema::MakeOrDie({{"X", DataType::kInt64}});
   w.AddRecordSet({"orphan", sch, 0});
-  auto r = ExecuteParallel(w, MakeFig1Input(1, 10));
+  auto r = ExecuteVectorized(w, MakeFig1Input(1, 10));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 
 // A missing surrogate-key lookup must surface the node context, like the
-// serial engines do, with the smallest-morsel error kept deterministically.
+// serial engine does, with the smallest-batch error kept deterministically.
 TEST(ParallelExecTest, PropagatesActivityErrorsWithNodeContext) {
   auto s = BuildFig4Scenario();  // always carries surrogate-key activities
   ASSERT_TRUE(s.ok());
   ExecutionInput input = MakeFig4Input(1, 100);
   ASSERT_FALSE(input.context.lookups.empty());
   input.context.lookups.clear();
-  ParallelOptions options;
+  VectorizedOptions options;
   options.num_threads = 4;
-  options.morsel_size = 8;
-  auto r = ExecuteParallel(s->workflow, input, options);
+  options.batch_size = 8;
+  auto r = ExecuteVectorized(s->workflow, input, options);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("executing node"), std::string::npos)
       << r.status().ToString();

@@ -14,7 +14,6 @@
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "engine/executor.h"
-#include "engine/parallel.h"
 #include "engine/vectorized.h"
 #include "service/shared_result_cache.h"
 #include "workload/generator.h"
@@ -28,7 +27,6 @@ ExecutionOptions EngineOptions(EngineKind engine, size_t threads,
   ExecutionOptions options;
   options.engine = engine;
   options.num_threads = threads;
-  options.morsel_size = 64;
   options.batch_size = 64;
   options.cache.cache = cache;
   options.cache.cut_points = policy;
@@ -82,8 +80,7 @@ TEST(SharedCacheEquivalenceTest, CacheOnIsByteIdenticalAcrossEnginesThreads) {
     for (CutPointPolicy policy :
          {CutPointPolicy::kAuto, CutPointPolicy::kAll}) {
       SharedResultCache cache;
-      for (EngineKind engine : {EngineKind::kSerial, EngineKind::kParallel,
-                                EngineKind::kVectorized}) {
+      for (EngineKind engine : {EngineKind::kSerial, EngineKind::kVectorized}) {
         for (size_t threads : {1u, 2u, 8u}) {
           auto r = ExecuteWith(c.workflow, c.input,
                                EngineOptions(engine, threads, &cache, policy));
@@ -129,19 +126,17 @@ TEST(SharedCacheEquivalenceTest, WarmRunExecutesNothing) {
 TEST(SharedCacheEquivalenceTest, ResultsTransferAcrossEngines) {
   Case c = MakeCase(WorkloadCategory::kMedium, 7);
   SharedResultCache cache;
-  // Publisher: serial. Consumers: morsel-parallel and vectorized.
+  // Publisher: serial. Consumer: vectorized at four threads.
   auto cold = ExecuteWith(
       c.workflow, c.input,
       EngineOptions(EngineKind::kSerial, 1, &cache, CutPointPolicy::kAuto));
   ASSERT_TRUE(cold.ok());
-  for (EngineKind engine : {EngineKind::kParallel, EngineKind::kVectorized}) {
-    auto warm = ExecuteWith(
-        c.workflow, c.input,
-        EngineOptions(engine, 4, &cache, CutPointPolicy::kAuto));
-    ASSERT_TRUE(warm.ok());
-    ExpectSameResult(c.baseline, *warm, "cross-engine warm");
-    EXPECT_EQ(warm->cache.nodes_executed, 0u);
-  }
+  auto warm = ExecuteWith(
+      c.workflow, c.input,
+      EngineOptions(EngineKind::kVectorized, 4, &cache, CutPointPolicy::kAuto));
+  ASSERT_TRUE(warm.ok());
+  ExpectSameResult(c.baseline, *warm, "cross-engine warm");
+  EXPECT_EQ(warm->cache.nodes_executed, 0u);
 }
 
 TEST(SharedCacheEquivalenceTest, CorrectUnderEvictionPressure) {

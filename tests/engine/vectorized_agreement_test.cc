@@ -4,7 +4,6 @@
 
 #include "activity/templates.h"
 #include "common/macros.h"
-#include "engine/parallel.h"
 #include "fault/fault_injector.h"
 #include "optimizer/search.h"
 #include "workload/generator.h"
@@ -13,48 +12,36 @@
 namespace etlopt {
 namespace {
 
-// Four-way engine agreement: serial, morsel-parallel, vectorized-serial
-// and vectorized-parallel must all reproduce the serial engine's output
-// byte-for-byte — same rows, same order, same rows_out — at every thread
-// count. This is stronger than the SameRecordMultiset contract; any
-// ordering divergence in a kernel fails here.
-void ExpectFourWayAgreement(const Workflow& w, const ExecutionInput& input) {
+// Engine agreement: the vectorized engine at one, two and eight threads
+// must reproduce the serial engine's output byte-for-byte — same rows,
+// same order, same rows_out. This is stronger than the
+// SameRecordMultiset contract; any ordering divergence in a kernel fails
+// here.
+void ExpectAgreement(const Workflow& w, const ExecutionInput& input) {
   auto serial = ExecuteWorkflow(w, input);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   for (size_t threads : {1u, 2u, 8u}) {
-    {
-      ParallelOptions options;
-      options.num_threads = threads;
-      options.morsel_size = 64;
-      auto par = ExecuteParallel(w, input, options);
-      ASSERT_TRUE(par.ok()) << par.status().ToString();
-      EXPECT_EQ(serial->target_data, par->target_data)
-          << "parallel diverges at threads=" << threads;
-      EXPECT_EQ(serial->rows_out, par->rows_out);
-    }
-    {
-      VectorizedOptions options;
-      options.num_threads = threads;
-      options.batch_size = 64;  // small batches force real fan-out in tests
-      auto vec = ExecuteVectorized(w, input, options);
-      ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-      EXPECT_EQ(serial->target_data, vec->target_data)
-          << "vectorized diverges at threads=" << threads;
-      EXPECT_EQ(serial->rows_out, vec->rows_out);
-    }
+    VectorizedOptions options;
+    options.num_threads = threads;
+    options.batch_size = 64;  // small batches force real fan-out in tests
+    auto vec = ExecuteVectorized(w, input, options);
+    ASSERT_TRUE(vec.ok()) << vec.status().ToString();
+    EXPECT_EQ(serial->target_data, vec->target_data)
+        << "vectorized diverges at threads=" << threads;
+    EXPECT_EQ(serial->rows_out, vec->rows_out);
   }
 }
 
 TEST(VectorizedAgreementTest, AgreesOnFig1) {
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
-  ExpectFourWayAgreement(s->workflow, MakeFig1Input(42, 300));
+  ExpectAgreement(s->workflow, MakeFig1Input(42, 300));
 }
 
 TEST(VectorizedAgreementTest, AgreesOnFig4) {
   auto s = BuildFig4Scenario();
   ASSERT_TRUE(s.ok());
-  ExpectFourWayAgreement(s->workflow, MakeFig4Input(7, 64));
+  ExpectAgreement(s->workflow, MakeFig4Input(7, 64));
 }
 
 TEST(VectorizedAgreementTest, AgreesOnGeneratedWorkflows) {
@@ -64,8 +51,7 @@ TEST(VectorizedAgreementTest, AgreesOnGeneratedWorkflows) {
     options.seed = seed;
     auto g = GenerateWorkflow(options);
     ASSERT_TRUE(g.ok());
-    ExpectFourWayAgreement(g->workflow,
-                           GenerateInputFor(g->workflow, seed, 60));
+    ExpectAgreement(g->workflow, GenerateInputFor(g->workflow, seed, 60));
   }
 }
 
@@ -75,7 +61,7 @@ TEST(VectorizedAgreementTest, AgreesOnMediumWorkflow) {
   options.seed = 2;
   auto g = GenerateWorkflow(options);
   ASSERT_TRUE(g.ok());
-  ExpectFourWayAgreement(g->workflow, GenerateInputFor(g->workflow, 11, 80));
+  ExpectAgreement(g->workflow, GenerateInputFor(g->workflow, 11, 80));
 }
 
 // Agreement must survive the optimizer: a post-HeuristicSearch state is
@@ -89,8 +75,8 @@ TEST(VectorizedAgreementTest, AgreesOnOptimizedFig1) {
   ASSERT_TRUE(r.ok());
   // Same bound input pre- and post-optimization.
   ExecutionInput input = MakeFig1Input(8, 250);
-  ExpectFourWayAgreement(s->workflow, input);
-  ExpectFourWayAgreement(r->best.workflow, input);
+  ExpectAgreement(s->workflow, input);
+  ExpectAgreement(r->best.workflow, input);
 }
 
 TEST(VectorizedAgreementTest, AgreesOnOptimizedFig4) {
@@ -100,8 +86,8 @@ TEST(VectorizedAgreementTest, AgreesOnOptimizedFig4) {
   auto r = HeuristicSearch(s->workflow, model);
   ASSERT_TRUE(r.ok());
   ExecutionInput input = MakeFig4Input(8, 64);
-  ExpectFourWayAgreement(s->workflow, input);
-  ExpectFourWayAgreement(r->best.workflow, input);
+  ExpectAgreement(s->workflow, input);
+  ExpectAgreement(r->best.workflow, input);
 }
 
 // Covers the partitioned vectorized kernels end to end: PK-check feeding
@@ -133,7 +119,7 @@ TEST(VectorizedAgreementTest, AgreesOnJoinWithPkCheckAndNulls) {
         {i % 13 == 0 ? Value::Null() : Value::Int(i % 25),
          Value::Double(i * 2.0)}));
   }
-  ExpectFourWayAgreement(w, input);
+  ExpectAgreement(w, input);
 }
 
 // The row-path fallback kinds (difference / intersection, bag semantics)
@@ -161,7 +147,7 @@ TEST(VectorizedAgreementTest, AgreesOnFallbackKinds) {
             Record({Value::Int(i % 30), Value::String("x")}));
       }
     }
-    ExpectFourWayAgreement(w, input);
+    ExpectAgreement(w, input);
   }
 }
 
@@ -291,8 +277,7 @@ TEST(VectorizedAgreementTest, ExecuteWithDispatchesAllEngines) {
   ExecutionInput input = MakeFig1Input(5, 120);
   auto serial = ExecuteWorkflow(s->workflow, input);
   ASSERT_TRUE(serial.ok());
-  for (EngineKind kind : {EngineKind::kSerial, EngineKind::kParallel,
-                          EngineKind::kVectorized}) {
+  for (EngineKind kind : {EngineKind::kSerial, EngineKind::kVectorized}) {
     ExecutionOptions options;
     options.engine = kind;
     options.num_threads = 2;

@@ -14,7 +14,6 @@
 #include <string>
 
 #include "engine/executor.h"
-#include "engine/parallel.h"
 #include "engine/recovery.h"
 #include "engine/vectorized.h"
 #include "fault/fault_injector.h"
@@ -79,16 +78,6 @@ TEST(FaultHitAccountingTest, OneHitPerExecutedActivityNode) {
     EXPECT_EQ(r->rows_out.size(), activities);
 
     for (size_t threads : {1u, 4u}) {
-      ParallelOptions popts;
-      popts.num_threads = threads;
-      popts.morsel_size = 16;
-      EXPECT_EQ(ActivityHits([&] {
-                  r = ExecuteParallel(s.workflow, s.input, popts);
-                }),
-                activities)
-          << "parallel " << threads;
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-
       VectorizedOptions vopts;
       vopts.num_threads = threads;
       vopts.batch_size = 16;

@@ -9,7 +9,6 @@
 #include "common/macros.h"
 #include "common/random.h"
 #include "engine/executor.h"
-#include "engine/parallel.h"
 #include "engine/vectorized.h"
 #include "optimizer/search.h"
 #include "optimizer/transitions.h"
@@ -138,30 +137,14 @@ TEST_P(TransitionPropertyTest, SignatureIdentifiesStatesUniquely) {
   }
 }
 
-// N-version check: the materializing, parallel and vectorized engines
-// must agree byte for byte on targets and per-node cardinalities. The
-// parallel and vectorized engines are checked at one worker and at
-// several.
+// N-version check: the materializing and vectorized engines must agree
+// byte for byte on targets and per-node cardinalities. The vectorized
+// engine is checked at one worker and at several.
 void ExpectAllEnginesAgree(const Workflow& w, const ExecutionInput& input,
                            const char* what) {
   auto batch = ExecuteWorkflow(w, input);
   ASSERT_TRUE(batch.ok()) << what << ": " << batch.status().ToString();
   for (size_t threads : {1u, 4u}) {
-    ParallelOptions options;
-    options.num_threads = threads;
-    options.morsel_size = 64;
-    auto par = ExecuteParallel(w, input, options);
-    ASSERT_TRUE(par.ok()) << what << ": " << par.status().ToString();
-    ASSERT_EQ(batch->target_data.size(), par->target_data.size()) << what;
-    for (const auto& [name, rows] : batch->target_data) {
-      // The parallel engine promises byte-identical output, not just the
-      // same multiset.
-      EXPECT_EQ(rows, par->target_data.at(name))
-          << what << " parallel(" << threads << ") target " << name;
-    }
-    EXPECT_EQ(batch->rows_out, par->rows_out)
-        << what << " parallel(" << threads << ")";
-
     VectorizedOptions voptions;
     voptions.num_threads = threads;
     voptions.batch_size = 64;
@@ -169,7 +152,8 @@ void ExpectAllEnginesAgree(const Workflow& w, const ExecutionInput& input,
     ASSERT_TRUE(vec.ok()) << what << ": " << vec.status().ToString();
     ASSERT_EQ(batch->target_data.size(), vec->target_data.size()) << what;
     for (const auto& [name, rows] : batch->target_data) {
-      // The vectorized engine also promises byte-identical output.
+      // The vectorized engine promises byte-identical output, not just
+      // the same multiset.
       EXPECT_EQ(rows, vec->target_data.at(name))
           << what << " vectorized(" << threads << ") target " << name;
     }
@@ -179,9 +163,9 @@ void ExpectAllEnginesAgree(const Workflow& w, const ExecutionInput& input,
 }
 
 TEST_P(TransitionPropertyTest, AllEnginesAgreePreAndPostOptimization) {
-  // Every seeded scenario: materializing == parallel == vectorized (1 and
-  // N workers), on the initial state, on a transition successor, and on
-  // the heuristically optimized state.
+  // Every seeded scenario: materializing == vectorized (1 and N workers),
+  // on the initial state, on a transition successor, and on the
+  // heuristically optimized state.
   GeneratedWorkflow g = Generate();
   ExecutionInput input = GenerateInputFor(g.workflow, GetParam().seed + 9, 50);
   ExpectAllEnginesAgree(g.workflow, input, "initial state");
