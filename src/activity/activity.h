@@ -212,10 +212,12 @@ class Activity {
     return copy;
   }
 
-  /// Executes the activity over materialized inputs.
+  /// Executes the activity over materialized inputs. Takes ownership of
+  /// `inputs`: the kernels move and edit those rows instead of copying
+  /// them. A caller that still needs its rows passes a copy.
   StatusOr<std::vector<Record>> Execute(
       const std::vector<Schema>& input_schemas,
-      const std::vector<std::vector<Record>>& inputs,
+      std::vector<std::vector<Record>> inputs,
       const ExecutionContext& ctx) const;
 
  private:

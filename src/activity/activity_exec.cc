@@ -1,6 +1,8 @@
 // Execution semantics of the activity templates: the row kernels every
 // engine shares. Each kernel binds names to positions (activity/binding.h)
-// once per call, before its row loop.
+// once per call, before its row loop, and owns the flows it is handed:
+// filters compact the input in place, 1:1 kernels edit each row in place,
+// and no kernel copies a row it can move.
 
 #include <map>
 
@@ -12,9 +14,29 @@
 
 namespace etlopt {
 
+namespace {
+
+// Keeps the rows `keep` accepts, in order, by compacting `rows` in place:
+// a kept row is moved, never copied. Fails at the first row `keep` fails.
+template <typename Keep>
+StatusOr<std::vector<Record>> KeepRows(std::vector<Record> rows,
+                                       const Keep& keep) {
+  size_t kept = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ETLOPT_ASSIGN_OR_RETURN(bool k, keep(rows[i]));
+    if (!k) continue;
+    if (kept != i) rows[kept] = std::move(rows[i]);
+    ++kept;
+  }
+  rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(kept), rows.end());
+  return rows;
+}
+
+}  // namespace
+
 StatusOr<std::vector<Record>> Activity::Execute(
     const std::vector<Schema>& input_schemas,
-    const std::vector<std::vector<Record>>& inputs,
+    std::vector<std::vector<Record>> inputs,
     const ExecutionContext& ctx) const {
   if (input_schemas.size() != inputs.size() ||
       static_cast<int>(inputs.size()) != input_arity()) {
@@ -24,45 +46,40 @@ StatusOr<std::vector<Record>> Activity::Execute(
   // Validate schema compatibility up front; Execute relies on it.
   ETLOPT_ASSIGN_OR_RETURN(Schema out_schema, ComputeOutputSchema(input_schemas));
   const Schema& in = input_schemas[0];
-  const std::vector<Record>& rows = inputs[0];
-  std::vector<Record> out;
+  std::vector<Record>& rows = inputs[0];
 
   switch (kind_) {
     case ActivityKind::kSelection: {
       const ExprPtr predicate =
           params_as<SelectionParams>().predicate->Bind(in);
-      for (const auto& r : rows) {
-        ETLOPT_ASSIGN_OR_RETURN(bool keep,
-                                EvaluatePredicate(*predicate, r, in));
-        if (keep) out.push_back(r);
-      }
-      return out;
+      return KeepRows(std::move(rows), [&](const Record& r) {
+        return EvaluatePredicate(*predicate, r, in);
+      });
     }
 
     case ActivityKind::kNotNull: {
       const auto& p = params_as<NotNullParams>();
       size_t idx = *in.IndexOf(p.attr);
-      for (const auto& r : rows) {
-        if (!r.value(idx).is_null()) out.push_back(r);
-      }
-      return out;
+      return KeepRows(std::move(rows),
+                      [idx](const Record& r) -> StatusOr<bool> {
+                        return !r.value(idx).is_null();
+                      });
     }
 
     case ActivityKind::kDomainCheck: {
       const auto& p = params_as<DomainCheckParams>();
       size_t idx = *in.IndexOf(p.attr);
-      for (const auto& r : rows) {
+      return KeepRows(std::move(rows), [&](const Record& r) -> StatusOr<bool> {
         const Value& v = r.value(idx);
-        if (v.is_null()) continue;
+        if (v.is_null()) return false;
         if (v.type() != DataType::kInt64 && v.type() != DataType::kDouble) {
           return Status::InvalidArgument(
               StrFormat("activity '%s': domain check over non-numeric '%s'",
                         label_.c_str(), p.attr.c_str()));
         }
         double d = v.AsDouble();
-        if (d >= p.lo && d <= p.hi) out.push_back(r);
-      }
-      return out;
+        return d >= p.lo && d <= p.hi;
+      });
     }
 
     case ActivityKind::kPrimaryKeyCheck: {
@@ -70,31 +87,28 @@ StatusOr<std::vector<Record>> Activity::Execute(
           std::vector<size_t> key_idx,
           AttrIndices(in, params_as<PrimaryKeyParams>().key_attrs));
       std::map<std::vector<Value>, bool> seen;
-      for (const auto& r : rows) {
-        if (seen.emplace(ExtractKey(r, key_idx), true).second) {
-          out.push_back(r);
-        }
-      }
-      return out;
+      return KeepRows(std::move(rows), [&](const Record& r) -> StatusOr<bool> {
+        return seen.emplace(ExtractKey(r, key_idx), true).second;
+      });
     }
 
     case ActivityKind::kProjection: {
+      // The kept attributes keep their input order, so each row drops
+      // its cells in place.
       ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> mapping,
                               ColumnMapping(in, out_schema));
-      out.reserve(rows.size());
-      for (const auto& r : rows) out.push_back(Realign(r, mapping));
-      return out;
+      for (auto& r : rows) r = Realign(std::move(r), mapping);
+      return std::move(rows);
     }
 
     case ActivityKind::kFunction: {
       // An unregistered function fails only once a row flows.
-      if (rows.empty()) return out;
+      if (rows.empty()) return std::move(rows);
       const auto& p = params_as<FunctionParams>();
       ETLOPT_ASSIGN_OR_RETURN(BoundFunction f,
                               BindFunction(p, in, out_schema));
-      out.reserve(rows.size());
       std::vector<Value> args(f.args.size());
-      for (const auto& r : rows) {
+      for (auto& r : rows) {
         for (size_t a = 0; a < f.args.size(); ++a) {
           if (f.args[a] >= r.size()) {
             return Status::Internal("record narrower than schema at " +
@@ -103,25 +117,24 @@ StatusOr<std::vector<Record>> Activity::Execute(
           args[a] = r.value(f.args[a]);
         }
         ETLOPT_ASSIGN_OR_RETURN(Value v, f.fn(args));
-        out.push_back(f.layout.Assemble(r, std::move(v)));
+        r = f.layout.Assemble(std::move(r), std::move(v));
       }
-      return out;
+      return std::move(rows);
     }
 
     case ActivityKind::kSurrogateKey: {
       ETLOPT_ASSIGN_OR_RETURN(BoundSurrogateKey sk,
                               BindSurrogateKey(*this, in, out_schema, ctx));
-      out.reserve(rows.size());
       std::vector<Value> key(sk.keys.size());
-      for (const auto& r : rows) {
+      for (auto& r : rows) {
         for (size_t k = 0; k < sk.keys.size(); ++k) {
           key[k] = r.value(sk.keys[k]);
         }
         auto hit = sk.table->find(key);
         if (hit == sk.table->end()) return SurrogateKeyMiss(label_, key);
-        out.push_back(sk.layout.Assemble(r, hit->second));
+        r = sk.layout.Assemble(std::move(r), hit->second);
       }
-      return out;
+      return std::move(rows);
     }
 
     case ActivityKind::kAggregation: {
@@ -142,6 +155,8 @@ StatusOr<std::vector<Record>> Activity::Execute(
           it->second[i].Add(r.value(arg_idx[i]));
         }
       }
+      std::vector<Record> out;
+      out.reserve(groups.size());
       for (const auto& [key, accs] : groups) {
         Record nr;
         for (const auto& k : key) nr.Append(k);
@@ -156,9 +171,11 @@ StatusOr<std::vector<Record>> Activity::Execute(
     case ActivityKind::kUnion: {
       ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> right_map,
                               ColumnMapping(input_schemas[1], out_schema));
-      out.reserve(rows.size() + inputs[1].size());
-      out.insert(out.end(), rows.begin(), rows.end());
-      for (const auto& r : inputs[1]) out.push_back(Realign(r, right_map));
+      std::vector<Record> out = std::move(rows);
+      out.reserve(out.size() + inputs[1].size());
+      for (auto& r : inputs[1]) {
+        out.push_back(Realign(std::move(r), right_map));
+      }
       return out;
     }
 
@@ -168,15 +185,16 @@ StatusOr<std::vector<Record>> Activity::Execute(
       ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> right_map,
                               ColumnMapping(input_schemas[1], out_schema));
       std::map<Record, int64_t> right_counts;
-      for (const auto& r : inputs[1]) ++right_counts[Realign(r, right_map)];
-      bool keep_matched = kind_ == ActivityKind::kIntersection;
-      for (const auto& r : rows) {
+      for (auto& r : inputs[1]) {
+        ++right_counts[Realign(std::move(r), right_map)];
+      }
+      const bool keep_matched = kind_ == ActivityKind::kIntersection;
+      return KeepRows(std::move(rows), [&](const Record& r) -> StatusOr<bool> {
         auto it = right_counts.find(r);
         bool matched = it != right_counts.end() && it->second > 0;
         if (matched) --it->second;
-        if (matched == keep_matched) out.push_back(r);
-      }
-      return out;
+        return matched == keep_matched;
+      });
     }
 
     case ActivityKind::kJoin: {
@@ -193,14 +211,17 @@ StatusOr<std::vector<Record>> Activity::Execute(
         if (HasNull(key)) continue;  // NULL keys never join (SQL semantics)
         right_index[std::move(key)].push_back(&r);
       }
-      for (const auto& l : rows) {
+      std::vector<Record> out;
+      for (auto& l : rows) {
         std::vector<Value> key = ExtractKey(l, left_key);
         if (HasNull(key)) continue;
         auto hit = right_index.find(key);
         if (hit == right_index.end()) continue;
-        for (const Record* r : hit->second) {
-          Record nr = l;
-          for (size_t c : right_pass) nr.Append(r->value(c));
+        // Every match but the last copies the left row; the last takes it.
+        const std::vector<const Record*>& matches = hit->second;
+        for (size_t m = 0; m < matches.size(); ++m) {
+          Record nr = m + 1 < matches.size() ? Record(l) : std::move(l);
+          for (size_t c : right_pass) nr.Append(matches[m]->value(c));
           out.push_back(std::move(nr));
         }
       }

@@ -15,6 +15,7 @@ StatusOr<DerivedLayout> DeriveLayout(const Schema& in, const Schema& out,
   DerivedLayout layout;
   layout.computed = *out.IndexOf(computed_attr);
   layout.source.assign(out.size(), 0);
+  size_t next = 0;  // passthrough sources must ascend (see Assemble)
   for (size_t i = 0; i < out.size(); ++i) {
     if (i == layout.computed) continue;
     auto src = in.IndexOf(out.attribute(i).name);
@@ -22,7 +23,12 @@ StatusOr<DerivedLayout> DeriveLayout(const Schema& in, const Schema& out,
       return Status::Internal(StrFormat("%s: missing passthrough attr %s",
                                         what, out.attribute(i).name.c_str()));
     }
+    if (*src < next) {
+      return Status::Internal(StrFormat("%s: passthrough attr %s out of order",
+                                        what, out.attribute(i).name.c_str()));
+    }
     layout.source[i] = *src;
+    next = *src + 1;
   }
   return layout;
 }
@@ -80,24 +86,39 @@ StatusOr<std::vector<size_t>> ColumnMapping(const Schema& from,
   return mapping;
 }
 
-Record Realign(const Record& row, const std::vector<size_t>& mapping) {
-  std::vector<Value> values;
-  values.reserve(mapping.size());
-  for (size_t src : mapping) values.push_back(row.value(src));
-  return Record(std::move(values));
+Record Realign(Record row, const std::vector<size_t>& mapping) {
+  std::vector<Value>& cells = row.mutable_values();
+  bool in_place = true;
+  for (size_t j = 0; j < mapping.size(); ++j) in_place &= mapping[j] >= j;
+  if (!in_place) {
+    std::vector<Value> values;
+    values.reserve(mapping.size());
+    for (size_t src : mapping) values.push_back(std::move(cells[src]));
+    return Record(std::move(values));
+  }
+  // Writing cell j reads cell mapping[j] >= j, which no earlier write
+  // touched: ColumnMapping never names a source twice.
+  for (size_t j = 0; j < mapping.size(); ++j) {
+    if (mapping[j] != j) cells[j] = std::move(cells[mapping[j]]);
+  }
+  cells.resize(mapping.size());
+  return row;
 }
 
-Record DerivedLayout::Assemble(const Record& row, Value value) const {
-  std::vector<Value> values;
-  values.reserve(source.size());
+Record DerivedLayout::Assemble(Record row, Value value) const {
+  std::vector<Value>& cells = row.mutable_values();
+  // The k-th passthrough cell comes from source >= k (sources ascend), so
+  // one left-to-right pass never overwrites a cell it has yet to read.
+  size_t kept = 0;
   for (size_t i = 0; i < source.size(); ++i) {
-    if (i == computed) {
-      values.push_back(std::move(value));
-    } else {
-      values.push_back(row.value(source[i]));
-    }
+    if (i == computed) continue;
+    if (source[i] != kept) cells[kept] = std::move(cells[source[i]]);
+    ++kept;
   }
-  return Record(std::move(values));
+  cells.resize(kept);
+  cells.insert(cells.begin() + static_cast<std::ptrdiff_t>(computed),
+               std::move(value));
+  return row;
 }
 
 StatusOr<BoundFunction> BindFunction(const FunctionParams& p, const Schema& in,

@@ -47,18 +47,25 @@ std::vector<size_t> JoinPassthrough(const Schema& right,
 StatusOr<std::vector<size_t>> ColumnMapping(const Schema& from,
                                             const Schema& to);
 
-/// `row` (laid out by some `from`) rearranged by a ColumnMapping.
-Record Realign(const Record& row, const std::vector<size_t>& mapping);
+/// `row` (laid out by some `from`) rearranged by a ColumnMapping. Moves
+/// the cells; a mapping that only drops cells or moves them left
+/// (mapping[j] >= j, as for a projection) edits the row in place.
+Record Realign(Record row, const std::vector<size_t>& mapping);
 
 /// The output layout of a Function or SurrogateKey activity: output
 /// column `computed` holds the kernel's value, every other output column
-/// i copies input column `source[i]` (`source[computed]` is unused).
+/// i takes input column `source[i]` (`source[computed]` is unused). The
+/// passthrough sources ascend: the output schema is the input minus the
+/// dropped attributes, in input order (Schema::Minus), with the computed
+/// attribute replacing an argument or appended.
 struct DerivedLayout {
   std::vector<size_t> source;
   size_t computed = 0;
 
-  /// The output row for input `row` and computed cell `value`.
-  Record Assemble(const Record& row, Value value) const;
+  /// The output row for input `row` and computed cell `value`, built in
+  /// `row`'s own storage: the passthrough cells shift left, then `value`
+  /// is inserted at `computed`.
+  Record Assemble(Record row, Value value) const;
 };
 
 /// A Function activity bound to its input layout.

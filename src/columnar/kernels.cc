@@ -54,7 +54,7 @@ StatusOr<std::vector<uint32_t>> DomainCheckFilter(const RecordBatch& batch,
   return sel;
 }
 
-StatusOr<RecordBatch> FunctionBatch(const RecordBatch& batch,
+StatusOr<RecordBatch> FunctionBatch(RecordBatch batch,
                                     const BoundFunction& f,
                                     const Schema& out_schema) {
   const size_t n = batch.num_rows();
@@ -68,11 +68,11 @@ StatusOr<RecordBatch> FunctionBatch(const RecordBatch& batch,
     ETLOPT_ASSIGN_OR_RETURN(Value v, f.fn(args));
     computed.Append(v);
   }
-  return batch.SelectColumns(f.layout.source, out_schema, f.layout.computed,
-                             std::move(computed));
+  return std::move(batch).SelectColumns(f.layout.source, out_schema,
+                                       f.layout.computed, std::move(computed));
 }
 
-StatusOr<RecordBatch> SurrogateKeyBatch(const RecordBatch& batch,
+StatusOr<RecordBatch> SurrogateKeyBatch(RecordBatch batch,
                                         const BoundSurrogateKey& sk,
                                         const Schema& out_schema,
                                         const std::string& label) {
@@ -88,8 +88,8 @@ StatusOr<RecordBatch> SurrogateKeyBatch(const RecordBatch& batch,
     if (hit == sk.table->end()) return SurrogateKeyMiss(label, key);
     computed.Append(hit->second);
   }
-  return batch.SelectColumns(sk.layout.source, out_schema, sk.layout.computed,
-                             std::move(computed));
+  return std::move(batch).SelectColumns(sk.layout.source, out_schema,
+                                       sk.layout.computed, std::move(computed));
 }
 
 std::vector<Value> KeyAt(const RecordBatch& batch,

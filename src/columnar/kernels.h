@@ -52,17 +52,17 @@ StatusOr<std::vector<uint32_t>> DomainCheckFilter(const RecordBatch& batch,
                                                   const std::string& attr);
 
 /// A Function over one batch: output column `f.layout.computed` holds
-/// f.fn of each row's argument cells, the other columns are copied per
-/// `f.layout.source`. Fails with the row engine's Status at the first
-/// failing row. A result whose runtime type disagrees with the declared
-/// output type demotes that column to boxed storage.
-StatusOr<RecordBatch> FunctionBatch(const RecordBatch& batch,
+/// f.fn of each row's argument cells, the other columns are moved out of
+/// `batch` per `f.layout.source`. Fails with the row engine's Status at
+/// the first failing row. A result whose runtime type disagrees with the
+/// declared output type demotes that column to boxed storage.
+StatusOr<RecordBatch> FunctionBatch(RecordBatch batch,
                                     const BoundFunction& f,
                                     const Schema& out_schema);
 
 /// A SurrogateKey over one batch, laid out like FunctionBatch. The first
 /// row whose key is absent from the table fails with SurrogateKeyMiss.
-StatusOr<RecordBatch> SurrogateKeyBatch(const RecordBatch& batch,
+StatusOr<RecordBatch> SurrogateKeyBatch(RecordBatch batch,
                                         const BoundSurrogateKey& sk,
                                         const Schema& out_schema,
                                         const std::string& label);

@@ -71,18 +71,18 @@ RecordBatch RecordBatch::Gather(const std::vector<uint32_t>& sel) const {
 }
 
 RecordBatch RecordBatch::SelectColumns(const std::vector<size_t>& mapping,
-                                       const Schema& to) const {
+                                       const Schema& to) && {
   RecordBatch out;
   out.schema_ = to;
   out.columns_.reserve(mapping.size());
-  for (size_t src : mapping) out.columns_.push_back(columns_[src]);
+  for (size_t src : mapping) out.columns_.push_back(std::move(columns_[src]));
   out.rows_ = rows_;
   return out;
 }
 
 RecordBatch RecordBatch::SelectColumns(const std::vector<size_t>& mapping,
                                        const Schema& to, size_t at,
-                                       ColumnVector computed) const {
+                                       ColumnVector computed) && {
   ETLOPT_CHECK(computed.size() == rows_);
   RecordBatch out;
   out.schema_ = to;
@@ -91,7 +91,7 @@ RecordBatch RecordBatch::SelectColumns(const std::vector<size_t>& mapping,
     if (j == at) {
       out.columns_.push_back(std::move(computed));
     } else {
-      out.columns_.push_back(columns_[mapping[j]]);
+      out.columns_.push_back(std::move(columns_[mapping[j]]));
     }
   }
   out.rows_ = rows_;

@@ -69,16 +69,17 @@ class RecordBatch {
   RecordBatch Gather(const std::vector<uint32_t>& sel) const;
 
   /// Rebuilds the batch in `to`'s attribute order (realign / projection):
-  /// output column j is this batch's column mapping[j].
+  /// output column j is this batch's column mapping[j], moved out of the
+  /// consumed batch. `mapping` names each column at most once.
   RecordBatch SelectColumns(const std::vector<size_t>& mapping,
-                            const Schema& to) const;
+                            const Schema& to) &&;
 
   /// SelectColumns, except that output column `at` is `computed` (which
   /// must hold num_rows() cells) and mapping[at] is ignored: how the
   /// Function and SurrogateKey kernels assemble their output.
   RecordBatch SelectColumns(const std::vector<size_t>& mapping,
                             const Schema& to, size_t at,
-                            ColumnVector computed) const;
+                            ColumnVector computed) &&;
 
   /// Per-row FNV hash over the cells of `key_cols`, bit-identical to
   /// Record::Hash() of the extracted key record. The result is cached on

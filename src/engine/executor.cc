@@ -7,16 +7,14 @@
 
 namespace etlopt {
 
-StatusOr<std::vector<Record>> RealignRecords(const std::vector<Record>& rows,
+StatusOr<std::vector<Record>> RealignRecords(std::vector<Record> rows,
                                              const Schema& from,
                                              const Schema& to) {
   if (from == to) return rows;
   ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> mapping,
                           ColumnMapping(from, to));
-  std::vector<Record> out;
-  out.reserve(rows.size());
-  for (const auto& r : rows) out.push_back(Realign(r, mapping));
-  return out;
+  for (auto& r : rows) r = Realign(std::move(r), mapping);
+  return rows;
 }
 
 StatusOr<ExecutionResult> ExecuteWorkflow(const Workflow& workflow,

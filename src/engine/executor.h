@@ -126,8 +126,9 @@ StatusOr<bool> ProduceSameOutput(const Workflow& a, const Workflow& b,
                                  const ExecutionInput& input);
 
 /// Reorders `rows` (laid out by `from`) into `to`'s attribute order —
-/// the serial strategy's staging/target realignment step.
-StatusOr<std::vector<Record>> RealignRecords(const std::vector<Record>& rows,
+/// the serial strategy's staging/target realignment step. Consumes
+/// `rows` and moves their cells.
+StatusOr<std::vector<Record>> RealignRecords(std::vector<Record> rows,
                                              const Schema& from,
                                              const Schema& to);
 

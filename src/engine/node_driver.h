@@ -28,11 +28,18 @@
 // RunChain receives the node id; the stream executor's strategy uses it
 // to find the node's incremental operator state, the others ignore it.
 //
-// RunChain may consume `inputs`, and a realign step consumes its
-// provider's flow. A policy that re-runs a failed step (the recoverable
-// executor's retry) is paired only with SerialStrategy: its RunChain
-// only reads `inputs`, and its realign fails only on a missing
-// attribute, which is not retryable.
+// Ownership: a flow has one owner at a time. The driver owns every
+// provider's flow until its consumers take it (the last by move); a
+// step owns its `inputs`, and RunChain and Realign consume them: every
+// strategy moves and edits those rows instead of copying them. A step
+// that failed after consuming its inputs cannot be re-run, so a policy
+// that re-runs failed steps (the recoverable executor's retry) relies on
+// one rule: the only retryable failure inside a step, the
+// FaultSite::kActivityExecute hit, fires before anything consumes the
+// inputs. The built-in kernels fail only with non-retryable codes, and a
+// realign only on a missing attribute. Should a retryable failure come
+// later (a registered scalar function returning Unavailable), the re-run
+// fails with Internal rather than run on moved-from rows.
 
 #ifndef ETLOPT_ENGINE_NODE_DRIVER_H_
 #define ETLOPT_ENGINE_NODE_DRIVER_H_
@@ -112,13 +119,13 @@ class SerialStrategy {
   }
   StatusOr<Flow> FromRows(const Schema&, Flow rows) { return rows; }
   StatusOr<Flow> Realign(Flow rows, const Schema& from, const Schema& to) {
-    if (from == to) return rows;
-    return RealignRecords(rows, from, to);
+    return RealignRecords(std::move(rows), from, to);
   }
+  // Consumes `inputs`.
   StatusOr<Flow> RunChain(NodeId, const ActivityChain& chain,
                           const std::vector<Schema>& in_schemas,
-                          const std::vector<Flow>& inputs) {
-    return chain.Execute(in_schemas, inputs, ctx_);
+                          std::vector<Flow>& inputs) {
+    return chain.Execute(in_schemas, std::move(inputs), ctx_);
   }
   static size_t Rows(const Flow& rows) { return rows.size(); }
 
@@ -165,11 +172,20 @@ StatusOr<ExecutionResult> DriveNodes(const Workflow& workflow,
       std::vector<Flow> inputs;
       inputs.reserve(providers.size());
       for (NodeId p : providers) inputs.push_back(take_input(p));
+      // Set once a strategy call has taken `inputs`. A re-run after that
+      // (a retryable failure the ownership rule above does not expect)
+      // fails cleanly instead of running on moved-from rows.
+      bool consumed = false;
       auto step = [&]() -> Status {
+        if (consumed) {
+          return Status::Internal(StrFormat(
+              "node %d: step re-run after its inputs were consumed", id));
+        }
         if (is_recordset) {
           const RecordSetDef& def = workflow.recordset(id);
           if (!providers.empty()) {
             // Staging or target recordset: realign to the declared schema.
+            consumed = true;
             ETLOPT_ASSIGN_OR_RETURN(
                 flow, strategy.Realign(std::move(inputs[0]),
                                        workflow.OutputSchema(providers[0]),
@@ -194,6 +210,7 @@ StatusOr<ExecutionResult> DriveNodes(const Workflow& workflow,
         }
         ETLOPT_FAULT_HIT(FaultSite::kActivityExecute);
         const ActivityChain& chain = workflow.chain(id);
+        consumed = true;
         auto out =
             strategy.RunChain(id, chain, workflow.InputSchemas(id), inputs);
         if (!out.ok()) {

@@ -18,12 +18,16 @@ std::vector<Morsel> MakeMorsels(size_t n, size_t morsel_size) {
   return morsels;
 }
 
-ThreadPool::ThreadPool(size_t num_threads) {
-  num_threads = std::max<size_t>(1, num_threads);
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
+ThreadPool::ThreadPool(size_t num_threads)
+    : num_threads_(std::max<size_t>(1, num_threads)) {}
+
+void ThreadPool::StartWorkers() {
+  std::call_once(started_, [this] {
+    workers_.reserve(num_threads_);
+    for (size_t i = 0; i < num_threads_; ++i) {
+      workers_.emplace_back([this, i] { WorkerLoop(i); });
+    }
+  });
 }
 
 ThreadPool::~ThreadPool() {
@@ -36,6 +40,7 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::Submit(std::function<void(size_t)> fn) {
+  StartWorkers();
   std::packaged_task<void(size_t)> task(std::move(fn));
   std::future<void> future = task.get_future();
   {
@@ -99,22 +104,28 @@ Status ThreadPool::ParallelFor(
     }
   };
 
-  // Enqueue all driver tasks under one lock and wake every worker at
-  // once; per-driver Submit would take the lock and notify once per
-  // driver, which shows up when ParallelFor runs in a tight loop (the
-  // search frontier issues one small batch per expanded state).
-  size_t drivers = std::min(n, num_threads());
+  // The caller is driver 0. Enqueue the other drivers under one lock and
+  // wake every worker at once; per-driver Submit would take the lock and
+  // notify once per driver, which shows up when ParallelFor runs in a
+  // tight loop (the search frontier issues one small batch per expanded
+  // state).
+  const size_t drivers = std::min(n, num_threads_);
   std::vector<std::future<void>> futures;
-  futures.reserve(drivers);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (size_t d = 0; d < drivers; ++d) {
-      std::packaged_task<void(size_t)> task(drive);
-      futures.push_back(task.get_future());
-      queue_.push_back(std::move(task));
+  if (drivers > 1) {
+    StartWorkers();
+    futures.reserve(drivers - 1);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (size_t d = 1; d < drivers; ++d) {
+        std::packaged_task<void(size_t)> task(
+            [&drive, d](size_t) { drive(d); });
+        futures.push_back(task.get_future());
+        queue_.push_back(std::move(task));
+      }
     }
+    cv_.notify_all();
   }
-  cv_.notify_all();
+  drive(0);
   for (auto& f : futures) f.wait();
   return error;
 }

@@ -7,6 +7,9 @@
 // chunks ParallelFor hands out.
 // Workers are numbered 0..num_threads-1 and the number is passed to every
 // task, so callers can keep contention-free per-worker accumulators.
+// The worker threads start lazily, on the first Submit or the first
+// ParallelFor with more than one driver: a 1-thread pool that only runs
+// ParallelFor never starts a thread.
 
 #ifndef ETLOPT_ENGINE_THREAD_POOL_H_
 #define ETLOPT_ENGINE_THREAD_POOL_H_
@@ -36,7 +39,7 @@ std::vector<Morsel> MakeMorsels(size_t n, size_t morsel_size);
 
 class ThreadPool {
  public:
-  /// Starts `num_threads` workers (clamped to >= 1).
+  /// A pool of `num_threads` workers (clamped to >= 1), started lazily.
   explicit ThreadPool(size_t num_threads);
 
   /// Drains the queue and joins the workers. Pending tasks still run.
@@ -45,7 +48,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t num_threads() const { return workers_.size(); }
+  size_t num_threads() const { return num_threads_; }
 
   /// Enqueues one task; the future resolves when it has run. The task
   /// receives the index of the worker that executes it. A task that
@@ -53,16 +56,18 @@ class ThreadPool {
   /// returned future (rethrown by .get()) and the worker keeps serving.
   std::future<void> Submit(std::function<void(size_t worker)> fn);
 
-  /// Runs `fn(item, worker)` for every item in [0, n), distributing items
-  /// over the workers via an atomic claim counter, and blocks until all
-  /// items finish. If any invocation returns a non-OK status, no further
-  /// items are claimed and the error with the *smallest* item index is
-  /// returned — callers see a deterministic error regardless of thread
-  /// interleaving. An invocation that throws is converted to an Internal
-  /// status and reported the same way — never a wedged pool or a silently
-  /// dropped item. The calling thread only waits; all work happens on the
-  /// pool, so nesting ParallelFor inside a task would deadlock (the
-  /// engine never does).
+  /// Runs `fn(item, worker)` for every item in [0, n) on min(n,
+  /// num_threads()) drivers that claim items from an atomic counter, and
+  /// blocks until all items finish. The calling thread is driver 0 and
+  /// the workers run the others, so a single-driver loop runs inline on
+  /// the caller and hands nothing off. `worker` is the driver's index,
+  /// unique among the drivers of one call. If any invocation returns a
+  /// non-OK status, no further items are claimed and the error with the
+  /// *smallest* item index is returned — callers see a deterministic
+  /// error regardless of thread interleaving. An invocation that throws
+  /// is converted to an Internal status and reported the same way —
+  /// never a wedged pool or a silently dropped item. Nesting ParallelFor
+  /// inside a pool task can deadlock (the engine never does).
   Status ParallelFor(size_t n,
                      const std::function<Status(size_t item, size_t worker)>& fn);
 
@@ -72,7 +77,11 @@ class ThreadPool {
 
  private:
   void WorkerLoop(size_t worker_index);
+  /// Starts the workers once; later calls return at once.
+  void StartWorkers();
 
+  size_t num_threads_;
+  std::once_flag started_;
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_;

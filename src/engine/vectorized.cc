@@ -60,10 +60,11 @@ StatusOr<BatchVec> MakeBatches(const VEngine& eng, const Schema& schema,
   return out;
 }
 
-// A 1:1 kind: one task per batch, each batch replaced by its kernel's
-// output. ParallelFor reports the failing batch with the smallest index,
-// and a kernel fails at its first failing row, so the Status is the one
-// the row engines raise at the first failing row in flow order.
+// A 1:1 kind: one task per batch, each batch moved into its kernel and
+// replaced by the kernel's output. ParallelFor reports the failing batch
+// with the smallest index, and a kernel fails at its first failing row,
+// so the Status is the one the row engines raise at the first failing
+// row in flow order.
 template <typename MapFn>
 StatusOr<BatchVec> RunMap(const VEngine& eng, BatchVec batches,
                           const MapFn& map_batch) {
@@ -71,7 +72,7 @@ StatusOr<BatchVec> RunMap(const VEngine& eng, BatchVec batches,
   ETLOPT_RETURN_NOT_OK(eng.pool->ParallelFor(
       batches.size(), [&](size_t b, size_t) -> Status {
         ETLOPT_FAULT_HIT(FaultSite::kVectorizedBatch);
-        ETLOPT_ASSIGN_OR_RETURN(batches[b], map_batch(batches[b]));
+        ETLOPT_ASSIGN_OR_RETURN(batches[b], map_batch(std::move(batches[b])));
         return Status::OK();
       }));
   return batches;
@@ -84,8 +85,8 @@ StatusOr<BatchVec> RealignBatches(const VEngine& eng, BatchVec batches,
   ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> mapping,
                           ColumnMapping(from, to));
   return RunMap(eng, std::move(batches),
-                [&](const RecordBatch& b) -> StatusOr<RecordBatch> {
-                  return b.SelectColumns(mapping, to);
+                [&](RecordBatch b) -> StatusOr<RecordBatch> {
+                  return std::move(b).SelectColumns(mapping, to);
                 });
 }
 
@@ -99,8 +100,8 @@ StatusOr<BatchVec> RunFunction(const VEngine& eng, const Activity& activity,
       BoundFunction f,
       BindFunction(activity.params_as<FunctionParams>(), in_schema,
                    out_schema));
-  return RunMap(eng, std::move(batches), [&](const RecordBatch& b) {
-    return kernels::FunctionBatch(b, f, out_schema);
+  return RunMap(eng, std::move(batches), [&](RecordBatch b) {
+    return kernels::FunctionBatch(std::move(b), f, out_schema);
   });
 }
 
@@ -115,8 +116,9 @@ StatusOr<BatchVec> RunSurrogateKey(const VEngine& eng,
       BoundSurrogateKey sk,
       BindSurrogateKey(activity, in_schema, out_schema, *eng.ctx));
   if (TotalRows(batches) == 0) return BatchVec{};
-  return RunMap(eng, std::move(batches), [&](const RecordBatch& b) {
-    return kernels::SurrogateKeyBatch(b, sk, out_schema, activity.label());
+  return RunMap(eng, std::move(batches), [&](RecordBatch b) {
+    return kernels::SurrogateKeyBatch(std::move(b), sk, out_schema,
+                                      activity.label());
   });
 }
 
@@ -331,8 +333,9 @@ StatusOr<BatchVec> RunFallback(const VEngine& eng, const Activity& activity,
   if (right != nullptr) inputs.push_back(FlattenBatches(*right));
   eng.stats->fallback_members += 1;
   eng.stats->fallback_rows += inputs[0].size();
-  ETLOPT_ASSIGN_OR_RETURN(std::vector<Record> rows,
-                          activity.Execute(in_schemas, inputs, *eng.ctx));
+  ETLOPT_ASSIGN_OR_RETURN(
+      std::vector<Record> rows,
+      activity.Execute(in_schemas, std::move(inputs), *eng.ctx));
   return MakeBatches(eng, out_schema, rows);
 }
 

@@ -15,8 +15,11 @@
 // keeps the engine total over every workflow the row engine accepts,
 // with identical results and identical errors.
 //
-// Parallelism: a ThreadPool of num_threads workers, with batches as the
-// morsels. 1:1 and filter kernels fan out one task per batch, and the
+// Parallelism: a ThreadPool of num_threads drivers, with batches as the
+// morsels; the calling thread is one of the drivers, so at num_threads 1
+// every kernel runs inline and no thread is started. Kernels take their
+// batches by value and move the columns they pass through. 1:1 and
+// filter kernels fan out one task per batch, and the
 // blocking kinds (PK, aggregation, join build) exchange over
 // num_partitions hash partitions of the batches' cached key hashes —
 // each key is owned by exactly one partition that scans batches in flow

@@ -53,6 +53,22 @@ StatusOr<Value> FnEuro2Dollar(const std::vector<Value>& args) {
   return Value::Double(args[0].AsDouble() * kDollarsPerEuro);
 }
 
+// The three parts of a date string split at '/', found by scanning (no
+// allocation); nullopt unless the string holds exactly two '/'.
+struct DateParts {
+  std::string_view first, second, third;
+};
+
+std::optional<DateParts> SplitDate(std::string_view s) {
+  const size_t a = s.find('/');
+  if (a == std::string_view::npos) return std::nullopt;
+  const size_t b = s.find('/', a + 1);
+  if (b == std::string_view::npos) return std::nullopt;
+  if (s.find('/', b + 1) != std::string_view::npos) return std::nullopt;
+  return DateParts{s.substr(0, a), s.substr(a + 1, b - a - 1),
+                   s.substr(b + 1)};
+}
+
 // "MM/DD/YYYY" -> "DD/MM/YYYY".
 StatusOr<Value> SwapDateParts(const Value& v, const char* fname) {
   if (v.is_null()) return Value::Null();
@@ -61,12 +77,16 @@ StatusOr<Value> SwapDateParts(const Value& v, const char* fname) {
                                    " expects a string date");
   }
   const std::string& s = v.string_value();
-  auto parts = Split(s, '/');
-  if (parts.size() != 3) {
+  std::optional<DateParts> parts = SplitDate(s);
+  if (!parts.has_value()) {
     return Status::InvalidArgument(std::string(fname) + ": bad date '" + s +
                                    "'");
   }
-  return Value::String(parts[1] + "/" + parts[0] + "/" + parts[2]);
+  std::string out;
+  out.reserve(s.size());
+  out.append(parts->second).append(1, '/').append(parts->first);
+  out.append(1, '/').append(parts->third);
+  return Value::String(std::move(out));
 }
 
 StatusOr<Value> FnA2EDate(const std::vector<Value>& args) {
@@ -128,11 +148,11 @@ StatusOr<Value> FnYearOf(const std::vector<Value>& args) {
   if (args[0].is_null()) return Value::Null();
   if (args[0].type() != DataType::kString)
     return Status::InvalidArgument("year_of expects a string date");
-  auto parts = Split(args[0].string_value(), '/');
-  if (parts.size() != 3)
+  std::optional<DateParts> parts = SplitDate(args[0].string_value());
+  if (!parts.has_value())
     return Status::InvalidArgument("year_of: bad date '" +
                                    args[0].string_value() + "'");
-  return Value::Parse(parts[2], DataType::kInt64);
+  return Value::Parse(parts->third, DataType::kInt64);
 }
 
 // Month/year grouper "DD/MM/YYYY" -> "MM/YYYY". Used by the monthly
@@ -142,11 +162,14 @@ StatusOr<Value> FnMonthOf(const std::vector<Value>& args) {
   if (args[0].is_null()) return Value::Null();
   if (args[0].type() != DataType::kString)
     return Status::InvalidArgument("month_of expects a string date");
-  auto parts = Split(args[0].string_value(), '/');
-  if (parts.size() != 3)
+  std::optional<DateParts> parts = SplitDate(args[0].string_value());
+  if (!parts.has_value())
     return Status::InvalidArgument("month_of: bad date '" +
                                    args[0].string_value() + "'");
-  return Value::String(parts[1] + "/" + parts[2]);
+  std::string out;
+  out.reserve(parts->second.size() + 1 + parts->third.size());
+  out.append(parts->second).append(1, '/').append(parts->third);
+  return Value::String(std::move(out));
 }
 
 bool EnsureBuiltinsRegistered() {

@@ -140,20 +140,20 @@ std::vector<std::string> ActivityChain::PredicateStrings() const {
 
 StatusOr<std::vector<Record>> ActivityChain::Execute(
     const std::vector<Schema>& input_schemas,
-    const std::vector<std::vector<Record>>& inputs,
+    std::vector<std::vector<Record>> inputs,
     const ExecutionContext& ctx) const {
-  ETLOPT_ASSIGN_OR_RETURN(std::vector<Record> rows,
-                          front().Execute(input_schemas, inputs, ctx));
+  ETLOPT_ASSIGN_OR_RETURN(
+      std::vector<Record> rows,
+      front().Execute(input_schemas, std::move(inputs), ctx));
   ETLOPT_ASSIGN_OR_RETURN(Schema cur_schema,
                           front().ComputeOutputSchema(input_schemas));
   for (size_t i = 1; i < members_.size(); ++i) {
     const Activity& a = members_[i].activity;
     std::vector<Schema> in_s{cur_schema};
-    ETLOPT_ASSIGN_OR_RETURN(
-        std::vector<Record> next,
-        a.Execute(in_s, std::vector<std::vector<Record>>{std::move(rows)},
-                  ctx));
-    rows = std::move(next);
+    // Not a braced list: that would copy the rows out of it.
+    std::vector<std::vector<Record>> in_rows;
+    in_rows.push_back(std::move(rows));
+    ETLOPT_ASSIGN_OR_RETURN(rows, a.Execute(in_s, std::move(in_rows), ctx));
     ETLOPT_ASSIGN_OR_RETURN(cur_schema, a.ComputeOutputSchema(in_s));
   }
   return rows;

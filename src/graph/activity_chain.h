@@ -88,10 +88,12 @@ class ActivityChain {
   /// One post-condition predicate per member (paper §3.4).
   std::vector<std::string> PredicateStrings() const;
 
-  /// Runs all members in sequence.
+  /// Runs all members in sequence. Takes ownership of `inputs`, like
+  /// Activity::Execute, and hands each member's output to the next member
+  /// by move.
   StatusOr<std::vector<Record>> Execute(
       const std::vector<Schema>& input_schemas,
-      const std::vector<std::vector<Record>>& inputs,
+      std::vector<std::vector<Record>> inputs,
       const ExecutionContext& ctx) const;
 
  private:

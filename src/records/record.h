@@ -21,6 +21,8 @@ class Record {
   const Value& value(size_t i) const { return values_[i]; }
   Value& value(size_t i) { return values_[i]; }
   const std::vector<Value>& values() const { return values_; }
+  /// The cells, for kernels that edit a row they own in place.
+  std::vector<Value>& mutable_values() { return values_; }
 
   void Append(Value v) { values_.push_back(std::move(v)); }
 

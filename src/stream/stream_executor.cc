@@ -545,14 +545,16 @@ class StreamRun : public SerialStrategy {
         full.insert(full.end(), inputs[i].begin(), inputs[i].end());
         staging.port_append[i] = std::exchange(inputs[i], std::move(full));
       }
-      return chain.Execute(in_schemas, inputs, ctx_);
+      return chain.Execute(in_schemas, std::move(inputs), ctx_);
     }
+    // The inputs are moved into stateless members and discarded after
+    // each member; a retry re-drives the whole batch from its source.
     for (size_t m = 0; m < plan.members.size(); ++m) {
       const MemberPlan& mp = plan.members[m];
       StatusOr<Flow> out =
           mp.mode == MemberMode::kStateless
-              ? chain.members()[m].activity.Execute(mp.input_schemas, inputs,
-                                                    ctx_)
+              ? chain.members()[m].activity.Execute(mp.input_schemas,
+                                                    std::move(inputs), ctx_)
               : ExecuteMember(mp, state.members[m], staging.members[m],
                               inputs);
       if (!out.ok()) return out.status();

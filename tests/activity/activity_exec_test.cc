@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "activity/templates.h"
 
 namespace etlopt {
@@ -294,6 +296,77 @@ TEST(ExecTest, JoinNullKeysNeverMatch) {
       j->Execute({ItemSchema(), right}, {{RowNullVal(1, "a")}, right_rows}, {});
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->empty());
+}
+
+// Execute takes ownership of its input flows. A caller that keeps its
+// rows hands over a copy; the kernels edit only that copy, and the result
+// is the one the moved-in flow gives.
+TEST(ExecTest, ExecuteOnACopyLeavesCallerRowsUnchanged) {
+  ExecutionContext ctx;
+  for (int64_t id = 1; id <= 4; ++id) {
+    ctx.lookups["lut"].emplace(std::vector<Value>{Value::Int(id)},
+                               Value::Int(100 + id));
+  }
+  const Schema item = ItemSchema();
+  const Schema permuted = Schema::MakeOrDie({{"VAL", DataType::kDouble},
+                                             {"ID", DataType::kInt64},
+                                             {"TAG", DataType::kString}});
+  const Schema extra = Schema::MakeOrDie({{"ID", DataType::kInt64},
+                                          {"EXTRA", DataType::kString}});
+  const std::vector<Record> permuted_rows = {
+      Record({Value::Double(99), Value::Int(7), Value::String("z")}),
+      Record({Value::Double(10), Value::Int(1), Value::String("a")})};
+  const std::vector<Record> extra_rows = {
+      Record({Value::Int(1), Value::String("x")}),
+      Record({Value::Int(1), Value::String("y")}),
+      Record({Value::Int(4), Value::String("w")})};
+  const std::vector<Record> some_rows = {Row(1, "a", 10), Row(4, "c", -5)};
+
+  struct Case {
+    StatusOr<Activity> activity;
+    std::vector<Schema> schemas;
+    std::vector<std::vector<Record>> inputs;
+  };
+  std::vector<Case> cases;
+  auto unary = [&](StatusOr<Activity> a) {
+    cases.push_back({std::move(a), {item}, {Rows()}});
+  };
+  unary(MakeSelection("s",
+                      Compare(CompareOp::kGt, Column("VAL"),
+                              Literal(Value::Double(15.0))),
+                      0.5));
+  unary(MakeNotNull("nn", "VAL", 0.9));
+  unary(MakeDomainCheck("dc", "VAL", 0.0, 20.0, 0.5));
+  unary(MakePrimaryKeyCheck("pk", {"ID"}, 0.9));
+  unary(MakeProjection("p", {"TAG"}));
+  unary(MakeFunction("f", "dollar2euro", {"VAL"}, "VAL_EUR",
+                     DataType::kDouble, {"VAL"}));
+  unary(MakeInPlaceFunction("up", "upper", "TAG", DataType::kString));
+  unary(MakeSurrogateKey("sk", {"ID"}, "SKEY", "lut", {"ID"}));
+  unary(MakeAggregation("g", {"TAG"}, {{AggFn::kSum, "VAL", "TOTAL"}}, 0.5));
+  cases.push_back({MakeUnion("u"), {item, permuted}, {Rows(), permuted_rows}});
+  cases.push_back({MakeJoin("j", {"ID"}, 0.5), {item, extra},
+                   {Rows(), extra_rows}});
+  cases.push_back(
+      {MakeDifference("d", 0.5), {item, item}, {Rows(), some_rows}});
+  cases.push_back(
+      {MakeIntersection("x", 0.5), {item, item}, {Rows(), some_rows}});
+
+  std::set<ActivityKind> kinds;
+  for (Case& c : cases) {
+    ASSERT_TRUE(c.activity.ok()) << c.activity.status().ToString();
+    const Activity& a = *c.activity;
+    kinds.insert(a.kind());
+    const std::vector<std::vector<Record>> before = c.inputs;
+    auto on_copy = a.Execute(c.schemas, c.inputs, ctx);
+    ASSERT_TRUE(on_copy.ok()) << a.label() << ": "
+                              << on_copy.status().ToString();
+    EXPECT_EQ(c.inputs, before) << a.label();
+    auto on_moved = a.Execute(c.schemas, std::move(c.inputs), ctx);
+    ASSERT_TRUE(on_moved.ok()) << a.label();
+    EXPECT_EQ(*on_copy, *on_moved) << a.label();
+  }
+  EXPECT_EQ(kinds.size(), 12u);
 }
 
 }  // namespace

@@ -142,7 +142,7 @@ TEST(RecordBatchTest, SelectColumnsRealigns) {
                                       {"I", DataType::kInt64}});
   std::vector<Record> rows = TestRows(10);
   RecordBatch batch = RecordBatch::FromRows(schema, rows, 0, rows.size());
-  RecordBatch out = batch.SelectColumns({2, 0}, swapped);
+  RecordBatch out = std::move(batch).SelectColumns({2, 0}, swapped);
   ASSERT_EQ(out.num_rows(), rows.size());
   ASSERT_EQ(out.num_columns(), 2u);
   for (size_t i = 0; i < rows.size(); ++i) {

@@ -4,13 +4,16 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "activity/templates.h"
 #include "common/random.h"
 #include "fault/fault_injector.h"
+#include "optimizer/transitions.h"
 #include "workload/scenarios.h"
 
 namespace etlopt {
@@ -131,6 +134,86 @@ TEST(RecoveryTest, RetryMasksTransientFaults) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ExpectSameResult(*plain, *r);
   EXPECT_GE(stats.retries, 2u);
+}
+
+// The driver hands a node's inputs to its chain by move, so a retried
+// step must fail before anything consumed them: the kActivityExecute hit
+// does. Two transient faults on a three-member chain node are retried,
+// and the run still loads exactly what the unmerged workflow loads.
+TEST(RecoveryTest, RetriedChainNodeIsByteIdentical) {
+  auto s = BuildFig1Scenario();
+  ASSERT_TRUE(s.ok());
+  ExecutionInput input = MakeFig1Input(9, 150);
+  auto plain = ExecuteWorkflow(s->workflow, input);
+  ASSERT_TRUE(plain.ok());
+
+  Workflow merged = s->workflow;
+  ASSERT_TRUE(ApplyMerge(merged, s->to_euro, s->a2e_date).ok());
+  ASSERT_TRUE(ApplyMerge(merged, s->to_euro, s->aggregate).ok());
+  ASSERT_TRUE(merged.Refresh().ok());
+  ASSERT_EQ(merged.chain(s->to_euro).size(), 3u);
+  // The chain node's first attempt is the hit after every activity node
+  // ahead of it in topo order.
+  uint64_t hit = 0;
+  for (NodeId id : merged.TopoOrder()) {
+    if (id == s->to_euro) break;
+    if (merged.IsActivity(id)) ++hit;
+  }
+
+  FaultSchedule schedule;
+  schedule.faults.push_back(
+      MakeSpec(FaultSite::kActivityExecute, hit, FaultKind::kError));
+  schedule.faults.push_back(
+      MakeSpec(FaultSite::kActivityExecute, hit + 1, FaultKind::kError));
+  ScopedFaultInjection arm(schedule);
+  RecoverableExecutor exec(FastOptions());
+  RecoveryStats stats;
+  auto r = exec.Execute(merged, input, &stats);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(stats.retries, 2u);
+  EXPECT_EQ(stats.node_executions[s->to_euro], 1u);
+  for (const auto& [name, rows] : plain->target_data) {
+    auto it = r->target_data.find(name);
+    ASSERT_NE(it, r->target_data.end()) << "missing target " << name;
+    EXPECT_EQ(rows, it->second) << "target " << name;
+  }
+}
+
+// A scalar function that fails with a retryable code once, then works.
+StatusOr<Value> FnUnavailableOnce(const std::vector<Value>& args) {
+  static std::atomic<int> calls{0};
+  if (calls++ == 0) return Status::Unavailable("flaky scalar function");
+  return args[0];
+}
+
+// A retryable failure after the chain consumed its inputs cannot be
+// retried on those inputs; the run fails cleanly instead of loading the
+// moved-from rows.
+TEST(RecoveryTest, RetryAfterInputsConsumedFailsCleanly) {
+  ASSERT_TRUE(
+      RegisterScalarFunction("test_unavailable_once", &FnUnavailableOnce)
+          .ok());
+  Schema schema = Schema::MakeOrDie({{"ID", DataType::kInt64}});
+  Workflow w;
+  NodeId src = w.AddRecordSet({"S", schema, 3});
+  NodeId fn = *w.AddActivity(*MakeInPlaceFunction("flaky",
+                                                  "test_unavailable_once",
+                                                  "ID", DataType::kInt64),
+                             {src});
+  NodeId dst = w.AddRecordSet({"T", schema, 0});
+  ASSERT_TRUE(w.Connect(fn, dst).ok());
+  ASSERT_TRUE(w.Finalize().ok());
+  ExecutionInput input;
+  for (int64_t i = 1; i <= 3; ++i) {
+    input.source_data["S"].push_back(Record({Value::Int(i)}));
+  }
+  RecoverableExecutor exec(FastOptions());
+  auto r = exec.Execute(w, input);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInternal()) << r.status().ToString();
+  EXPECT_NE(r.status().message().find("inputs were consumed"),
+            std::string::npos)
+      << r.status().ToString();
 }
 
 TEST(RecoveryTest, ExhaustedRetriesSurfaceCleanly) {
