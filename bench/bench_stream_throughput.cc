@@ -13,7 +13,10 @@
 // and is a hard failure even under ETLOPT_BENCH_QUICK=1, which
 // otherwise shrinks the inputs and demotes the speed gate to
 // informational. Reports sustained rows/sec and p99 batch latency vs
-// the one-shot run. Emits BENCH_stream_throughput.json.
+// the one-shot run, and the medium scenario's stream-to-one-shot time
+// ratio across batch counts (16, 64, 256 and 1,024; 16 and 64 under
+// ETLOPT_BENCH_QUICK=1), reported without a gate. Emits
+// BENCH_stream_throughput.json.
 
 #include <algorithm>
 #include <chrono>
@@ -205,6 +208,36 @@ ScenarioNumbers RunScenario(const Scenario& s, size_t num_batches,
   return numbers;
 }
 
+// The medium scenario streamed at each batch count in `sweep`: the
+// stream's time over the one-shot run's, reported as
+// medium.sweep.<n>.stream_to_oneshot. Whether each streamed result
+// equals the one-shot run is reported next to it.
+void RunBatchSweep(const Scenario& s, const std::vector<size_t>& sweep,
+                   int repeats, JsonReport& report) {
+  StatusOr<ExecutionResult> oneshot = ExecutionResult{};
+  const double oneshot_ms = MillisOf(
+      [&] { oneshot = ExecuteWorkflow(s.workflow, s.input); }, repeats);
+  ETLOPT_CHECK_OK(oneshot.status());
+  for (size_t n : sweep) {
+    StreamOptions options;
+    options.num_batches = static_cast<int64_t>(n);
+    StreamExecutor exec(options);
+    StatusOr<ExecutionResult> streamed = ExecutionResult{};
+    const double stream_ms = MillisOf(
+        [&] { streamed = exec.Run(s.workflow, s.input); }, repeats);
+    ETLOPT_CHECK_OK(streamed.status());
+    const bool match = SameMultisetResult(*oneshot, *streamed);
+    const std::string p = s.name + ".sweep." + std::to_string(n) + ".";
+    report.Add(p + "stream.millis", stream_ms, "ms");
+    report.Add(p + "stream_to_oneshot", stream_ms / oneshot_ms, "x");
+    report.Add(p + "outputs_match", match ? 1.0 : 0.0, "bool");
+    std::printf(
+        "  %-7s %4zu batches: stream %8.1f ms = %6.2fx one-shot %7.1f ms%s\n",
+        s.name.c_str(), n, stream_ms, stream_ms / oneshot_ms, oneshot_ms,
+        match ? "" : " (OUTPUT DIFFERS)");
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -225,6 +258,11 @@ int main() {
   Scenario join = MakeJoinScenario(join_rows);
   ScenarioNumbers join_numbers =
       RunScenario(join, num_batches, repeats, report);
+
+  const std::vector<size_t> sweep =
+      quick ? std::vector<size_t>{16, 64}
+            : std::vector<size_t>{16, 64, 256, 1024};
+  RunBatchSweep(medium, sweep, repeats, report);
 
   report.Write();
 

@@ -30,26 +30,31 @@ std::vector<std::vector<Record>> SliceRows(const std::vector<Record>& rows,
   return slices;
 }
 
-}  // namespace
+// One source recordset's capture, bound and validated.
+struct BoundSource {
+  std::string name;
+  const std::vector<Record>* rows = nullptr;
+  size_t ts_index = 0;  // event mode only
+};
 
-StatusOr<MicroBatchSource> MicroBatchSource::Make(
-    const Workflow& workflow, const ExecutionInput& capture,
-    const StreamOptions& options) {
+// The capture checked against the workflow and cut into batches on
+// paper: the bound sources, the batch count and (event mode) the
+// stream's first timestamp. No row is copied.
+struct CaptureLayout {
+  std::vector<BoundSource> sources;
+  size_t batch_count = 0;
+  int64_t min_ts = 0;
+};
+
+// Validates options, binds and validates every source recordset's
+// capture exactly as ExecuteWorkflow would, and derives the batch count.
+StatusOr<CaptureLayout> LayOut(const Workflow& workflow,
+                               const ExecutionInput& capture,
+                               const StreamOptions& options) {
   ETLOPT_RETURN_NOT_OK(ValidateStreamOptions(options));
   ETLOPT_RETURN_NOT_OK(RequireFresh(workflow));
-  MicroBatchSource source;
-  source.options_ = options;
-  source.context_ = capture.context;
-  source.event_mode_ = !options.event_time_column.empty();
-
-  // Bind and validate every source recordset's capture, exactly as
-  // ExecuteWorkflow would.
-  struct Bound {
-    std::string name;
-    const std::vector<Record>* rows;
-    size_t ts_index = 0;  // event mode only
-  };
-  std::vector<Bound> bound;
+  const bool event_mode = !options.event_time_column.empty();
+  CaptureLayout layout;
   size_t max_rows = 0;
   for (NodeId id : workflow.SourceRecordSets()) {
     const RecordSetDef& def = workflow.recordset(id);
@@ -65,10 +70,10 @@ StatusOr<MicroBatchSource> MicroBatchSource::Make(
                       def.name.c_str(), r.size(), def.schema.size()));
       }
     }
-    Bound b;
+    BoundSource b;
     b.name = def.name;
     b.rows = &it->second;
-    if (source.event_mode_) {
+    if (event_mode) {
       auto idx = def.schema.IndexOf(options.event_time_column);
       if (!idx.has_value()) {
         return Status::InvalidArgument(StrFormat(
@@ -89,14 +94,14 @@ StatusOr<MicroBatchSource> MicroBatchSource::Make(
       }
     }
     max_rows = std::max(max_rows, it->second.size());
-    bound.push_back(std::move(b));
+    layout.sources.push_back(std::move(b));
   }
 
-  if (source.event_mode_) {
+  if (event_mode) {
     // Global time span across all sources.
     int64_t min_ts = 0, max_ts = 0;
     bool any = false;
-    for (const Bound& b : bound) {
+    for (const BoundSource& b : layout.sources) {
       for (const auto& r : *b.rows) {
         int64_t ts = r.value(b.ts_index).int_value();
         if (!any || ts < min_ts) min_ts = ts;
@@ -104,22 +109,63 @@ StatusOr<MicroBatchSource> MicroBatchSource::Make(
         any = true;
       }
     }
-    source.stream_min_ts_ = min_ts;
+    layout.min_ts = min_ts;
     const uint64_t span = any ? static_cast<uint64_t>(max_ts - min_ts) : 0;
-    source.batch_count_ = static_cast<size_t>(
+    layout.batch_count = static_cast<size_t>(
         any ? span / static_cast<uint64_t>(options.window_millis) + 1 : 1);
+  } else {
+    layout.batch_count = static_cast<size_t>(options.num_batches);
+    if (options.batch_rows > 0) {
+      layout.batch_count = std::max<size_t>(
+          1, (max_rows + static_cast<size_t>(options.batch_rows) - 1) /
+                 static_cast<size_t>(options.batch_rows));
+    }
+  }
+  return layout;
+}
+
+// Capture contents x batching knobs. A different slicing of the same
+// capture must not resume from the other's checkpoint.
+uint64_t Fingerprint(const ExecutionInput& capture, size_t batch_count,
+                     const StreamOptions& options) {
+  uint64_t h = ExecutionInputFingerprint(capture);
+  std::string buf;
+  PutU64(buf, static_cast<uint64_t>(batch_count));
+  PutU32(buf, static_cast<uint32_t>(options.event_time_column.size()));
+  buf += options.event_time_column;
+  PutU64(buf, static_cast<uint64_t>(options.window_millis));
+  PutU64(buf, static_cast<uint64_t>(options.num_batches));
+  PutU64(buf, static_cast<uint64_t>(options.batch_rows));
+  return Fnv1a64(buf, h);
+}
+
+}  // namespace
+
+StatusOr<MicroBatchSource> MicroBatchSource::Make(
+    const Workflow& workflow, const ExecutionInput& capture,
+    const StreamOptions& options) {
+  ETLOPT_ASSIGN_OR_RETURN(CaptureLayout layout,
+                          LayOut(workflow, capture, options));
+  MicroBatchSource source;
+  source.options_ = options;
+  source.context_ = capture.context;
+  source.event_mode_ = !options.event_time_column.empty();
+  source.batch_count_ = layout.batch_count;
+
+  if (source.event_mode_) {
+    source.stream_min_ts_ = layout.min_ts;
     source.batch_min_ts_.assign(source.batch_count_, 0);
     source.batch_max_ts_.assign(source.batch_count_, 0);
     std::vector<bool> seen(source.batch_count_, false);
     // Stable partition: window order across batches, capture order within.
-    for (const Bound& b : bound) {
+    for (const BoundSource& b : layout.sources) {
       auto& slices = source.slices_[b.name];
       slices.assign(source.batch_count_, {});
       for (const auto& r : *b.rows) {
         int64_t ts = r.value(b.ts_index).int_value();
-        size_t w = static_cast<size_t>(static_cast<uint64_t>(ts - min_ts) /
-                                       static_cast<uint64_t>(
-                                           options.window_millis));
+        size_t w = static_cast<size_t>(
+            static_cast<uint64_t>(ts - layout.min_ts) /
+            static_cast<uint64_t>(options.window_millis));
         slices[w].push_back(r);
         if (!seen[w] || ts < source.batch_min_ts_[w]) {
           source.batch_min_ts_[w] = ts;
@@ -131,35 +177,23 @@ StatusOr<MicroBatchSource> MicroBatchSource::Make(
       }
     }
   } else {
-    size_t num_batches = static_cast<size_t>(options.num_batches);
-    if (options.batch_rows > 0) {
-      num_batches = std::max<size_t>(
-          1, (max_rows + static_cast<size_t>(options.batch_rows) - 1) /
-                 static_cast<size_t>(options.batch_rows));
-    }
-    source.batch_count_ = num_batches;
-    for (const Bound& b : bound) {
-      source.slices_[b.name] = SliceRows(*b.rows, num_batches);
+    for (const BoundSource& b : layout.sources) {
+      source.slices_[b.name] = SliceRows(*b.rows, source.batch_count_);
     }
   }
 
-  // Fingerprint: capture contents x batching knobs. A different slicing
-  // of the same capture must not resume from the other's checkpoint.
-  {
-    uint64_t h = ExecutionInputFingerprint(capture);
-    std::string buf;
-    PutU64(buf, static_cast<uint64_t>(source.batch_count_));
-    PutU32(buf, static_cast<uint32_t>(options.event_time_column.size()));
-    buf += options.event_time_column;
-    PutU64(buf, static_cast<uint64_t>(options.window_millis));
-    PutU64(buf, static_cast<uint64_t>(options.num_batches));
-    PutU64(buf, static_cast<uint64_t>(options.batch_rows));
-    source.fingerprint_ = Fnv1a64(buf, h);
-  }
-
+  source.fingerprint_ = Fingerprint(capture, source.batch_count_, options);
   source.clock_anchor_ = std::chrono::steady_clock::now();
   source.anchor_batch_ = 0;
   return source;
+}
+
+StatusOr<uint64_t> MicroBatchSource::FingerprintOf(
+    const Workflow& workflow, const ExecutionInput& capture,
+    const StreamOptions& options) {
+  ETLOPT_ASSIGN_OR_RETURN(CaptureLayout layout,
+                          LayOut(workflow, capture, options));
+  return Fingerprint(capture, layout.batch_count, options);
 }
 
 std::chrono::microseconds MicroBatchSource::DueOffset(size_t b) const {

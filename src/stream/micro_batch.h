@@ -73,6 +73,12 @@ class MicroBatchSource {
   /// Keys the stream checkpoint together with Workflow::SignatureHash.
   uint64_t CaptureFingerprint() const { return fingerprint_; }
 
+  /// Make(workflow, capture, options)->CaptureFingerprint(), with the
+  /// same Status for an invalid capture, without slicing the capture.
+  static StatusOr<uint64_t> FingerprintOf(const Workflow& workflow,
+                                          const ExecutionInput& capture,
+                                          const StreamOptions& options);
+
   /// The capture's lookup tables, unchanged.
   const ExecutionContext& context() const { return context_; }
 

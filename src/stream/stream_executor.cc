@@ -1,6 +1,7 @@
 #include "stream/stream_executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <filesystem>
 #include <map>
@@ -43,8 +44,11 @@ enum class MemberMode {
   kPkDelta,
   /// Join: persistent input histories + key indexes, emits new pairs.
   kJoinDelta,
-  /// Aggregation: persistent per-group accumulators, emits the full
-  /// sorted group table (the stream turns into refresh here).
+  /// Aggregation: persistent per-group accumulators (the stream turns
+  /// into refresh here). On a keyed node it emits a keyed changelog:
+  /// only the groups this batch touched, in sorted group-key order, as
+  /// upserts (all groups on the first batch after a resume). Elsewhere
+  /// it emits the full sorted group table.
   kAggRefresh,
   /// Difference/Intersection: persistent bag counts per side, emits the
   /// full current result (refresh).
@@ -79,6 +83,15 @@ struct NodePlan {
   bool recompute = false;
   /// This node emits its full output each batch (vs. a delta).
   bool refresh_output = false;
+  /// A refresh node that emits a keyed changelog instead of its full
+  /// output: an aggregation over a delta input followed by row-wise
+  /// members only (the origin), or a row-wise chain or a recordset fed
+  /// by a keyed node. Every consumer of a keyed node is keyed or a
+  /// target; KeyedNodes() has the rule.
+  bool keyed = false;
+  /// Keyed nodes other than the origin: the activity node whose
+  /// changelog keys this node's input rows (through recordsets).
+  std::optional<NodeId> keyed_from;
   /// recompute only: ports whose provider is delta-mode and therefore
   /// needs an accumulated history.
   std::vector<bool> port_history;
@@ -88,11 +101,19 @@ struct NodePlan {
 
 // ---- persistent operator state and per-batch staging ---------------------
 
+/// One aggregation group: its accumulators, and its ordinal among the
+/// run's groups, the identity a keyed changelog carries. Ordinals are
+/// not checkpointed: a resume numbers the restored groups in key order.
+struct Group {
+  std::vector<AggAcc> accs;
+  size_t id = 0;
+};
+
 struct MemberState {
   std::set<std::vector<Value>> pk_seen;
   std::vector<Record> left_rows, right_rows;  // join histories
   std::map<std::vector<Value>, std::vector<size_t>> left_index, right_index;
-  std::map<std::vector<Value>, std::vector<AggAcc>> groups;
+  std::map<std::vector<Value>, Group> groups;
   std::vector<Record> bag_order;  // distinct left rows, first-encounter order
   std::map<Record, int64_t> left_counts, right_counts;
 };
@@ -109,7 +130,8 @@ struct MemberStaging {
   std::set<std::vector<Value>> pk_new;
   std::vector<Record> left_new, right_new;
   std::vector<std::vector<Value>> left_new_keys, right_new_keys;
-  std::map<std::vector<Value>, std::vector<AggAcc>> group_overlay;
+  std::map<std::vector<Value>, Group> group_overlay;
+  size_t new_groups = 0;  // groups the overlay added to `groups`
   std::vector<Record> bag_order_new;
   std::map<Record, int64_t> left_counts_overlay, right_counts_overlay;
 
@@ -120,6 +142,7 @@ struct MemberStaging {
     left_new_keys.clear();
     right_new_keys.clear();
     group_overlay.clear();
+    new_groups = 0;
     bag_order_new.clear();
     left_counts_overlay.clear();
     right_counts_overlay.clear();
@@ -135,6 +158,66 @@ struct NodeStaging {
     for (auto& p : port_append) p.clear();
   }
 };
+
+// ---- keyed changelogs ----------------------------------------------------
+
+/// What one keyed node's output gained and lost in one batch. The node's
+/// output flow holds the upserted rows in sorted group-key order;
+/// `ids[i]` is the Group::id of row i. `deletes` are the groups whose row
+/// a filter dropped this batch (a no-op where the row was not live).
+struct Changelog {
+  std::vector<size_t> ids;
+  std::vector<size_t> deletes;
+};
+
+/// The live rows of a keyed activity node, by Group::id.
+struct LiveGroups {
+  std::vector<bool> live;
+  size_t count = 0;
+};
+
+/// Members that map each row on its own, so they can run on the changed
+/// rows of a keyed changelog only.
+bool IsRowWise(ActivityKind kind) {
+  switch (kind) {
+    case ActivityKind::kSelection:
+    case ActivityKind::kNotNull:
+    case ActivityKind::kDomainCheck:
+    case ActivityKind::kProjection:
+    case ActivityKind::kFunction:
+    case ActivityKind::kSurrogateKey:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// The row-wise members that drop rows; the others map rows 1:1.
+bool IsFilter(ActivityKind kind) {
+  return kind == ActivityKind::kSelection || kind == ActivityKind::kNotNull ||
+         kind == ActivityKind::kDomainCheck;
+}
+
+/// Bit-for-bit equal cells (a NaN equals itself, -0.0 differs from 0.0):
+/// a filter, which decides each row by its cells alone, decides two
+/// such rows alike.
+bool SameCells(const Record& a, const Record& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const Value& x = a.value(i);
+    const Value& y = b.value(i);
+    if (x.type() != y.type()) return false;
+    if (x.type() == DataType::kDouble) {
+      if (std::bit_cast<uint64_t>(x.double_value()) !=
+          std::bit_cast<uint64_t>(y.double_value())) {
+        return false;
+      }
+    } else if (!(x == y)) {
+      return false;
+    }
+  }
+  return true;
+}
 
 // ---- helpers -------------------------------------------------------------
 
@@ -259,10 +342,10 @@ std::string SerializeNodeState(const NodePlan& plan, const NodeState& state) {
         break;
       case kTagAgg:
         PutU64(out, ms.groups.size());
-        for (const auto& [key, accs] : ms.groups) {
+        for (const auto& [key, group] : ms.groups) {
           PutValueVec(out, key);
-          PutU32(out, static_cast<uint32_t>(accs.size()));
-          for (const AggAcc& acc : accs) PutAcc(out, acc);
+          PutU32(out, static_cast<uint32_t>(group.accs.size()));
+          for (const AggAcc& acc : group.accs) PutAcc(out, acc);
         }
         break;
       case kTagBag:
@@ -361,7 +444,8 @@ Status ParseNodeState(const NodePlan& plan, std::string_view blob,
               ETLOPT_ASSIGN_OR_RETURN(AggAcc acc, ReadAcc(reader));
               vec.push_back(std::move(acc));
             }
-            ms.groups.emplace(std::move(key), std::move(vec));
+            const size_t id = ms.groups.size();
+            ms.groups.emplace(std::move(key), Group{std::move(vec), id});
           }
           break;
         }
@@ -402,9 +486,17 @@ class StreamRun : public SerialStrategy {
         rng_(options.retry_seed) {}
 
   Status BuildPlan(StreamStats* stats) {
+    const std::set<NodeId> keyed = KeyedNodes();
     for (NodeId id : workflow_.TopoOrder()) {
       NodePlan plan;
+      plan.keyed = keyed.count(id) != 0;
       const std::vector<NodeId> providers = workflow_.Providers(id);
+      if (plan.keyed && !providers.empty() && plans_.at(providers[0]).keyed) {
+        // Recordsets pass their provider's changelog through unchanged.
+        plan.keyed_from = workflow_.IsRecordSet(providers[0])
+                              ? plans_.at(providers[0]).keyed_from
+                              : std::optional<NodeId>(providers[0]);
+      }
       if (workflow_.IsRecordSet(id)) {
         plan.is_target = !providers.empty() && workflow_.Consumers(id).empty();
         plan.refresh_output =
@@ -414,7 +506,7 @@ class StreamRun : public SerialStrategy {
         for (NodeId p : providers) {
           any_refresh_input |= plans_.at(p).refresh_output;
         }
-        if (any_refresh_input) {
+        if (any_refresh_input && !plan.keyed) {
           plan.recompute = true;
           plan.refresh_output = true;
           plan.port_history.resize(providers.size());
@@ -423,12 +515,16 @@ class StreamRun : public SerialStrategy {
           }
         } else {
           ETLOPT_RETURN_NOT_OK(PlanMembers(id, &plan));
+          // A keyed row-wise chain has only stateless members, but its
+          // output is still the (keyed) refresh of its input.
+          plan.refresh_output |= plan.keyed;
         }
         if (plan.refresh_output) {
           ++stats->refresh_nodes;
         } else {
           ++stats->delta_nodes;
         }
+        if (plan.keyed) ++stats->keyed_nodes;
       }
       plans_.emplace(id, std::move(plan));
     }
@@ -498,6 +594,9 @@ class StreamRun : public SerialStrategy {
       restored.emplace(id, std::move(state));
     }
     for (auto& [id, state] : restored) states_[id] = std::move(state);
+    // Keyed tables are not checkpointed: the first batch rebuilds them
+    // from the restored accumulators.
+    rebuild_keyed_ = true;
     result->rows_out = std::move(checkpoint->rows_out);
     result->target_data = std::move(checkpoint->target_data);
     stats->resumed = true;
@@ -514,6 +613,7 @@ class StreamRun : public SerialStrategy {
       ETLOPT_RETURN_NOT_OK(source.Seek(b));
       ETLOPT_ASSIGN_OR_RETURN(MicroBatch batch, source.Next());
       for (auto& [id, staging] : staging_) staging.Clear();
+      changes_.clear();
       // Only the batch rows: the lookup tables stay in ctx_.
       ExecutionInput input;
       input.source_data = std::move(batch.source_rows);
@@ -547,21 +647,58 @@ class StreamRun : public SerialStrategy {
       }
       return chain.Execute(in_schemas, std::move(inputs), ctx_);
     }
+    // A keyed node's changelog: a follower starts from its provider's
+    // (its input rows are that changelog's upserts), an origin from an
+    // empty one that its aggregation fills.
+    Changelog* log = nullptr;
+    if (plan.keyed) {
+      log = &changes_[id];
+      if (plan.keyed_from.has_value()) *log = changes_.at(*plan.keyed_from);
+    }
+    bool keyed_flow = plan.keyed_from.has_value();
     // The inputs are moved into stateless members and discarded after
     // each member; a retry re-drives the whole batch from its source.
     for (size_t m = 0; m < plan.members.size(); ++m) {
       const MemberPlan& mp = plan.members[m];
+      const Activity& activity = chain.members()[m].activity;
       StatusOr<Flow> out =
-          mp.mode == MemberMode::kStateless
-              ? chain.members()[m].activity.Execute(mp.input_schemas,
-                                                    std::move(inputs), ctx_)
-              : ExecuteMember(mp, state.members[m], staging.members[m],
-                              inputs);
+          keyed_flow ? RunRowWise(activity, mp, std::move(inputs), *log)
+          : mp.mode == MemberMode::kStateless
+              ? activity.Execute(mp.input_schemas, std::move(inputs), ctx_)
+              : ExecuteMember(mp, state.members[m], staging.members[m], inputs,
+                              log != nullptr ? &log->ids : nullptr);
       if (!out.ok()) return out.status();
       inputs.clear();
       inputs.push_back(std::move(out).value());
+      keyed_flow |= mp.mode == MemberMode::kAggRefresh && log != nullptr;
     }
     return std::move(inputs[0]);
+  }
+
+  /// The keyed targets' tables in `targets`, sorted by group key: the
+  /// rows a full refresh would have emitted, in the same order. A no-op
+  /// until a batch of this run committed (a run that resumed at its end
+  /// keeps the restored tables).
+  void MaterializeKeyed(
+      std::map<std::string, std::vector<Record>>* targets) const {
+    if (!committed_) return;
+    for (const auto& [id, table] : keyed_tables_) {
+      // The origin's groups, in key order, give the rows their order.
+      NodeId origin = *plans_.at(id).keyed_from;
+      while (plans_.at(origin).keyed_from.has_value()) {
+        origin = *plans_.at(origin).keyed_from;
+      }
+      const std::vector<MemberPlan>& members = plans_.at(origin).members;
+      size_t agg = 0;
+      while (members[agg].mode != MemberMode::kAggRefresh) ++agg;
+      std::vector<Record>& rows = (*targets)[workflow_.recordset(id).name];
+      rows.clear();
+      for (const auto& [key, group] : states_.at(origin).members[agg].groups) {
+        if (group.id < table.size() && table[group.id].has_value()) {
+          rows.push_back(*table[group.id]);
+        }
+      }
+    }
   }
 
   Status MaybeCheckpoint(uint64_t next_batch, uint64_t batch_count,
@@ -579,6 +716,7 @@ class StreamRun : public SerialStrategy {
     checkpoint.batch_count = batch_count;
     checkpoint.rows_out = result.rows_out;
     checkpoint.target_data = result.target_data;
+    MaterializeKeyed(&checkpoint.target_data);
     for (const auto& [id, plan] : plans_) {
       if (!NodeHasState(id)) continue;
       checkpoint.state_blobs["n" + std::to_string(id)] =
@@ -602,6 +740,71 @@ class StreamRun : public SerialStrategy {
   }
 
  private:
+  /// The nodes that carry a keyed changelog instead of a full refresh,
+  /// chosen by plan shape alone. An origin is an activity node whose
+  /// inputs are deltas and whose chain turns refresh at an aggregation
+  /// followed by row-wise members only. A follower is a row-wise chain
+  /// whose one provider is a candidate; a recordset follows its
+  /// provider. A candidate is keyed only if every consumer is keyed (a
+  /// target has none), and it descends from a keyed origin. Every other
+  /// refresh node keeps the full-refresh path.
+  std::set<NodeId> KeyedNodes() const {
+    std::map<NodeId, bool> refresh, candidate, origin;
+    for (NodeId id : workflow_.TopoOrder()) {
+      const std::vector<NodeId> providers = workflow_.Providers(id);
+      if (workflow_.IsRecordSet(id)) {
+        refresh[id] = !providers.empty() && refresh[providers[0]];
+        candidate[id] = !providers.empty() && candidate[providers[0]];
+        continue;
+      }
+      bool refresh_in = false;
+      for (NodeId p : providers) refresh_in |= refresh[p];
+      const auto& members = workflow_.chain(id).members();
+      size_t turn = 0;  // the first member that makes the stream refresh
+      while (turn < members.size()) {
+        const ActivityKind k = members[turn].activity.kind();
+        if (k == ActivityKind::kAggregation ||
+            k == ActivityKind::kDifference ||
+            k == ActivityKind::kIntersection) {
+          break;
+        }
+        ++turn;
+      }
+      auto row_wise_from = [&](size_t m) {
+        for (; m < members.size(); ++m) {
+          if (!IsRowWise(members[m].activity.kind())) return false;
+        }
+        return true;
+      };
+      refresh[id] = refresh_in || turn < members.size();
+      origin[id] = !refresh_in && turn < members.size() &&
+                   members[turn].activity.kind() ==
+                       ActivityKind::kAggregation &&
+                   row_wise_from(turn + 1);
+      candidate[id] = origin[id] || (refresh_in && providers.size() == 1 &&
+                                     candidate[providers[0]] &&
+                                     row_wise_from(0));
+    }
+    const std::vector<NodeId>& topo = workflow_.TopoOrder();
+    std::set<NodeId> consumers_ok;
+    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+      if (!candidate[*it]) continue;
+      const std::vector<NodeId> consumers = workflow_.Consumers(*it);
+      if (std::all_of(consumers.begin(), consumers.end(),
+                      [&](NodeId c) { return consumers_ok.count(c) != 0; })) {
+        consumers_ok.insert(*it);
+      }
+    }
+    std::set<NodeId> keyed;
+    for (NodeId id : topo) {
+      if (consumers_ok.count(id) == 0) continue;
+      if (origin[id] || keyed.count(workflow_.Providers(id)[0]) != 0) {
+        keyed.insert(id);
+      }
+    }
+    return keyed;
+  }
+
   Status PlanMembers(NodeId id, NodePlan* plan) {
     const ActivityChain& chain = workflow_.chain(id);
     std::vector<Schema> cur_inputs = workflow_.InputSchemas(id);
@@ -675,11 +878,51 @@ class StreamRun : public SerialStrategy {
     return Status::OK();
   }
 
+  // Row-wise member `activity` over the upserted rows of a keyed
+  // changelog, `inputs[0][i]` of group `log.ids[i]`. A 1:1 member keeps
+  // every group; a filter keeps an order-preserving subsequence of its
+  // rows, unmodified, and the groups of the rows it dropped become
+  // deletes. Errors are the full refresh's: the unchanged rows passed
+  // this member in an earlier batch, so the first failing row is a
+  // changed one.
+  StatusOr<std::vector<Record>> RunRowWise(
+      const Activity& activity, const MemberPlan& mp,
+      std::vector<std::vector<Record>> inputs, Changelog& log) {
+    if (!IsFilter(activity.kind())) {
+      return activity.Execute(mp.input_schemas, std::move(inputs), ctx_);
+    }
+    const std::vector<Record> before = inputs[0];
+    ETLOPT_ASSIGN_OR_RETURN(
+        std::vector<Record> kept,
+        activity.Execute(mp.input_schemas, std::move(inputs), ctx_));
+    // Matching the kept rows greedily against `before` recovers exactly
+    // which groups survived: a dropped row bit-identical to a kept one
+    // would have been kept too.
+    size_t j = 0;
+    size_t live = 0;
+    for (size_t i = 0; i < before.size(); ++i) {
+      if (j < kept.size() && SameCells(before[i], kept[j])) {
+        log.ids[live++] = log.ids[i];
+        ++j;
+      } else {
+        log.deletes.push_back(log.ids[i]);
+      }
+    }
+    log.ids.resize(live);
+    if (j != kept.size()) {
+      return Status::Internal("stream: filter output is not a subsequence");
+    }
+    return kept;
+  }
+
   // One stateful chain member over its batch inputs, against `ms`, with
-  // every state change staged in `mstg`.
+  // every state change staged in `mstg`. On a keyed node (`ids` set) an
+  // aggregation emits its keyed changelog and appends the Group::id of
+  // every row it emits to `ids`.
   StatusOr<std::vector<Record>> ExecuteMember(
       const MemberPlan& mp, const MemberState& ms, MemberStaging& mstg,
-      const std::vector<std::vector<Record>>& inputs) {
+      const std::vector<std::vector<Record>>& inputs,
+      std::vector<size_t>* ids) {
     std::vector<Record> out;
     switch (mp.mode) {
       case MemberMode::kStateless:
@@ -753,25 +996,37 @@ class StreamRun : public SerialStrategy {
                      .emplace(std::move(key),
                               base != ms.groups.end()
                                   ? base->second
-                                  : std::vector<AggAcc>(mp.agg_fns.size()))
+                                  : Group{std::vector<AggAcc>(
+                                              mp.agg_fns.size()),
+                                          ms.groups.size() +
+                                              mstg.new_groups++})
                      .first;
           }
           for (size_t i = 0; i < mp.arg_idx.size(); ++i) {
-            it->second[i].Add(r.value(mp.arg_idx[i]));
+            it->second.accs[i].Add(r.value(mp.arg_idx[i]));
           }
+        }
+        auto emit = [&](const std::vector<Value>& key, const Group& group) {
+          Record nr;
+          for (const Value& k : key) nr.Append(k);
+          for (size_t i = 0; i < mp.agg_fns.size(); ++i) {
+            nr.Append(group.accs[i].Result(mp.agg_fns[i]));
+          }
+          out.push_back(std::move(nr));
+          if (ids != nullptr) ids->push_back(group.id);
+        };
+        // Keyed changelog: the overlay holds exactly the groups this
+        // batch touched, in sorted key order.
+        if (ids != nullptr && !rebuild_keyed_) {
+          out.reserve(mstg.group_overlay.size());
+          for (const auto& [key, group] : mstg.group_overlay) {
+            emit(key, group);
+          }
+          return out;
         }
         // Full refresh in sorted key order: merge the persistent map
         // with this batch's overlay (overlay wins) — exactly the table
         // the batch engine would emit over the whole prefix.
-        auto emit = [&](const std::vector<Value>& key,
-                        const std::vector<AggAcc>& accs) {
-          Record nr;
-          for (const Value& k : key) nr.Append(k);
-          for (size_t i = 0; i < mp.agg_fns.size(); ++i) {
-            nr.Append(accs[i].Result(mp.agg_fns[i]));
-          }
-          out.push_back(std::move(nr));
-        };
         auto main_it = ms.groups.begin();
         auto over_it = mstg.group_overlay.begin();
         while (main_it != ms.groups.end() ||
@@ -825,7 +1080,8 @@ class StreamRun : public SerialStrategy {
 
   // Applies a successful batch: its staged mutations become persistent
   // state, and its outputs fold into the run's result (delta nodes and
-  // targets accumulate, refresh ones are replaced).
+  // targets accumulate, refresh ones are replaced, keyed ones apply
+  // their changelog).
   void Commit(ExecutionResult batch, ExecutionResult* result) {
     for (auto& [id, staging] : staging_) {
       NodeState& state = states_.at(id);
@@ -851,8 +1107,8 @@ class StreamRun : public SerialStrategy {
               ms.right_rows.size());
           ms.right_rows.push_back(std::move(mstg.right_new[i]));
         }
-        for (auto& [key, accs] : mstg.group_overlay) {
-          ms.groups[key] = std::move(accs);
+        for (auto& [key, group] : mstg.group_overlay) {
+          ms.groups[key] = std::move(group);
         }
         for (auto& [r, c] : mstg.left_counts_overlay) ms.left_counts[r] = c;
         for (auto& [r, c] : mstg.right_counts_overlay) {
@@ -865,7 +1121,26 @@ class StreamRun : public SerialStrategy {
       staging.Clear();
     }
     for (const auto& [id, count] : batch.rows_out) {
-      if (plans_.at(id).refresh_output) {
+      const NodePlan& plan = plans_.at(id);
+      if (plan.keyed) {
+        // A keyed node's rows_out is its live row count.
+        const Changelog& log = changes_.at(id);
+        LiveGroups& groups = keyed_live_[id];
+        for (size_t g : log.deletes) {
+          if (g < groups.live.size() && groups.live[g]) {
+            groups.live[g] = false;
+            --groups.count;
+          }
+        }
+        for (size_t g : log.ids) {
+          if (g >= groups.live.size()) groups.live.resize(g + 1);
+          if (!groups.live[g]) {
+            groups.live[g] = true;
+            ++groups.count;
+          }
+        }
+        result->rows_out[id] = groups.count;
+      } else if (plan.refresh_output) {
         result->rows_out[id] = count;
       } else {
         result->rows_out[id] += count;
@@ -876,13 +1151,28 @@ class StreamRun : public SerialStrategy {
       const std::string& name = workflow_.recordset(id).name;
       std::vector<Record>& rows = batch.target_data.at(name);
       std::vector<Record>& target = result->target_data[name];
-      if (plan.refresh_output) {
+      if (plan.keyed) {
+        // Held by group; MaterializeKeyed orders it where observed.
+        const Changelog& log = changes_.at(*plan.keyed_from);
+        std::vector<std::optional<Record>>& table = keyed_tables_[id];
+        for (size_t g : log.deletes) {
+          if (g < table.size()) table[g].reset();
+        }
+        for (size_t i = 0; i < rows.size(); ++i) {
+          const size_t g = log.ids[i];
+          if (g >= table.size()) table.resize(g + 1);
+          table[g] = std::move(rows[i]);
+        }
+        target.clear();
+      } else if (plan.refresh_output) {
         target = std::move(rows);
       } else {
         target.insert(target.end(), std::make_move_iterator(rows.begin()),
                       std::make_move_iterator(rows.end()));
       }
     }
+    rebuild_keyed_ = false;
+    committed_ = true;
   }
 
   const StreamOptions& options_;
@@ -893,6 +1183,17 @@ class StreamRun : public SerialStrategy {
   std::map<NodeId, NodePlan> plans_;
   std::map<NodeId, NodeState> states_;
   std::map<NodeId, NodeStaging> staging_;
+  // Keyed nodes: this batch's changelogs (staged like the overlays), the
+  // live groups of each keyed activity node, and each keyed target's
+  // rows by Group::id. Rebuilt, not checkpointed.
+  std::map<NodeId, Changelog> changes_;
+  std::map<NodeId, LiveGroups> keyed_live_;
+  std::map<NodeId, std::vector<std::optional<Record>>> keyed_tables_;
+  // Set by a resume: the next batch emits every group, not just the
+  // changed ones, so the keyed state above is rebuilt.
+  bool rebuild_keyed_ = false;
+  // Some batch of this run committed.
+  bool committed_ = false;
 };
 
 }  // namespace
@@ -953,6 +1254,7 @@ StatusOr<ExecutionResult> StreamExecutor::Run(const Workflow& workflow,
             .count());
     ETLOPT_RETURN_NOT_OK(checkpointed);
   }
+  run.MaterializeKeyed(&result.target_data);
 
   if (!checkpoint_path.empty()) {
     if (options_.remove_checkpoints_on_success) {
@@ -975,10 +1277,11 @@ StatusOr<ExecutionResult> StreamExecutor::Run(const Workflow& workflow,
 Status StreamExecutor::ClearCheckpoints(const Workflow& workflow,
                                         const ExecutionInput& capture) const {
   if (options_.checkpoint_dir.empty()) return Status::OK();
-  ETLOPT_ASSIGN_OR_RETURN(MicroBatchSource source,
-                          MicroBatchSource::Make(workflow, capture, options_));
-  const std::string path = CheckpointPathFor(workflow.SignatureHash(),
-                                             source.CaptureFingerprint());
+  ETLOPT_ASSIGN_OR_RETURN(
+      uint64_t fingerprint,
+      MicroBatchSource::FingerprintOf(workflow, capture, options_));
+  const std::string path =
+      CheckpointPathFor(workflow.SignatureHash(), fingerprint);
   std::error_code ec;
   fs::remove(path, ec);
   if (ec) {

@@ -12,15 +12,23 @@
 //  * Join keeps both input histories and per-key indexes, emitting
 //    exactly the new pairs each batch (delta in, delta out);
 //  * Aggregation keeps persistent per-group accumulators (the same
-//    AggAcc as the batch engine) and re-emits the full sorted group
-//    table each batch (delta in, refresh out);
+//    AggAcc as the batch engine); its output is a refresh: the current
+//    sorted group table;
 //  * Difference/Intersection keep bag counts per side (delta in,
 //    refresh out);
-//  * any node downstream of a refresh output recomputes from scratch
-//    each batch over the full stream so far (delta-side inputs are
-//    accumulated into per-port histories).
+//  * where an aggregation is followed only by row-wise members
+//    (Selection/NotNull/DomainCheck/Projection/Function/SurrogateKey)
+//    down to its targets, the refresh is carried as a keyed changelog:
+//    each batch emits only the groups whose accumulators changed, in
+//    group-key order, as upserts; the row-wise members run on those
+//    rows only, a row a filter drops becomes a delete of its group,
+//    and the target holds its rows by group;
+//  * any other node downstream of a refresh output recomputes from
+//    scratch each batch over the full stream so far (delta-side inputs
+//    are accumulated into per-port histories).
 // The batch's ExecutionResult then folds into the run's result: delta
-// nodes and targets accumulate, refresh ones are replaced.
+// nodes and targets accumulate, refresh ones are replaced, keyed ones
+// apply their changelog.
 //
 // The final result is byte-identical — as a multiset per target, with
 // exactly equal rows_out — to one-shot ExecuteWorkflow over the whole
@@ -68,6 +76,8 @@ struct StreamStats {
   /// Nodes running in delta mode / refresh (recompute) mode.
   size_t delta_nodes = 0;
   size_t refresh_nodes = 0;
+  /// Of the refresh nodes, those carrying a keyed changelog.
+  size_t keyed_nodes = 0;
   /// Wall latency of each executed batch, in microseconds (bench p99).
   std::vector<int64_t> batch_micros;
 };

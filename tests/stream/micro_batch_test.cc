@@ -201,6 +201,49 @@ TEST(MicroBatchTest, FingerprintDistinguishesBatchingAndData) {
   EXPECT_NE(a->CaptureFingerprint(), d->CaptureFingerprint());
 }
 
+TEST(MicroBatchTest, FingerprintOfMatchesMakeWithoutSlicing) {
+  Workflow w = MakeTinyWorkflow();
+  ExecutionInput input = MakeCapture(12);
+  StreamOptions by_count;
+  by_count.num_batches = 4;
+  StreamOptions by_rows;
+  by_rows.batch_rows = 5;
+  StreamOptions by_time;
+  by_time.event_time_column = "ETS";
+  by_time.window_millis = 10;
+  for (const StreamOptions& options : {by_count, by_rows, by_time}) {
+    auto source = MicroBatchSource::Make(w, input, options);
+    ASSERT_TRUE(source.ok()) << source.status().ToString();
+    auto fingerprint = MicroBatchSource::FingerprintOf(w, input, options);
+    ASSERT_TRUE(fingerprint.ok()) << fingerprint.status().ToString();
+    EXPECT_EQ(*fingerprint, source->CaptureFingerprint());
+  }
+
+  // Every invalid capture fails with Make's exact Status.
+  ExecutionInput unbound;
+  ExecutionInput narrow = MakeCapture(3);
+  narrow.source_data["S"][1] = Record({Value::Int(1)});
+  ExecutionInput null_ts = MakeCapture(3);
+  null_ts.source_data["S"][2] = Record({Value::Int(2), Value::Null()});
+  StreamOptions no_column = by_time;
+  no_column.event_time_column = "NO_SUCH";
+  StreamOptions no_batches;
+  no_batches.num_batches = 0;
+  const struct {
+    const ExecutionInput& capture;
+    const StreamOptions& options;
+  } invalid[] = {{unbound, by_count},  {narrow, by_count},
+                 {null_ts, by_time},   {input, no_column},
+                 {input, no_batches}};
+  for (const auto& c : invalid) {
+    auto source = MicroBatchSource::Make(w, c.capture, c.options);
+    auto fingerprint = MicroBatchSource::FingerprintOf(w, c.capture, c.options);
+    ASSERT_FALSE(source.ok());
+    EXPECT_EQ(fingerprint.status(), source.status())
+        << fingerprint.status().ToString();
+  }
+}
+
 TEST(MicroBatchTest, NextExhaustsAndSeekRewinds) {
   Workflow w = MakeTinyWorkflow();
   ExecutionInput input = MakeCapture(6);
