@@ -28,6 +28,7 @@
 #include <variant>
 #include <vector>
 
+#include "activity/lookup_table.h"
 #include "common/statusor.h"
 #include "expr/expr.h"
 #include "records/record.h"
@@ -144,9 +145,10 @@ using ActivityParams =
                  JoinParams, DifferenceParams, IntersectionParams>;
 
 /// Runtime environment for executing activities: named surrogate-key
-/// lookup tables (composite key values -> surrogate id).
+/// lookup tables (composite key values -> surrogate id). Copying a
+/// context shares its tables and their indexes (see LookupTable).
 struct ExecutionContext {
-  std::map<std::string, std::map<std::vector<Value>, Value>> lookups;
+  std::map<std::string, LookupTable> lookups;
 };
 
 /// An instantiated activity template.

@@ -125,14 +125,15 @@ StatusOr<std::vector<Record>> Activity::Execute(
     case ActivityKind::kSurrogateKey: {
       ETLOPT_ASSIGN_OR_RETURN(BoundSurrogateKey sk,
                               BindSurrogateKey(*this, in, out_schema, ctx));
-      std::vector<Value> key(sk.keys.size());
       for (auto& r : rows) {
-        for (size_t k = 0; k < sk.keys.size(); ++k) {
-          key[k] = r.value(sk.keys[k]);
+        const Value* hit = sk.index->Find(
+            sk.keys.size(),
+            [&](size_t k) { return r.value(sk.keys[k]).Hash(); },
+            [&](size_t k, const Value& v) { return r.value(sk.keys[k]) == v; });
+        if (hit == nullptr) {
+          return SurrogateKeyMiss(label_, ExtractKey(r, sk.keys));
         }
-        auto hit = sk.table->find(key);
-        if (hit == sk.table->end()) return SurrogateKeyMiss(label_, key);
-        r = sk.layout.Assemble(std::move(r), hit->second);
+        r = sk.layout.Assemble(std::move(r), *hit);
       }
       return std::move(rows);
     }

@@ -146,7 +146,7 @@ StatusOr<BoundSurrogateKey> BindSurrogateKey(const Activity& activity,
                   activity.label().c_str(), p.lookup_name.c_str()));
   }
   BoundSurrogateKey sk;
-  sk.table = &lut->second;
+  sk.index = &lut->second.Index();
   ETLOPT_ASSIGN_OR_RETURN(sk.keys, AttrIndices(in, p.key_attrs));
   ETLOPT_ASSIGN_OR_RETURN(sk.layout,
                           DeriveLayout(in, out, p.output, "surrogate key"));

@@ -13,7 +13,6 @@
 #ifndef ETLOPT_ACTIVITY_BINDING_H_
 #define ETLOPT_ACTIVITY_BINDING_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -81,14 +80,16 @@ struct BoundFunction {
 StatusOr<BoundFunction> BindFunction(const FunctionParams& p, const Schema& in,
                                      const Schema& out);
 
-/// A SurrogateKey activity bound to its input layout and lookup table.
+/// A SurrogateKey activity bound to its input layout and to the hash
+/// index of its lookup table.
 struct BoundSurrogateKey {
-  const std::map<std::vector<Value>, Value>* table = nullptr;
+  const LookupIndex* index = nullptr;
   std::vector<size_t> keys;  // input positions of the key attributes
   DerivedLayout layout;
 };
 
-/// Resolves `activity` (a SurrogateKey) against `in` and `ctx`. NotFound
+/// Resolves `activity` (a SurrogateKey) against `in` and `ctx`, building
+/// the table's index if no copy of the table has yet. NotFound
 /// "activity '<label>': lookup table '<name>' not bound" if `ctx` lacks
 /// the table — raised whether or not any rows flow.
 StatusOr<BoundSurrogateKey> BindSurrogateKey(const Activity& activity,

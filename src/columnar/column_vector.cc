@@ -149,6 +149,29 @@ uint64_t ColumnVector::CellHash(size_t i) const {
   return kFnvBasis;
 }
 
+bool ColumnVector::CellEquals(size_t i, const Value& v) const {
+  if (boxed_) return box_[i] == v;
+  if (IsNull(i)) return v.is_null();
+  const DataType t = v.type();
+  switch (declared_) {
+    case DataType::kInt64:
+    case DataType::kDouble: {
+      if (t != DataType::kInt64 && t != DataType::kDouble) return false;
+      const double cell = declared_ == DataType::kInt64
+                              ? static_cast<double>(ints_[i])
+                              : doubles_[i];
+      return cell == v.AsDouble();
+    }
+    case DataType::kBool:
+      return t == DataType::kBool && (bools_[i] != 0) == v.bool_value();
+    case DataType::kString:
+      return t == DataType::kString && strings_[i] == v.string_value();
+    case DataType::kNull:
+      break;
+  }
+  return v.is_null();
+}
+
 ColumnVector ColumnVector::Gather(const std::vector<uint32_t>& sel) const {
   ColumnVector out(declared_);
   out.boxed_ = boxed_;

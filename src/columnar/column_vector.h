@@ -61,6 +61,9 @@ class ColumnVector {
   /// FNV hash of cell `i`, bit-identical to ValueAt(i).Hash().
   uint64_t CellHash(size_t i) const;
 
+  /// ValueAt(i) == v, read in place without boxing the cell.
+  bool CellEquals(size_t i, const Value& v) const;
+
   // Typed raw access for kernels; valid only when !boxed() and the
   // declared type matches. NULL positions hold a zero placeholder.
   const int64_t* ints() const { return ints_.data(); }

@@ -79,14 +79,17 @@ StatusOr<RecordBatch> SurrogateKeyBatch(RecordBatch batch,
   const size_t n = batch.num_rows();
   ColumnVector computed(out_schema.attribute(sk.layout.computed).type);
   computed.Reserve(n);
-  std::vector<Value> key(sk.keys.size());
   for (size_t i = 0; i < n; ++i) {
-    for (size_t k = 0; k < sk.keys.size(); ++k) {
-      key[k] = batch.column(sk.keys[k]).ValueAt(i);
+    const Value* hit = sk.index->Find(
+        sk.keys.size(),
+        [&](size_t k) { return batch.column(sk.keys[k]).CellHash(i); },
+        [&](size_t k, const Value& v) {
+          return batch.column(sk.keys[k]).CellEquals(i, v);
+        });
+    if (hit == nullptr) {
+      return SurrogateKeyMiss(label, KeyAt(batch, sk.keys, i));
     }
-    auto hit = sk.table->find(key);
-    if (hit == sk.table->end()) return SurrogateKeyMiss(label, key);
-    computed.Append(hit->second);
+    computed.Append(*hit);
   }
   return std::move(batch).SelectColumns(sk.layout.source, out_schema,
                                        sk.layout.computed, std::move(computed));

@@ -56,47 +56,6 @@ bool AsNumericColumn(const ColumnVector& c, NumericColumn* out) {
   return true;
 }
 
-// Comparison outcome for two non-null doubles. Spelled with the exact
-// ==/< negation forms CompareExpr::Evaluate uses (not <=/>=) so NaN
-// cells order identically to the row path.
-inline bool CompareDoubles(CompareOp op, double a, double b) {
-  switch (op) {
-    case CompareOp::kEq:
-      return a == b;
-    case CompareOp::kNe:
-      return !(a == b);
-    case CompareOp::kLt:
-      return a < b;
-    case CompareOp::kLe:
-      return !(b < a);
-    case CompareOp::kGt:
-      return b < a;
-    case CompareOp::kGe:
-      return !(a < b);
-  }
-  return false;
-}
-
-// Same outcome for two non-null Values, using the rank-based total
-// order exactly as CompareExpr::Evaluate does.
-inline bool CompareValues(CompareOp op, const Value& l, const Value& r) {
-  switch (op) {
-    case CompareOp::kEq:
-      return l == r;
-    case CompareOp::kNe:
-      return !(l == r);
-    case CompareOp::kLt:
-      return l < r;
-    case CompareOp::kLe:
-      return !(r < l);
-    case CompareOp::kGt:
-      return r < l;
-    case CompareOp::kGe:
-      return !(l < r);
-  }
-  return false;
-}
-
 Status EvalCompare(CompareOp op, const Operand& lhs, const Operand& rhs,
                    const RecordBatch& batch, std::vector<uint8_t>* tri) {
   const size_t n = batch.num_rows();
@@ -117,14 +76,14 @@ Status EvalCompare(CompareOp op, const Operand& lhs, const Operand& rhs,
   if (l_num_col && r_num_lit) {
     const double b = rhs.literal->AsDouble();
     for (size_t i = 0; i < n; ++i) {
-      (*tri)[i] = lc.nulls[i] ? 2 : (CompareDoubles(op, lc.At(i), b) ? 1 : 0);
+      (*tri)[i] = lc.nulls[i] ? 2 : (CompareValues(op, lc.At(i), b) ? 1 : 0);
     }
     return Status::OK();
   }
   if (l_num_lit && r_num_col) {
     const double a = lhs.literal->AsDouble();
     for (size_t i = 0; i < n; ++i) {
-      (*tri)[i] = rc.nulls[i] ? 2 : (CompareDoubles(op, a, rc.At(i)) ? 1 : 0);
+      (*tri)[i] = rc.nulls[i] ? 2 : (CompareValues(op, a, rc.At(i)) ? 1 : 0);
     }
     return Status::OK();
   }
@@ -132,16 +91,20 @@ Status EvalCompare(CompareOp op, const Operand& lhs, const Operand& rhs,
     for (size_t i = 0; i < n; ++i) {
       (*tri)[i] = (lc.nulls[i] || rc.nulls[i])
                       ? 2
-                      : (CompareDoubles(op, lc.At(i), rc.At(i)) ? 1 : 0);
+                      : (CompareValues(op, lc.At(i), rc.At(i)) ? 1 : 0);
     }
     return Status::OK();
   }
 
-  // General path: box cells and use Value's operators directly. Still
-  // avoids the row path's per-row schema lookup and virtual dispatch.
+  // General path: box column cells and use Value's operators directly.
+  // Still avoids the row path's per-row schema lookup and virtual
+  // dispatch.
+  Value l_cell, r_cell;
   for (size_t i = 0; i < n; ++i) {
-    Value l = lhs.is_column ? batch.column(lhs.col).ValueAt(i) : *lhs.literal;
-    Value r = rhs.is_column ? batch.column(rhs.col).ValueAt(i) : *rhs.literal;
+    if (lhs.is_column) l_cell = batch.column(lhs.col).ValueAt(i);
+    if (rhs.is_column) r_cell = batch.column(rhs.col).ValueAt(i);
+    const Value& l = lhs.is_column ? l_cell : *lhs.literal;
+    const Value& r = rhs.is_column ? r_cell : *rhs.literal;
     if (l.is_null() || r.is_null()) {
       (*tri)[i] = 2;
     } else {

@@ -13,12 +13,14 @@
 // error behaviour (e.g. NotFound for unknown columns) exactly.
 //
 // Results are tri-state per row (SQL three-valued logic): 0 = false,
-// 1 = true, 2 = NULL. The semantics replicate expr.cc bit for bit:
-// comparisons of NULL yield NULL, non-null comparisons use Value's
-// rank-based total order (int and double compare numerically, mixed
-// ranks compare by rank), and AND/OR/NOT combine tri-states the way
-// LogicalExpr::Evaluate does. A filter keeps exactly the rows whose
-// tri-state is 1, matching EvaluatePredicate's NULL-is-false rule.
+// 1 = true, 2 = NULL, the bytes of expr.h's Truth. The semantics
+// replicate expr.cc bit for bit: comparisons of NULL yield NULL,
+// non-null comparisons go through the row path's own CompareValues
+// (expr.h) over Value's rank-based total order (int and double compare
+// numerically, mixed ranks compare by rank), and AND/OR/NOT combine
+// tri-states the way LogicalExpr::Test does. A filter keeps exactly the
+// rows whose tri-state is 1, matching EvaluatePredicate's NULL-is-false
+// rule.
 
 #ifndef ETLOPT_COLUMNAR_VECTOR_EVAL_H_
 #define ETLOPT_COLUMNAR_VECTOR_EVAL_H_

@@ -92,7 +92,7 @@ CachePlan::CachePlan(const Workflow& workflow, const ExecutionInput& input,
   sig_in.lookup_fingerprint = [&input](const std::string& name) -> uint64_t {
     auto it = input.context.lookups.find(name);
     if (it == input.context.lookups.end()) return 0x6d697373696e6721ull;
-    return LookupFingerprint(it->second);
+    return LookupFingerprint(it->second.entries());
   };
   signatures_ = AllSubgraphResultSignatures(workflow_, sig_in);
 

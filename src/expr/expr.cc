@@ -188,6 +188,30 @@ bool EnsureBuiltinsRegistered() {
   return true;
 }
 
+// ---- Predicate truth ----
+
+Truth TruthOf(const Value& v) {
+  switch (v.type()) {
+    case DataType::kNull:
+      return Truth::kNull;
+    case DataType::kBool:
+      return v.bool_value() ? Truth::kTrue : Truth::kFalse;
+    default:
+      return Truth::kNotBool;
+  }
+}
+
+// The Value of a comparison, logical or null-test result (never
+// kNotBool).
+Value TruthValue(Truth t) {
+  return t == Truth::kNull ? Value::Null() : Value::Bool(t == Truth::kTrue);
+}
+
+Truth CompareTruth(CompareOp op, const Value& l, const Value& r) {
+  if (l.is_null() || r.is_null()) return Truth::kNull;
+  return CompareValues(op, l, r) ? Truth::kTrue : Truth::kFalse;
+}
+
 // ---- Node classes ----
 
 class ColumnExpr final : public Expr {
@@ -198,16 +222,26 @@ class ColumnExpr final : public Expr {
 
   StatusOr<Value> Evaluate(const Record& record,
                            const Schema& schema) const override {
-    auto idx = index_.has_value() ? index_ : schema.IndexOf(name_);
-    if (!idx.has_value())
-      return Status::NotFound("column not in schema: " + name_);
-    if (*idx >= record.size())
-      return Status::Internal("record narrower than schema at " + name_);
-    return record.value(*idx);
+    ETLOPT_ASSIGN_OR_RETURN(const Value* cell, Cell(record, schema));
+    return *cell;
+  }
+
+  StatusOr<Truth> Test(const Record& record,
+                       const Schema& schema) const override {
+    ETLOPT_ASSIGN_OR_RETURN(const Value* cell, Cell(record, schema));
+    return TruthOf(*cell);
   }
 
   ExprPtr Bind(const Schema& schema) const override {
     return std::make_shared<ColumnExpr>(name_, schema.IndexOf(name_));
+  }
+
+  /// The position this column was bound to, if any.
+  const std::optional<size_t>& index() const { return index_; }
+
+  /// Status for a record too narrow to hold this (bound) column.
+  Status Narrow() const {
+    return Status::Internal("record narrower than schema at " + name_);
   }
 
   void CollectColumns(std::vector<std::string>* out) const override {
@@ -223,6 +257,15 @@ class ColumnExpr final : public Expr {
   }
 
  private:
+  StatusOr<const Value*> Cell(const Record& record,
+                              const Schema& schema) const {
+    auto idx = index_.has_value() ? index_ : schema.IndexOf(name_);
+    if (!idx.has_value())
+      return Status::NotFound("column not in schema: " + name_);
+    if (*idx >= record.size()) return Narrow();
+    return &record.value(*idx);
+  }
+
   std::string name_;
   std::optional<size_t> index_;  // set when bound
 };
@@ -233,6 +276,10 @@ class LiteralExpr final : public Expr {
 
   StatusOr<Value> Evaluate(const Record&, const Schema&) const override {
     return value_;
+  }
+
+  StatusOr<Truth> Test(const Record&, const Schema&) const override {
+    return TruthOf(value_);
   }
 
   ExprPtr Bind(const Schema&) const override {
@@ -258,32 +305,68 @@ class LiteralExpr final : public Expr {
   Value value_;
 };
 
+// One side of a comparison read in place: a bound column's cell, or a
+// literal's value. Borrows from a child node the comparison holds.
+struct CellOperand {
+  const ColumnExpr* column = nullptr;  // nullptr: a literal
+  size_t index = 0;
+  const Value* literal = nullptr;
+
+  // nullptr iff the record is too narrow to hold the column.
+  const Value* Read(const Record& record) const {
+    if (column == nullptr) return literal;
+    return index < record.size() ? &record.value(index) : nullptr;
+  }
+};
+
+std::optional<CellOperand> CellOperandOf(const Expr& e) {
+  if (e.kind() == Expr::Kind::kLiteral) {
+    return CellOperand{nullptr, 0, e.parts().literal};
+  }
+  if (e.kind() == Expr::Kind::kColumn) {
+    const auto& column = static_cast<const ColumnExpr&>(e);
+    if (column.index().has_value()) {
+      return CellOperand{&column, *column.index(), nullptr};
+    }
+  }
+  return std::nullopt;
+}
+
 class CompareExpr final : public Expr {
  public:
+  // Where both sides are bound columns or literals (a bound tree's
+  // (column, op, literal) and (column, op, column) nodes), Test compares
+  // the record's cells by reference; otherwise it evaluates both sides.
   CompareExpr(CompareOp op, ExprPtr lhs, ExprPtr rhs)
       : Expr(Kind::kCompare), op_(op), lhs_(std::move(lhs)),
-        rhs_(std::move(rhs)) {}
+        rhs_(std::move(rhs)) {
+    std::optional<CellOperand> l = CellOperandOf(*lhs_);
+    std::optional<CellOperand> r = CellOperandOf(*rhs_);
+    if (l.has_value() && r.has_value()) {
+      in_place_ = true;
+      lhs_cell_ = *l;
+      rhs_cell_ = *r;
+    }
+  }
 
   StatusOr<Value> Evaluate(const Record& record,
                            const Schema& schema) const override {
+    ETLOPT_ASSIGN_OR_RETURN(Truth t, Test(record, schema));
+    return TruthValue(t);
+  }
+
+  StatusOr<Truth> Test(const Record& record,
+                       const Schema& schema) const override {
+    if (in_place_) {
+      const Value* l = lhs_cell_.Read(record);
+      if (l == nullptr) return lhs_cell_.column->Narrow();
+      const Value* r = rhs_cell_.Read(record);
+      if (r == nullptr) return rhs_cell_.column->Narrow();
+      return CompareTruth(op_, *l, *r);
+    }
     ETLOPT_ASSIGN_OR_RETURN(Value l, lhs_->Evaluate(record, schema));
     ETLOPT_ASSIGN_OR_RETURN(Value r, rhs_->Evaluate(record, schema));
-    if (l.is_null() || r.is_null()) return Value::Null();
-    switch (op_) {
-      case CompareOp::kEq:
-        return Value::Bool(l == r);
-      case CompareOp::kNe:
-        return Value::Bool(!(l == r));
-      case CompareOp::kLt:
-        return Value::Bool(l < r);
-      case CompareOp::kLe:
-        return Value::Bool(!(r < l));
-      case CompareOp::kGt:
-        return Value::Bool(r < l);
-      case CompareOp::kGe:
-        return Value::Bool(!(l < r));
-    }
-    return Status::Internal("bad compare op");
+    return CompareTruth(op_, l, r);
   }
 
   ExprPtr Bind(const Schema& schema) const override {
@@ -313,6 +396,9 @@ class CompareExpr final : public Expr {
   CompareOp op_;
   ExprPtr lhs_;
   ExprPtr rhs_;
+  bool in_place_ = false;  // both sides read in place
+  CellOperand lhs_cell_;
+  CellOperand rhs_cell_;
 };
 
 class LogicalExpr final : public Expr {
@@ -323,32 +409,38 @@ class LogicalExpr final : public Expr {
 
   StatusOr<Value> Evaluate(const Record& record,
                            const Schema& schema) const override {
-    ETLOPT_ASSIGN_OR_RETURN(Value l, lhs_->Evaluate(record, schema));
+    ETLOPT_ASSIGN_OR_RETURN(Truth t, Test(record, schema));
+    return TruthValue(t);
+  }
+
+  StatusOr<Truth> Test(const Record& record,
+                       const Schema& schema) const override {
+    ETLOPT_ASSIGN_OR_RETURN(Truth l, lhs_->Test(record, schema));
     if (op_ == LogicalOp::kNot) {
-      if (l.is_null()) return Value::Null();
-      if (l.type() != DataType::kBool)
-        return Status::InvalidArgument("NOT over non-bool");
-      return Value::Bool(!l.bool_value());
+      switch (l) {
+        case Truth::kNull:
+          return Truth::kNull;
+        case Truth::kNotBool:
+          return Status::InvalidArgument("NOT over non-bool");
+        case Truth::kTrue:
+          return Truth::kFalse;
+        case Truth::kFalse:
+          return Truth::kTrue;
+      }
     }
-    ETLOPT_ASSIGN_OR_RETURN(Value r, rhs_->Evaluate(record, schema));
+    ETLOPT_ASSIGN_OR_RETURN(Truth r, rhs_->Test(record, schema));
     // Three-valued logic with NULL.
-    auto as_tri = [](const Value& v) -> StatusOr<int> {
-      if (v.is_null()) return -1;
-      if (v.type() != DataType::kBool)
-        return Status::InvalidArgument("logical op over non-bool");
-      return v.bool_value() ? 1 : 0;
-    };
-    ETLOPT_ASSIGN_OR_RETURN(int tl, as_tri(l));
-    ETLOPT_ASSIGN_OR_RETURN(int tr, as_tri(r));
+    if (l == Truth::kNotBool || r == Truth::kNotBool)
+      return Status::InvalidArgument("logical op over non-bool");
     if (op_ == LogicalOp::kAnd) {
-      if (tl == 0 || tr == 0) return Value::Bool(false);
-      if (tl == -1 || tr == -1) return Value::Null();
-      return Value::Bool(true);
+      if (l == Truth::kFalse || r == Truth::kFalse) return Truth::kFalse;
+      if (l == Truth::kNull || r == Truth::kNull) return Truth::kNull;
+      return Truth::kTrue;
     }
     // kOr
-    if (tl == 1 || tr == 1) return Value::Bool(true);
-    if (tl == -1 || tr == -1) return Value::Null();
-    return Value::Bool(false);
+    if (l == Truth::kTrue || r == Truth::kTrue) return Truth::kTrue;
+    if (l == Truth::kNull || r == Truth::kNull) return Truth::kNull;
+    return Truth::kFalse;
   }
 
   ExprPtr Bind(const Schema& schema) const override {
@@ -490,9 +582,16 @@ class NullTestExpr final : public Expr {
 
   StatusOr<Value> Evaluate(const Record& record,
                            const Schema& schema) const override {
-    ETLOPT_ASSIGN_OR_RETURN(Value v, inner_->Evaluate(record, schema));
-    bool isnull = v.is_null();
-    return Value::Bool(kind() == Kind::kIsNull ? isnull : !isnull);
+    ETLOPT_ASSIGN_OR_RETURN(Truth t, Test(record, schema));
+    return TruthValue(t);
+  }
+
+  // The inner value is NULL iff its Test is kNull.
+  StatusOr<Truth> Test(const Record& record,
+                       const Schema& schema) const override {
+    ETLOPT_ASSIGN_OR_RETURN(Truth inner, inner_->Test(record, schema));
+    const bool isnull = inner == Truth::kNull;
+    return isnull == (kind() == Kind::kIsNull) ? Truth::kTrue : Truth::kFalse;
   }
 
   ExprPtr Bind(const Schema& schema) const override {
@@ -622,14 +721,18 @@ ScalarFn FindScalarFunction(const std::string& name) {
   return it == Registry().end() ? nullptr : it->second;
 }
 
+StatusOr<Truth> Expr::Test(const Record& record, const Schema& schema) const {
+  ETLOPT_ASSIGN_OR_RETURN(Value v, Evaluate(record, schema));
+  return TruthOf(v);
+}
+
 StatusOr<bool> EvaluatePredicate(const Expr& expr, const Record& record,
                                  const Schema& schema) {
-  ETLOPT_ASSIGN_OR_RETURN(Value v, expr.Evaluate(record, schema));
-  if (v.is_null()) return false;
-  if (v.type() != DataType::kBool)
+  ETLOPT_ASSIGN_OR_RETURN(Truth t, expr.Test(record, schema));
+  if (t == Truth::kNotBool)
     return Status::InvalidArgument("predicate evaluated to non-bool: " +
                                    expr.ToString());
-  return v.bool_value();
+  return t == Truth::kTrue;
 }
 
 }  // namespace etlopt

@@ -8,6 +8,7 @@
 #ifndef ETLOPT_EXPR_EXPR_H_
 #define ETLOPT_EXPR_EXPR_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +29,35 @@ enum class ArithOp { kAdd, kSub, kMul, kDiv };
 
 std::string_view CompareOpToString(CompareOp op);
 std::string_view ArithOpToString(ArithOp op);
+
+/// `a op b` for two non-null operands of one ordered type: Values under
+/// their rank-based total order, or plain doubles. Every comparison in
+/// the program — the row path and the vectorized kernels — is spelled
+/// here, with == and < and their negations only (never <= or >=), so a
+/// NaN operand gives false for =, < and > and true for <>, <= and >=.
+template <typename T>
+inline bool CompareValues(CompareOp op, const T& a, const T& b) {
+  switch (op) {
+    case CompareOp::kEq:
+      return a == b;
+    case CompareOp::kNe:
+      return !(a == b);
+    case CompareOp::kLt:
+      return a < b;
+    case CompareOp::kLe:
+      return !(b < a);
+    case CompareOp::kGt:
+      return b < a;
+    case CompareOp::kGe:
+      return !(a < b);
+  }
+  return false;
+}
+
+/// A node's value read as a predicate: three-valued logic plus "not a
+/// bool" (a type error only the consumer can word). kFalse, kTrue and
+/// kNull are the per-row bytes of columnar/vector_eval.h.
+enum class Truth : uint8_t { kFalse = 0, kTrue = 1, kNull = 2, kNotBool = 3 };
 
 /// An immutable expression node.
 ///
@@ -80,12 +110,21 @@ class Expr {
   virtual StatusOr<Value> Evaluate(const Record& record,
                                    const Schema& schema) const = 0;
 
+  /// Evaluate's result read as a predicate, with Evaluate's errors. The
+  /// default evaluates the Value; comparisons, logic, null tests, columns
+  /// and literals answer without building one, and a comparison whose
+  /// sides are bound columns or literals reads both cells in place.
+  virtual StatusOr<Truth> Test(const Record& record,
+                               const Schema& schema) const;
+
   /// A copy of this tree bound to `schema`: column references carry
   /// their positions and function calls their registered ScalarFn, so
-  /// Evaluate does no name lookup per row. Evaluate it only on records
-  /// laid out by `schema`; its results and errors are this tree's (a
-  /// column or function that does not resolve stays unbound and fails as
-  /// it would unbound). ToString, CollectColumns and parts are unchanged.
+  /// Evaluate does no name lookup per row, and comparisons of bound
+  /// columns and literals compare the record's cells by reference.
+  /// Evaluate it only on records laid out by `schema`; its results and
+  /// errors are this tree's (a column or function that does not resolve
+  /// stays unbound and fails as it would unbound). ToString,
+  /// CollectColumns and parts are unchanged.
   virtual ExprPtr Bind(const Schema& schema) const = 0;
 
   /// Appends the names of all referenced columns (with duplicates).
@@ -136,7 +175,9 @@ bool IsScalarFunctionRegistered(const std::string& name);
 /// for every row.
 ScalarFn FindScalarFunction(const std::string& name);
 
-/// Evaluates a predicate: NULL and non-bool results are false.
+/// Evaluates a predicate through Expr::Test: NULL is false, and a
+/// non-bool result is InvalidArgument "predicate evaluated to non-bool:
+/// <expr>".
 StatusOr<bool> EvaluatePredicate(const Expr& expr, const Record& record,
                                  const Schema& schema);
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
+#include "activity/binding.h"
 #include "activity/templates.h"
 
 namespace etlopt {
@@ -184,6 +186,44 @@ TEST(ExecTest, SurrogateKeyMissNamesFirstMissingKey) {
   EXPECT_TRUE(out.status().IsNotFound());
   EXPECT_EQ(out.status().message(),
             "activity 'sk': surrogate key miss for (4,c)");
+}
+
+// A NaN key equals no entry, so it misses: Value's ordering treats NaN
+// as equivalent to every key, and an ordered-map lookup used to return
+// the table's first surrogate for it.
+TEST(ExecTest, SurrogateKeyNaNKeyMisses) {
+  ExecutionContext ctx;
+  for (int64_t k = 1; k <= 3; ++k) {
+    ctx.lookups["lut"].emplace(std::vector<Value>{Value::Int(k)},
+                               Value::Int(100 + k));
+  }
+  auto a = MakeSurrogateKey("sk", {"VAL"}, "SKEY", "lut", {"VAL"});
+  const Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
+  auto out = RunActivity(
+      *a, {Row(1, "a", 2), Record({Value::Int(2), Value::String("b"), nan})},
+      ctx);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status(), SurrogateKeyMiss("sk", {nan}));
+}
+
+// Otherwise a key matches the entries the ordered map calls equivalent:
+// numerically equal int and double cells, and -0.0 with 0.
+TEST(ExecTest, SurrogateKeyEqualNumbersHit) {
+  ExecutionContext ctx;
+  ctx.lookups["lut"].emplace(std::vector<Value>{Value::Double(2.0)},
+                             Value::Int(102));
+  ctx.lookups["lut"].emplace(std::vector<Value>{Value::Int(0)},
+                             Value::Int(100));
+  auto by_id = MakeSurrogateKey("sk", {"ID"}, "SKEY", "lut", {"ID"});
+  auto out = RunActivity(*by_id, {Row(2, "a", 10), Row(0, "b", 20)}, ctx);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ((*out)[0].value(2), Value::Int(102));
+  EXPECT_EQ((*out)[1].value(2), Value::Int(100));
+  auto by_val = MakeSurrogateKey("sk", {"VAL"}, "SKEY", "lut", {"VAL"});
+  out = RunActivity(*by_val, {Row(1, "a", -0.0), Row(2, "b", 2.0)}, ctx);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ((*out)[0].value(2), Value::Int(100));
+  EXPECT_EQ((*out)[1].value(2), Value::Int(102));
 }
 
 TEST(ExecTest, AggregationSumPerGroup) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "activity/templates.h"
 #include "columnar/vector_eval.h"
@@ -74,6 +75,53 @@ TEST(VectorEvalTest, SelectTrueRowsMatchesRowEvaluator) {
       if (*keep) expected.push_back(i);
     }
     EXPECT_EQ(sel, expected);
+  }
+}
+
+// Every CompareOp over NaN, NULL, int against double and string against
+// number, in every operand form, on typed and on demoted columns: the
+// kernel keeps exactly EvaluatePredicate's rows.
+TEST(VectorEvalTest, EdgeOperandComparisonsMatchRowEvaluator) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<Value>> operand_sets = {
+      // Typed double columns: the numeric fast paths.
+      {Value::Double(nan), Value::Null(), Value::Double(2.0),
+       Value::Double(2.5), Value::Double(-0.0), Value::Double(0.0)},
+      // Mixed runtime types: demoted columns, the general path.
+      {Value::Double(nan), Value::Null(), Value::Int(2), Value::Double(2.0),
+       Value::Double(-0.0), Value::Int(0), Value::String("2"),
+       Value::String("b"), Value::Bool(true)},
+  };
+  const Schema schema = Schema::MakeOrDie(
+      {{"L", DataType::kDouble}, {"R", DataType::kDouble}});
+  for (const std::vector<Value>& operands : operand_sets) {
+    std::vector<Record> rows;
+    for (const Value& l : operands) {
+      for (const Value& r : operands) rows.push_back(Record({l, r}));
+    }
+    RecordBatch batch = MakeBatch(schema, rows);
+    for (CompareOp op : {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                         CompareOp::kLe, CompareOp::kGt, CompareOp::kGe}) {
+      std::vector<ExprPtr> predicates = {
+          Compare(op, Column("L"), Column("R"))};
+      for (const Value& v : operands) {
+        predicates.push_back(Compare(op, Column("L"), Literal(v)));
+        predicates.push_back(Compare(op, Literal(v), Column("R")));
+      }
+      for (const ExprPtr& pred : predicates) {
+        SCOPED_TRACE(pred->ToString());
+        ASSERT_TRUE(CanVectorizePredicate(*pred, schema));
+        std::vector<uint32_t> sel;
+        ASSERT_TRUE(SelectTrueRows(*pred, batch, &sel).ok());
+        std::vector<uint32_t> expected;
+        for (uint32_t i = 0; i < rows.size(); ++i) {
+          auto keep = EvaluatePredicate(*pred, rows[i], schema);
+          ASSERT_TRUE(keep.ok()) << keep.status().ToString();
+          if (*keep) expected.push_back(i);
+        }
+        EXPECT_EQ(sel, expected);
+      }
+    }
   }
 }
 

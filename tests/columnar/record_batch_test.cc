@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "columnar/column_vector.h"
 
 namespace etlopt {
@@ -68,6 +71,49 @@ TEST(ColumnVectorTest, CellHashMatchesValueHash) {
   for (size_t i = 0; i < col.size(); ++i) {
     EXPECT_EQ(col.CellHash(i), col.ValueAt(i).Hash()) << "cell " << i;
   }
+}
+
+// The surrogate-key index is probed with CellHash and matched with
+// CellEquals, so both must agree with Value's own hash and equality on
+// every typed and demoted column, for every cell and probe value.
+TEST(ColumnVectorTest, CellHashAndCellEqualsAgreeWithValue) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> probes = {
+      Value::Null(),        Value::Int(2),         Value::Int(0),
+      Value::Double(2.0),   Value::Double(-0.0),   Value::Double(2.5),
+      Value::Double(nan),   Value::String("2"),    Value::String(""),
+      Value::Bool(true),    Value::Bool(false)};
+  std::vector<ColumnVector> columns;
+  for (DataType t : {DataType::kInt64, DataType::kDouble, DataType::kString,
+                     DataType::kBool}) {
+    ColumnVector typed(t);
+    for (const Value& v : probes) {
+      if (v.is_null() || v.type() == t) typed.Append(v);
+    }
+    ASSERT_FALSE(typed.boxed());
+    columns.push_back(std::move(typed));
+  }
+  ColumnVector demoted(DataType::kInt64);
+  for (const Value& v : probes) demoted.Append(v);
+  ASSERT_TRUE(demoted.boxed());
+  columns.push_back(std::move(demoted));
+  for (const ColumnVector& col : columns) {
+    for (size_t i = 0; i < col.size(); ++i) {
+      const Value cell = col.ValueAt(i);
+      SCOPED_TRACE(std::string(DataTypeToString(col.declared_type())) +
+                   " cell " + cell.ToString());
+      EXPECT_EQ(col.CellHash(i), cell.Hash());
+      for (const Value& v : probes) {
+        EXPECT_EQ(col.CellEquals(i, v), cell == v) << "probe " << v.ToString();
+      }
+    }
+  }
+  // Equal numbers hash alike across int and double storage.
+  ColumnVector ints(DataType::kInt64);
+  ints.Append(Value::Int(2));
+  ColumnVector doubles(DataType::kDouble);
+  doubles.Append(Value::Double(2.0));
+  EXPECT_EQ(ints.CellHash(0), doubles.CellHash(0));
 }
 
 TEST(ColumnVectorTest, GatherPreservesOrderAndNulls) {

@@ -9,12 +9,14 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "engine/executor.h"
 #include "engine/recovery.h"
+#include "activity/binding.h"
 #include "activity/templates.h"
 #include "common/macros.h"
 #include "engine/vectorized.h"
@@ -253,6 +255,65 @@ TEST(EngineErrorPathTest, FunctionAndSurrogateKeyKernelsMatchSerial) {
         EXPECT_EQ(r->rows_out, reference->rows_out) << engine.name;
       }
     }
+  }
+}
+
+// A surrogate key over a double column S(ID, K) -> SKEY = lut(K),
+// dropping K. The table maps the ints 1..3 to 101..103; row r carries K
+// 1.0 + r % 3, except the rows in `nan_rows`, which carry NaN.
+KernelFlow MakeDoubleKeyFlow(size_t rows, std::vector<size_t> nan_rows) {
+  Schema src = Schema::MakeOrDie(
+      {{"ID", DataType::kInt64}, {"K", DataType::kDouble}});
+  Schema out = Schema::MakeOrDie(
+      {{"ID", DataType::kInt64}, {"SKEY", DataType::kInt64}});
+  KernelFlow f;
+  Workflow& w = f.workflow;
+  NodeId s = w.AddRecordSet({"S", src, 100});
+  NodeId sk = *w.AddActivity(
+      *MakeSurrogateKey("assign_sk", {"K"}, "SKEY", "lut", {"K"}), {s});
+  NodeId t = w.AddRecordSet({"T", out, 0});
+  ETLOPT_CHECK_OK(w.Connect(sk, t));
+  ETLOPT_CHECK_OK(w.Finalize());
+  for (size_t r = 0; r < rows; ++r) {
+    const bool nan =
+        std::find(nan_rows.begin(), nan_rows.end(), r) != nan_rows.end();
+    f.input.source_data["S"].push_back(Record(
+        {Value::Int(static_cast<int64_t>(r)),
+         Value::Double(nan ? std::numeric_limits<double>::quiet_NaN()
+                           : 1.0 + static_cast<double>(r % 3))}));
+  }
+  for (int64_t k = 1; k <= 3; ++k) {
+    f.input.context.lookups["lut"].emplace(std::vector<Value>{Value::Int(k)},
+                                           Value::Int(100 + k));
+  }
+  return f;
+}
+
+// A NaN key is a surrogate-key miss on every engine, and a double key
+// hits the int entry it equals.
+TEST(EngineErrorPathTest, NaNKeyMissesAndEqualNumbersHitOnEveryEngine) {
+  const KernelFlow hits = MakeDoubleKeyFlow(60, {});
+  const KernelFlow nan = MakeDoubleKeyFlow(60, {41});
+  auto reference = ExecuteWorkflow(hits.workflow, hits.input);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  const std::vector<Record>& t = reference->target_data.at("T");
+  ASSERT_EQ(t.size(), 60u);
+  for (size_t r = 0; r < t.size(); ++r) {
+    EXPECT_EQ(t[r], Record({Value::Int(static_cast<int64_t>(r)),
+                            Value::Int(101 + static_cast<int64_t>(r % 3))}));
+  }
+  const Status miss = Status::NotFound(
+      "executing node 2 ('assign_sk'): " +
+      SurrogateKeyMiss("assign_sk",
+                       {Value::Double(std::numeric_limits<double>::quiet_NaN())})
+          .message());
+  for (const EngineCase& engine : AllEngines()) {
+    SCOPED_TRACE(engine.name);
+    auto r = engine.run(hits.workflow, hits.input);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->target_data, reference->target_data);
+    auto failed = engine.run(nan.workflow, nan.input);
+    EXPECT_EQ(failed.status(), miss);
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <utility>
+
 namespace etlopt {
 namespace {
 
@@ -258,6 +262,123 @@ TEST_F(ExprTest, BoundTreeEvaluatesLikeUnbound) {
         EXPECT_EQ(got.status().code(), want.status().code());
         EXPECT_EQ(got.status().message(), want.status().message());
       }
+    }
+  }
+}
+
+// Every CompareOp over the operands a comparison must keep exact: NaN,
+// NULL, int against double, string against number, bool against the
+// rest. Each op's string holds one character per (lhs, rhs) pair, lhs
+// major, over EdgeOperands(): T true, F false, N NULL. The strings were
+// recorded from the tree-walking evaluator before comparisons were bound
+// to cells; every form of the comparison (literal or column on either
+// side, bound or not) and EvaluatePredicate must keep giving them.
+std::vector<Value> EdgeOperands() {
+  return {Value::Double(std::numeric_limits<double>::quiet_NaN()),
+          Value::Null(),
+          Value::Int(2),
+          Value::Double(2.0),
+          Value::Double(2.5),
+          Value::Double(-0.0),
+          Value::Int(0),
+          Value::String("2"),
+          Value::String("b"),
+          Value::Bool(true)};
+}
+
+char TriChar(const StatusOr<Value>& v) {
+  if (!v.ok()) return '!';
+  if (v->is_null()) return 'N';
+  if (v->type() != DataType::kBool) return '?';
+  return v->bool_value() ? 'T' : 'F';
+}
+
+TEST_F(ExprTest, CompareOpsOverEdgeOperandsArePinned) {
+  const std::vector<std::pair<CompareOp, std::string>> pinned = {
+      {CompareOp::kEq,
+       "FNFFFFFFFF" "NNNNNNNNNN" "FNTTFFFFFF" "FNTTFFFFFF" "FNFFTFFFFF"
+       "FNFFFTTFFF" "FNFFFTTFFF" "FNFFFFFTFF" "FNFFFFFFTF" "FNFFFFFFFT"},
+      {CompareOp::kNe,
+       "TNTTTTTTTT" "NNNNNNNNNN" "TNFFTTTTTT" "TNFFTTTTTT" "TNTTFTTTTT"
+       "TNTTTFFTTT" "TNTTTFFTTT" "TNTTTTTFTT" "TNTTTTTTFT" "TNTTTTTTTF"},
+      {CompareOp::kLt,
+       "FNFFFFFTTF" "NNNNNNNNNN" "FNFFTFFTTF" "FNFFTFFTTF" "FNFFFFFTTF"
+       "FNTTTFFTTF" "FNTTTFFTTF" "FNFFFFFFTF" "FNFFFFFFFF" "TNTTTTTTTF"},
+      {CompareOp::kLe,
+       "TNTTTTTTTF" "NNNNNNNNNN" "TNTTTFFTTF" "TNTTTFFTTF" "TNFFTFFTTF"
+       "TNTTTTTTTF" "TNTTTTTTTF" "FNFFFFFTTF" "FNFFFFFFTF" "TNTTTTTTTT"},
+      {CompareOp::kGt,
+       "FNFFFFFFFT" "NNNNNNNNNN" "FNFFFTTFFT" "FNFFFTTFFT" "FNTTFTTFFT"
+       "FNFFFFFFFT" "FNFFFFFFFT" "TNTTTTTFFT" "TNTTTTTTFT" "FNFFFFFFFF"},
+      {CompareOp::kGe,
+       "TNTTTTTFFT" "NNNNNNNNNN" "TNTTFTTFFT" "TNTTFTTFFT" "TNTTTTTFFT"
+       "TNFFFTTFFT" "TNFFFTTFFT" "TNTTTTTTFT" "TNTTTTTTTT" "FNFFFFFFFT"},
+  };
+  const std::vector<Value> operands = EdgeOperands();
+  const Schema lr = Schema::MakeOrDie(
+      {{"L", DataType::kDouble}, {"R", DataType::kDouble}});
+  for (const auto& [op, want] : pinned) {
+    SCOPED_TRACE(std::string(CompareOpToString(op)));
+    // Literal/literal, column/literal, literal/column, column/column;
+    // each unbound and bound.
+    std::vector<std::string> got(8);
+    std::string predicate;
+    for (const Value& l : operands) {
+      for (const Value& r : operands) {
+        const Record row({l, r});
+        const std::vector<ExprPtr> forms = {
+            Compare(op, Literal(l), Literal(r)),
+            Compare(op, Column("L"), Literal(r)),
+            Compare(op, Literal(l), Column("R")),
+            Compare(op, Column("L"), Column("R"))};
+        for (size_t f = 0; f < forms.size(); ++f) {
+          got[2 * f].push_back(TriChar(forms[f]->Evaluate(row, lr)));
+          got[2 * f + 1].push_back(
+              TriChar(forms[f]->Bind(lr)->Evaluate(row, lr)));
+        }
+        auto p = EvaluatePredicate(*forms[3]->Bind(lr), row, lr);
+        predicate.push_back(!p.ok() ? '!' : *p ? 'T' : 'F');
+      }
+    }
+    for (size_t f = 0; f < got.size(); ++f) {
+      EXPECT_EQ(got[f], want) << "form " << f;
+    }
+    std::string want_predicate = want;
+    std::replace(want_predicate.begin(), want_predicate.end(), 'N', 'F');
+    EXPECT_EQ(predicate, want_predicate);
+  }
+}
+
+// The errors a predicate can raise, with their exact text.
+TEST_F(ExprTest, PredicateErrorsArePinned) {
+  const Schema lr = Schema::MakeOrDie(
+      {{"L", DataType::kDouble}, {"R", DataType::kBool}});
+  const Record row({Value::Double(1.5), Value::Bool(true)});
+  const Record narrow({Value::Double(1.5)});
+  struct Case {
+    ExprPtr expr;
+    Record row;
+    std::string message;
+  };
+  const std::vector<Case> cases = {
+      {Column("L"), row, "predicate evaluated to non-bool: L"},
+      {Not(Column("L")), row, "NOT over non-bool"},
+      {And(Column("R"), Column("L")), row, "logical op over non-bool"},
+      {Or(Literal(Value::Int(1)), Column("R")), row,
+       "logical op over non-bool"},
+      {Compare(CompareOp::kLt, Column("X"), Literal(Value::Int(1))), row,
+       "column not in schema: X"},
+      {Compare(CompareOp::kLt, Literal(Value::Int(1)), Column("R")), narrow,
+       "record narrower than schema at R"},
+      {Compare(CompareOp::kEq, Column("X"), Column("R")), narrow,
+       "column not in schema: X"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.expr->ToString());
+    for (const ExprPtr& e : {c.expr, c.expr->Bind(lr)}) {
+      auto p = EvaluatePredicate(*e, c.row, lr);
+      ASSERT_FALSE(p.ok());
+      EXPECT_EQ(p.status().message(), c.message);
     }
   }
 }
