@@ -86,7 +86,7 @@ StatusOr<std::vector<Record>> Activity::Execute(
       ETLOPT_ASSIGN_OR_RETURN(
           std::vector<size_t> key_idx,
           AttrIndices(in, params_as<PrimaryKeyParams>().key_attrs));
-      std::map<std::vector<Value>, bool> seen;
+      KeyMap<bool> seen;
       return KeepRows(std::move(rows), [&](const Record& r) -> StatusOr<bool> {
         return seen.emplace(ExtractKey(r, key_idx), true).second;
       });
@@ -140,9 +140,9 @@ StatusOr<std::vector<Record>> Activity::Execute(
 
     case ActivityKind::kAggregation: {
       const auto& p = params_as<AggregationParams>();
-      // std::map keyed by group values gives deterministic output order,
+      // A map keyed by group values gives deterministic output order,
       // making executed outputs comparable across equivalent workflows.
-      std::map<std::vector<Value>, std::vector<AggAcc>> groups;
+      KeyMap<std::vector<AggAcc>> groups;
       ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> group_idx,
                               AttrIndices(in, p.group_by));
       std::vector<size_t> arg_idx;
@@ -185,7 +185,7 @@ StatusOr<std::vector<Record>> Activity::Execute(
       // Bag semantics over name-aligned records.
       ETLOPT_ASSIGN_OR_RETURN(std::vector<size_t> right_map,
                               ColumnMapping(input_schemas[1], out_schema));
-      std::map<Record, int64_t> right_counts;
+      std::map<Record, int64_t, KeyOrder> right_counts;
       for (auto& r : inputs[1]) {
         ++right_counts[Realign(std::move(r), right_map)];
       }
@@ -206,7 +206,7 @@ StatusOr<std::vector<Record>> Activity::Execute(
                               AttrIndices(input_schemas[1], p.key_attrs));
       const std::vector<size_t> right_pass =
           JoinPassthrough(input_schemas[1], p.key_attrs);
-      std::map<std::vector<Value>, std::vector<const Record*>> right_index;
+      KeyMap<std::vector<const Record*>> right_index;
       for (const auto& r : inputs[1]) {
         std::vector<Value> key = ExtractKey(r, right_key);
         if (HasNull(key)) continue;  // NULL keys never join (SQL semantics)

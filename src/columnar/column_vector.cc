@@ -1,5 +1,8 @@
 #include "columnar/column_vector.h"
 
+#include <cmath>
+#include <limits>
+
 #include "common/macros.h"
 
 namespace etlopt {
@@ -16,9 +19,11 @@ uint64_t FnvMix(uint64_t h, const void* data, size_t n) {
 }
 
 // Bit-identical to Value::Hash() for int/double cells: numerically equal
-// int and double must hash equally, and -0.0 normalizes to 0.0.
+// int and double must hash equally, -0.0 normalizes to 0.0 and every NaN
+// to the one quiet NaN.
 uint64_t HashNumericCell(double d) {
   if (d == 0.0) d = 0.0;
+  if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
   return FnvMix(kFnvBasis, &d, sizeof(d));
 }
 

@@ -107,7 +107,7 @@ void PkKeepPartition(const std::vector<RecordBatch>& batches,
                      const std::vector<size_t>& key_cols, size_t part,
                      size_t num_partitions,
                      std::vector<std::vector<uint8_t>>* keep) {
-  std::map<std::vector<Value>, bool> seen;
+  KeyMap<bool> seen;
   for (size_t b = 0; b < batches.size(); ++b) {
     const RecordBatch& batch = batches[b];
     const std::vector<uint64_t>& hashes = batch.KeyHashes(key_cols);

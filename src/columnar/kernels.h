@@ -84,7 +84,7 @@ void PkKeepPartition(const std::vector<RecordBatch>& batches,
 /// AggSpec, fed in global scan order. The ordered map means partition
 /// results merge into the serial engines' key-sorted output by a simple
 /// key-merge. Requires KeyHashes precomputed for `group_cols`.
-using GroupMap = std::map<std::vector<Value>, std::vector<AggAcc>>;
+using GroupMap = KeyMap<std::vector<AggAcc>>;
 GroupMap AggregatePartition(const std::vector<RecordBatch>& batches,
                             const std::vector<size_t>& group_cols,
                             const std::vector<size_t>& arg_cols, size_t part,
@@ -99,7 +99,7 @@ struct BatchRef {
 /// Join build index for one hash partition: key -> build rows in build
 /// (input) order. NULL keys never enter the index (SQL join semantics).
 /// Requires KeyHashes precomputed on the build batches for `key_cols`.
-using JoinShard = std::map<std::vector<Value>, std::vector<BatchRef>>;
+using JoinShard = KeyMap<std::vector<BatchRef>>;
 JoinShard JoinBuildPartition(const std::vector<RecordBatch>& build,
                              const std::vector<size_t>& key_cols, size_t part,
                              size_t num_partitions);

@@ -85,35 +85,6 @@ StatusOr<ExecutionResult> ExecuteWorkflow(const Workflow& workflow,
                                           const ExecutionInput& input,
                                           const CacheOptions& cache_options);
 
-/// The engines. Both run the same node driver (engine/node_driver.h) and
-/// produce byte-identical results on every workflow (the engine-agreement
-/// property); they differ only in how they compute one node's rows.
-enum class EngineKind : int {
-  kSerial = 0,      // materializing row engine (ExecuteWorkflow)
-  kVectorized = 1,  // columnar, parallel batch engine (ExecuteVectorized)
-};
-
-/// Engine selection plus the knobs each engine reads. The serial engine
-/// reads only `cache`; zeros mean engine defaults. Every knob is
-/// content-neutral.
-struct ExecutionOptions {
-  EngineKind engine = EngineKind::kSerial;
-  /// kVectorized: worker threads (0 = default).
-  size_t num_threads = 0;
-  /// kVectorized: rows per batch (0 = default).
-  size_t batch_size = 0;
-  /// kVectorized: hash-exchange partition count (0 = derived from
-  /// num_threads).
-  size_t num_partitions = 0;
-  /// All engines: shared-result-cache knobs (off when cache == nullptr).
-  CacheOptions cache;
-};
-
-/// Dispatches to the engine selected by `options`.
-StatusOr<ExecutionResult> ExecuteWith(const Workflow& workflow,
-                                      const ExecutionInput& input,
-                                      const ExecutionOptions& options = {});
-
 /// Convenience: executes and loads the results into bound RecordSet
 /// objects (e.g. MemoryTable or CsvFile targets), truncating them first.
 Status ExecuteWorkflowInto(

@@ -102,32 +102,12 @@ uint64_t ExecutionInputFingerprint(const ExecutionInput& input) {
     PutU64(buf, table.size());
     mix();
     for (const auto& [key, value] : table) {
-      PutU32(buf, static_cast<uint32_t>(key.size()));
-      for (const Value& v : key) PutValue(buf, v);
+      PutValues(buf, key);
       PutValue(buf, value);
       mix();
     }
   }
   return h;
-}
-
-void PutRowsOut(std::string& out, const std::map<NodeId, size_t>& rows_out) {
-  PutU32(out, static_cast<uint32_t>(rows_out.size()));
-  for (const auto& [node, count] : rows_out) {
-    PutU32(out, static_cast<uint32_t>(node));
-    PutU64(out, count);
-  }
-}
-
-StatusOr<std::map<NodeId, size_t>> ReadRowsOut(BinaryReader& reader) {
-  std::map<NodeId, size_t> rows_out;
-  ETLOPT_ASSIGN_OR_RETURN(uint32_t n, reader.U32());
-  for (uint32_t i = 0; i < n; ++i) {
-    ETLOPT_ASSIGN_OR_RETURN(uint32_t node, reader.U32());
-    ETLOPT_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
-    rows_out[static_cast<NodeId>(node)] = static_cast<size_t>(count);
-  }
-  return rows_out;
 }
 
 // Same bytes as SerializeCheckpoint, but from borrowed pieces — the hot

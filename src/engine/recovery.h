@@ -15,11 +15,11 @@
 //    of re-extracting;
 //  * a wall-clock deadline for the whole run.
 //
-// The headline property (enforced by tests/engine/recovery_property_test
-// and the nightly fault sweep): under ANY injected fault schedule, a
-// RecoverableExecutor run either returns output byte-identical to the
-// fault-free ExecuteWorkflow run, or a clean non-OK Status — never
-// corrupt or partial output. Checkpoints are keyed by (workflow
+// The headline property (enforced by the RecoveryPropertyTest cells of
+// tests/contract/contract_test.cc and the nightly fault sweep): under
+// ANY injected fault schedule, a RecoverableExecutor run either returns
+// output byte-identical to the fault-free ExecuteWorkflow run, or a
+// clean non-OK Status — never corrupt or partial output. Checkpoints are keyed by (workflow
 // signature hash, input fingerprint) and verified by checksum on read;
 // anything stale, truncated or bit-flipped is rejected and recomputed.
 
@@ -39,8 +39,6 @@
 #include "fault/fault_injector.h"
 
 namespace etlopt {
-
-class BinaryReader;
 
 /// Where recovery points are taken.
 enum class CheckpointPolicy : int {
@@ -133,11 +131,6 @@ uint64_t ExecutionInputFingerprint(const ExecutionInput& input);
 /// a clean Status.
 std::string SerializeCheckpoint(const Checkpoint& checkpoint);
 StatusOr<Checkpoint> ParseCheckpoint(std::string_view bytes);
-
-/// The rows_out section of ETLCKPT1 and ETLSTRM1: u32 count, then
-/// (u32 node, u64 rows) per entry.
-void PutRowsOut(std::string& out, const std::map<NodeId, size_t>& rows_out);
-StatusOr<std::map<NodeId, size_t>> ReadRowsOut(BinaryReader& reader);
 
 /// Checkpoint-file I/O shared by the recoverable and stream executors.
 /// Writes are best-effort: under RetryWithBackoff, each attempt hits

@@ -249,8 +249,9 @@ StatusOr<BatchVec> RunAggregation(const VEngine& eng, const Activity& activity,
   for (auto& pg : part_groups) {
     for (auto& [key, accs] : pg) groups.emplace_back(key, std::move(accs));
   }
-  std::sort(groups.begin(), groups.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::sort(groups.begin(), groups.end(), [](const auto& a, const auto& b) {
+    return KeyOrder()(a.first, b.first);
+  });
 
   BatchVec out;
   RecordBatch cur(out_schema);
@@ -481,24 +482,6 @@ StatusOr<ExecutionResult> ExecuteVectorized(const Workflow& workflow,
   CachePlan plan(workflow, input, options.cache);
   VectorizedStrategy strategy(eng);
   return DriveNodes(workflow, input, strategy, plan);
-}
-
-StatusOr<ExecutionResult> ExecuteWith(const Workflow& workflow,
-                                      const ExecutionInput& input,
-                                      const ExecutionOptions& options) {
-  switch (options.engine) {
-    case EngineKind::kSerial:
-      return ExecuteWorkflow(workflow, input, options.cache);
-    case EngineKind::kVectorized: {
-      VectorizedOptions vopts;
-      vopts.num_threads = options.num_threads;
-      vopts.batch_size = options.batch_size;
-      vopts.num_partitions = options.num_partitions;
-      vopts.cache = options.cache;
-      return ExecuteVectorized(workflow, input, vopts);
-    }
-  }
-  return Status::InvalidArgument("unknown engine kind");
 }
 
 }  // namespace etlopt

@@ -28,9 +28,9 @@
 //
 // Output contract: byte-identical to ExecuteWorkflow — same rows, same
 // order, same rows_out — for every workflow, at any thread count, batch
-// size or partition count. The engine-agreement property test
-// (tests/engine/vectorized_agreement_test.cc) enforces this against the
-// serial engine.
+// size or partition count. The contract harness
+// (tests/contract/contract_test.cc) enforces this against the serial
+// engine.
 
 #ifndef ETLOPT_ENGINE_VECTORIZED_H_
 #define ETLOPT_ENGINE_VECTORIZED_H_

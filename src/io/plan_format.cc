@@ -7,7 +7,7 @@
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "io/text_format.h"
-#include "io/wire_codec.h"
+#include "records/record_io.h"
 
 namespace etlopt {
 
@@ -223,8 +223,8 @@ StatusOr<OptimizedPlan> ParseOnePlan(LineCursor& cursor) {
   return plan;
 }
 
-// Binary encoding uses the shared little-endian wire codec
-// (io/wire_codec.h); the helpers below are format-specific only.
+// Binary encoding uses the shared little-endian codec
+// (records/record_io.h); the helpers below are format-specific only.
 
 }  // namespace
 

@@ -4,7 +4,7 @@
 
 #include "common/macros.h"
 #include "common/string_util.h"
-#include "io/wire_codec.h"
+#include "records/record_io.h"
 
 namespace etlopt {
 

@@ -3,6 +3,7 @@
 #ifndef ETLOPT_RECORDS_RECORD_H_
 #define ETLOPT_RECORDS_RECORD_H_
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,31 @@ class Record {
  private:
   std::vector<Value> values_;
 };
+
+/// The order of every keyed map (PK check, aggregation, join, difference
+/// and intersection, on every engine) and of the aggregation merge:
+/// lexicographic under KeyCompare (schema/value.h), Value's order except
+/// that NaN sorts after every number and is equivalent only to NaN.
+/// Value's own order leaves NaN unordered against everything, which is
+/// no strict weak order, so a map keyed under it can merge a NaN key
+/// with any other key.
+struct KeyOrder {
+  bool operator()(const std::vector<Value>& a,
+                  const std::vector<Value>& b) const {
+    const size_t n = a.size() < b.size() ? a.size() : b.size();
+    for (size_t i = 0; i < n; ++i) {
+      const int c = KeyCompare(a[i], b[i]);
+      if (c != 0) return c < 0;
+    }
+    return a.size() < b.size();
+  }
+  bool operator()(const Record& a, const Record& b) const {
+    return (*this)(a.values(), b.values());
+  }
+};
+
+template <typename T>
+using KeyMap = std::map<std::vector<Value>, T, KeyOrder>;
 
 /// True iff `a` and `b` contain the same records with the same
 /// multiplicities, in any order. This is the paper's empirical notion of

@@ -16,6 +16,17 @@ void PutU64(std::string& out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
 }
 
+void PutDouble(std::string& out, double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  PutU64(out, bits);
+}
+
+void PutString(std::string& out, std::string_view s) {
+  PutU32(out, static_cast<uint32_t>(s.size()));
+  out += s;
+}
+
 void PutValue(std::string& out, const Value& v) {
   out.push_back(static_cast<char>(v.type()));
   switch (v.type()) {
@@ -27,28 +38,35 @@ void PutValue(std::string& out, const Value& v) {
     case DataType::kInt64:
       PutU64(out, static_cast<uint64_t>(v.int_value()));
       break;
-    case DataType::kDouble: {
-      const double d = v.double_value();
-      uint64_t bits;
-      std::memcpy(&bits, &d, sizeof(bits));
-      PutU64(out, bits);
+    case DataType::kDouble:
+      PutDouble(out, v.double_value());
       break;
-    }
     case DataType::kString:
-      PutU32(out, static_cast<uint32_t>(v.string_value().size()));
-      out += v.string_value();
+      PutString(out, v.string_value());
       break;
   }
 }
 
+void PutValues(std::string& out, const std::vector<Value>& values) {
+  PutU32(out, static_cast<uint32_t>(values.size()));
+  for (const Value& v : values) PutValue(out, v);
+}
+
 void PutRecord(std::string& out, const Record& record) {
-  PutU32(out, static_cast<uint32_t>(record.size()));
-  for (size_t i = 0; i < record.size(); ++i) PutValue(out, record.value(i));
+  PutValues(out, record.values());
 }
 
 void PutRecords(std::string& out, const std::vector<Record>& rows) {
   PutU64(out, rows.size());
   for (const Record& r : rows) PutRecord(out, r);
+}
+
+void PutRowsOut(std::string& out, const std::map<int, size_t>& rows_out) {
+  PutU32(out, static_cast<uint32_t>(rows_out.size()));
+  for (const auto& [node, count] : rows_out) {
+    PutU32(out, static_cast<uint32_t>(node));
+    PutU64(out, count);
+  }
 }
 
 std::string SealPayload(std::string_view magic, std::string_view payload) {
@@ -108,6 +126,13 @@ Status BinaryReader::Need(size_t n) {
   return Status::OK();
 }
 
+StatusOr<double> ReadDouble(BinaryReader& reader) {
+  ETLOPT_ASSIGN_OR_RETURN(uint64_t bits, reader.U64());
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
 StatusOr<Value> ReadValue(BinaryReader& reader) {
   ETLOPT_ASSIGN_OR_RETURN(uint8_t tag, reader.U8());
   switch (static_cast<DataType>(tag)) {
@@ -123,9 +148,7 @@ StatusOr<Value> ReadValue(BinaryReader& reader) {
       return Value::Int(static_cast<int64_t>(bits));
     }
     case DataType::kDouble: {
-      ETLOPT_ASSIGN_OR_RETURN(uint64_t bits, reader.U64());
-      double d;
-      std::memcpy(&d, &bits, sizeof(d));
+      ETLOPT_ASSIGN_OR_RETURN(double d, ReadDouble(reader));
       return Value::Double(d);
     }
     case DataType::kString: {
@@ -137,14 +160,21 @@ StatusOr<Value> ReadValue(BinaryReader& reader) {
       StrFormat("checkpoint: bad value tag %u", tag));
 }
 
-StatusOr<Record> ReadRecord(BinaryReader& reader) {
-  ETLOPT_ASSIGN_OR_RETURN(uint32_t arity, reader.U32());
-  Record record;
-  for (uint32_t c = 0; c < arity; ++c) {
+StatusOr<std::vector<Value>> ReadValues(BinaryReader& reader) {
+  ETLOPT_ASSIGN_OR_RETURN(uint32_t n, reader.U32());
+  std::vector<Value> values;
+  // Every cell takes at least its tag byte.
+  values.reserve(std::min<size_t>(n, reader.remaining()));
+  for (uint32_t i = 0; i < n; ++i) {
     ETLOPT_ASSIGN_OR_RETURN(Value v, ReadValue(reader));
-    record.Append(std::move(v));
+    values.push_back(std::move(v));
   }
-  return record;
+  return values;
+}
+
+StatusOr<Record> ReadRecord(BinaryReader& reader) {
+  ETLOPT_ASSIGN_OR_RETURN(std::vector<Value> values, ReadValues(reader));
+  return Record(std::move(values));
 }
 
 StatusOr<std::vector<Record>> ReadRecords(BinaryReader& reader) {
@@ -160,6 +190,17 @@ StatusOr<std::vector<Record>> ReadRecords(BinaryReader& reader) {
     rows.push_back(std::move(r));
   }
   return rows;
+}
+
+StatusOr<std::map<int, size_t>> ReadRowsOut(BinaryReader& reader) {
+  std::map<int, size_t> rows_out;
+  ETLOPT_ASSIGN_OR_RETURN(uint32_t n, reader.U32());
+  for (uint32_t i = 0; i < n; ++i) {
+    ETLOPT_ASSIGN_OR_RETURN(uint32_t node, reader.U32());
+    ETLOPT_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
+    rows_out[static_cast<int>(node)] = static_cast<size_t>(count);
+  }
+  return rows_out;
 }
 
 StatusOr<std::string_view> UnsealPayload(std::string_view bytes,

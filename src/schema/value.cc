@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -173,6 +174,33 @@ bool operator<(const Value& a, const Value& b) {
   return false;
 }
 
+int KeyCompare(const Value& a, const Value& b) {
+  const int ra = TypeRank(a.type());
+  const int rb = TypeRank(b.type());
+  if (ra != rb) return ra < rb ? -1 : 1;
+  switch (a.type()) {
+    case DataType::kNull:
+      return 0;
+    case DataType::kBool:
+      return static_cast<int>(a.bool_value()) -
+             static_cast<int>(b.bool_value());
+    case DataType::kInt64:
+    case DataType::kDouble: {
+      const double x = a.AsDouble();
+      const double y = b.AsDouble();
+      if (x < y) return -1;
+      if (y < x) return 1;
+      if (x == y) return 0;
+      // Unordered: NaN sorts after every number and equals only NaN.
+      return static_cast<int>(std::isnan(x)) -
+             static_cast<int>(std::isnan(y));
+    }
+    case DataType::kString:
+      return a.string_value().compare(b.string_value());
+  }
+  return 0;
+}
+
 size_t Value::Hash() const {
   constexpr size_t kBasis = 1469598103934665603ULL;
   constexpr size_t kPrime = 1099511628211ULL;
@@ -194,6 +222,7 @@ size_t Value::Hash() const {
       // Numerically equal int/double must hash equally.
       double d = AsDouble();
       if (d == 0.0) d = 0.0;  // normalize -0.0
+      if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
       mix(&d, sizeof(d));
       break;
     }

@@ -64,7 +64,8 @@ class Value {
   friend bool operator==(const Value& a, const Value& b);
   friend bool operator<(const Value& a, const Value& b);
 
-  /// FNV-style hash consistent with operator==.
+  /// FNV-style hash consistent with operator== and with KeyOrder
+  /// (records/record.h): -0.0 and every NaN hash as one canonical value.
   size_t Hash() const;
 
  private:
@@ -73,6 +74,12 @@ class Value {
 
   Repr v_;
 };
+
+/// The key order of keyed maps (KeyOrder, records/record.h), three-way:
+/// negative, zero or positive as `a` sorts before, with or after `b`.
+/// It is operator<'s order, except that NaN sorts after every number and
+/// is equivalent only to NaN, which makes it a strict weak order.
+int KeyCompare(const Value& a, const Value& b);
 
 }  // namespace etlopt
 

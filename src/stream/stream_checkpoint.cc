@@ -2,7 +2,6 @@
 
 #include "common/macros.h"
 #include "engine/recovery.h"
-#include "io/wire_codec.h"
 #include "records/record_io.h"
 
 namespace etlopt {

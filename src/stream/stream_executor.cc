@@ -22,7 +22,6 @@
 #include "engine/node_driver.h"
 #include "engine/recovery.h"
 #include "fault/fault_injector.h"
-#include "io/wire_codec.h"
 #include "records/record_io.h"
 #include "stream/stream_checkpoint.h"
 
@@ -109,13 +108,16 @@ struct Group {
   size_t id = 0;
 };
 
+using KeySet = std::set<std::vector<Value>, KeyOrder>;
+using BagCounts = std::map<Record, int64_t, KeyOrder>;
+
 struct MemberState {
-  std::set<std::vector<Value>> pk_seen;
+  KeySet pk_seen;
   std::vector<Record> left_rows, right_rows;  // join histories
-  std::map<std::vector<Value>, std::vector<size_t>> left_index, right_index;
-  std::map<std::vector<Value>, Group> groups;
+  KeyMap<std::vector<size_t>> left_index, right_index;
+  KeyMap<Group> groups;
   std::vector<Record> bag_order;  // distinct left rows, first-encounter order
-  std::map<Record, int64_t> left_counts, right_counts;
+  BagCounts left_counts, right_counts;
 };
 
 struct NodeState {
@@ -127,13 +129,13 @@ struct NodeState {
 // retried) attempt leaves the persistent state untouched. Overlay maps
 // hold absolute values copied-on-first-touch from the main state.
 struct MemberStaging {
-  std::set<std::vector<Value>> pk_new;
+  KeySet pk_new;
   std::vector<Record> left_new, right_new;
   std::vector<std::vector<Value>> left_new_keys, right_new_keys;
-  std::map<std::vector<Value>, Group> group_overlay;
+  KeyMap<Group> group_overlay;
   size_t new_groups = 0;  // groups the overlay added to `groups`
   std::vector<Record> bag_order_new;
-  std::map<Record, int64_t> left_counts_overlay, right_counts_overlay;
+  BagCounts left_counts_overlay, right_counts_overlay;
 
   void Clear() {
     pk_new.clear();
@@ -222,8 +224,7 @@ bool SameCells(const Record& a, const Record& b) {
 // ---- helpers -------------------------------------------------------------
 
 // Absolute-value overlay lookup/touch for the bag counts.
-int64_t& OverlayCount(std::map<Record, int64_t>& overlay,
-                      const std::map<Record, int64_t>& main,
+int64_t& OverlayCount(BagCounts& overlay, const BagCounts& main,
                       const Record& r) {
   auto it = overlay.find(r);
   if (it != overlay.end()) return it->second;
@@ -232,8 +233,7 @@ int64_t& OverlayCount(std::map<Record, int64_t>& overlay,
       .first->second;
 }
 
-int64_t CombinedCount(const std::map<Record, int64_t>& overlay,
-                      const std::map<Record, int64_t>& main,
+int64_t CombinedCount(const BagCounts& overlay, const BagCounts& main,
                       const Record& r) {
   auto it = overlay.find(r);
   if (it != overlay.end()) return it->second;
@@ -266,22 +266,6 @@ uint8_t TagOf(MemberMode mode) {
   return kTagStateless;
 }
 
-void PutValueVec(std::string& out, const std::vector<Value>& values) {
-  PutU32(out, static_cast<uint32_t>(values.size()));
-  for (const Value& v : values) PutValue(out, v);
-}
-
-StatusOr<std::vector<Value>> ReadValueVec(BinaryReader& reader) {
-  ETLOPT_ASSIGN_OR_RETURN(uint32_t n, reader.U32());
-  std::vector<Value> values;
-  values.reserve(std::min<size_t>(n, reader.remaining()));
-  for (uint32_t i = 0; i < n; ++i) {
-    ETLOPT_ASSIGN_OR_RETURN(Value v, ReadValue(reader));
-    values.push_back(std::move(v));
-  }
-  return values;
-}
-
 void PutAcc(std::string& out, const AggAcc& acc) {
   PutDouble(out, acc.sum);
   PutU64(out, static_cast<uint64_t>(acc.non_null));
@@ -299,7 +283,7 @@ StatusOr<AggAcc> ReadAcc(BinaryReader& reader) {
   return acc;
 }
 
-void PutCounts(std::string& out, const std::map<Record, int64_t>& counts) {
+void PutCounts(std::string& out, const BagCounts& counts) {
   PutU64(out, counts.size());
   for (const auto& [r, c] : counts) {
     PutRecord(out, r);
@@ -307,7 +291,7 @@ void PutCounts(std::string& out, const std::map<Record, int64_t>& counts) {
   }
 }
 
-Status ReadCounts(BinaryReader& reader, std::map<Record, int64_t>* counts) {
+Status ReadCounts(BinaryReader& reader, BagCounts* counts) {
   ETLOPT_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
   for (uint64_t i = 0; i < n; ++i) {
     ETLOPT_ASSIGN_OR_RETURN(Record r, ReadRecord(reader));
@@ -334,7 +318,7 @@ std::string SerializeNodeState(const NodePlan& plan, const NodeState& state) {
         break;
       case kTagPk:
         PutU64(out, ms.pk_seen.size());
-        for (const auto& key : ms.pk_seen) PutValueVec(out, key);
+        for (const auto& key : ms.pk_seen) PutValues(out, key);
         break;
       case kTagJoin:
         PutRecords(out, ms.left_rows);
@@ -343,7 +327,7 @@ std::string SerializeNodeState(const NodePlan& plan, const NodeState& state) {
       case kTagAgg:
         PutU64(out, ms.groups.size());
         for (const auto& [key, group] : ms.groups) {
-          PutValueVec(out, key);
+          PutValues(out, key);
           PutU32(out, static_cast<uint32_t>(group.accs.size()));
           for (const AggAcc& acc : group.accs) PutAcc(out, acc);
         }
@@ -362,7 +346,7 @@ std::string SerializeNodeState(const NodePlan& plan, const NodeState& state) {
 // have non-null keys (null-key rows never join and are never stored).
 Status RebuildJoinIndex(
     const std::vector<Record>& rows, const std::vector<size_t>& key_idx,
-    std::map<std::vector<Value>, std::vector<size_t>>* index) {
+    KeyMap<std::vector<size_t>>* index) {
   for (size_t i = 0; i < rows.size(); ++i) {
     if (rows[i].size() <= (key_idx.empty()
                                ? 0
@@ -412,7 +396,7 @@ Status ParseNodeState(const NodePlan& plan, std::string_view blob,
           ETLOPT_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
           for (uint64_t i = 0; i < n; ++i) {
             ETLOPT_ASSIGN_OR_RETURN(std::vector<Value> key,
-                                    ReadValueVec(reader));
+                                    ReadValues(reader));
             ms.pk_seen.insert(std::move(key));
           }
           break;
@@ -432,7 +416,7 @@ Status ParseNodeState(const NodePlan& plan, std::string_view blob,
           ETLOPT_ASSIGN_OR_RETURN(uint64_t n, reader.U64());
           for (uint64_t i = 0; i < n; ++i) {
             ETLOPT_ASSIGN_OR_RETURN(std::vector<Value> key,
-                                    ReadValueVec(reader));
+                                    ReadValues(reader));
             ETLOPT_ASSIGN_OR_RETURN(uint32_t accs, reader.U32());
             if (accs != mp.agg_fns.size()) {
               return Status::InvalidArgument(
@@ -945,7 +929,7 @@ class StreamRun : public SerialStrategy {
         const std::vector<Record>& delta_right = inputs[1];
         // Stage this batch's joinable rows (null keys never join and
         // are never stored).
-        std::map<std::vector<Value>, std::vector<size_t>> staged_right;
+        KeyMap<std::vector<size_t>> staged_right;
         for (const Record& r : delta_right) {
           std::vector<Value> key = ExtractKey(r, mp.key_idx_right);
           if (HasNull(key)) continue;
@@ -1033,12 +1017,12 @@ class StreamRun : public SerialStrategy {
                over_it != mstg.group_overlay.end()) {
           if (over_it == mstg.group_overlay.end() ||
               (main_it != ms.groups.end() &&
-               main_it->first < over_it->first)) {
+               KeyOrder()(main_it->first, over_it->first))) {
             emit(main_it->first, main_it->second);
             ++main_it;
           } else {
             if (main_it != ms.groups.end() &&
-                main_it->first == over_it->first) {
+                !KeyOrder()(over_it->first, main_it->first)) {
               ++main_it;  // overlay shadows the stale persistent entry
             }
             emit(over_it->first, over_it->second);

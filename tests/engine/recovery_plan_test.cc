@@ -8,13 +8,12 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "contract/contract.h"
 #include "cost/cost_model.h"
 #include "cost/state_cost.h"
 #include "fault/fault_injector.h"
@@ -24,30 +23,6 @@ namespace etlopt {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string UniqueDir(const char* tag) {
-  static int counter = 0;
-  std::string dir = (fs::temp_directory_path() /
-                     (std::string("etlopt_recplan_") + tag + "_" +
-                      std::to_string(::getpid()) + "_" +
-                      std::to_string(counter++)))
-                        .string();
-  fs::remove_all(dir);
-  return dir;
-}
-
-void ExpectSameResult(const ExecutionResult& a, const ExecutionResult& b) {
-  ASSERT_EQ(a.target_data.size(), b.target_data.size());
-  for (const auto& [name, rows] : a.target_data) {
-    auto it = b.target_data.find(name);
-    ASSERT_NE(it, b.target_data.end()) << "missing target " << name;
-    ASSERT_EQ(rows.size(), it->second.size()) << "target " << name;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(rows[i], it->second[i]) << "target " << name << " row " << i;
-    }
-  }
-  EXPECT_EQ(a.rows_out, b.rows_out);
-}
 
 class RecoveryPlanTest : public ::testing::Test {
  protected:
@@ -98,14 +73,14 @@ TEST_F(RecoveryPlanTest, ValidateRejectsPlanPolicyWithoutPlan) {
 }
 
 TEST_F(RecoveryPlanTest, CheckpointsExactlyThePlannedNodes) {
-  const std::string dir = UniqueDir("sites");
+  const std::string dir = ScratchDir("recplan_sites");
   RecoveryOptions options = PlanOptions(dir);
   options.remove_checkpoints_on_success = false;
   RecoverableExecutor exec(options);
   RecoveryStats stats;
   auto r = exec.Execute(workflow_, input_, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ExpectSameResult(expected_, *r);
+  EXPECT_TRUE(SameRun(expected_, r));
   EXPECT_EQ(stats.checkpoints_written, plan_.labels.size());
   // Count the files on disk: one per placed node, nothing else.
   size_t files = 0;
@@ -120,7 +95,7 @@ TEST_F(RecoveryPlanTest, CheckpointsExactlyThePlannedNodes) {
 }
 
 TEST_F(RecoveryPlanTest, CrashAtPlacedCheckpointThenResumeIsByteIdentical) {
-  const std::string dir = UniqueDir("crash");
+  const std::string dir = ScratchDir("recplan_crash");
   RecoverableExecutor exec(PlanOptions(dir));
   // Crash while writing the SECOND placed checkpoint: the first one is
   // already persisted, so the rerun must resume from it.
@@ -140,7 +115,7 @@ TEST_F(RecoveryPlanTest, CrashAtPlacedCheckpointThenResumeIsByteIdentical) {
   RecoveryStats stats;
   auto resumed = exec.Execute(workflow_, input_, &stats);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ExpectSameResult(expected_, *resumed);
+  EXPECT_TRUE(SameRun(expected_, resumed));
   EXPECT_TRUE(stats.resumed);
   EXPECT_GT(stats.checkpoints_loaded, 0u);
   EXPECT_GT(stats.nodes_skipped, 0u);
@@ -151,7 +126,7 @@ TEST_F(RecoveryPlanTest, CrashSweepOverPlacedCheckpointSite) {
   // Every hit index of the new site: crash there, rerun clean, compare.
   for (uint64_t hit = 0; hit < plan_.labels.size(); ++hit) {
     SCOPED_TRACE("hit " + std::to_string(hit));
-    const std::string dir = UniqueDir("sweep");
+    const std::string dir = ScratchDir("recplan_sweep");
     RecoverableExecutor exec(PlanOptions(dir));
     FaultSchedule schedule;
     FaultSpec spec;
@@ -167,13 +142,13 @@ TEST_F(RecoveryPlanTest, CrashSweepOverPlacedCheckpointSite) {
     }
     auto rerun = exec.Execute(workflow_, input_);
     ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
-    ExpectSameResult(expected_, *rerun);
+    EXPECT_TRUE(SameRun(expected_, rerun));
     fs::remove_all(dir);
   }
 }
 
 TEST_F(RecoveryPlanTest, TransientErrorAtPlacedCheckpointIsBestEffort) {
-  const std::string dir = UniqueDir("transient");
+  const std::string dir = ScratchDir("recplan_transient");
   RecoveryOptions options = PlanOptions(dir);
   options.retry.max_attempts = 1;  // no retry: the write just fails
   RecoverableExecutor exec(options);
@@ -187,13 +162,13 @@ TEST_F(RecoveryPlanTest, TransientErrorAtPlacedCheckpointIsBestEffort) {
   RecoveryStats stats;
   auto r = exec.Execute(workflow_, input_, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ExpectSameResult(expected_, *r);
+  EXPECT_TRUE(SameRun(expected_, r));
   EXPECT_EQ(stats.checkpoint_write_failures, 1u);
   fs::remove_all(dir);
 }
 
 TEST_F(RecoveryPlanTest, WorkUnitLedgerCountsEveryActivityOnce) {
-  RecoverableExecutor exec(PlanOptions(UniqueDir("ledger")));
+  RecoverableExecutor exec(PlanOptions(ScratchDir("recplan_ledger")));
   RecoveryStats stats;
   auto r = exec.Execute(workflow_, input_, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -205,7 +180,7 @@ TEST_F(RecoveryPlanTest, WorkUnitLedgerCountsEveryActivityOnce) {
 }
 
 TEST_F(RecoveryPlanTest, StaleSiblingRunDirsAreGarbageCollected) {
-  const std::string dir = UniqueDir("gc");
+  const std::string dir = ScratchDir("recplan_gc");
   // Plant orphan run directories from "crashed runs over other inputs".
   fs::create_directories(dir);
   std::vector<std::string> orphans;
@@ -234,7 +209,7 @@ TEST_F(RecoveryPlanTest, StaleSiblingRunDirsAreGarbageCollected) {
 }
 
 TEST_F(RecoveryPlanTest, ZeroRetentionPrunesEveryOrphan) {
-  const std::string dir = UniqueDir("gc0");
+  const std::string dir = ScratchDir("recplan_gc0");
   fs::create_directories(dir);
   fs::create_directories(dir + "/run_dead_a");
   fs::create_directories(dir + "/run_dead_b");
@@ -250,7 +225,7 @@ TEST_F(RecoveryPlanTest, ZeroRetentionPrunesEveryOrphan) {
 }
 
 TEST_F(RecoveryPlanTest, GcNeverTouchesTheCurrentRunsCheckpoints) {
-  const std::string dir = UniqueDir("gckeep");
+  const std::string dir = ScratchDir("recplan_gckeep");
   fs::create_directories(dir);
   fs::create_directories(dir + "/run_dead_a");
   RecoveryOptions options = PlanOptions(dir);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -12,6 +10,7 @@
 
 #include "activity/templates.h"
 #include "common/random.h"
+#include "contract/contract.h"
 #include "fault/fault_injector.h"
 #include "optimizer/transitions.h"
 #include "workload/scenarios.h"
@@ -21,37 +20,12 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string UniqueDir(const char* tag) {
-  static int counter = 0;
-  std::string dir = (fs::temp_directory_path() /
-                     (std::string("etlopt_recovery_") + tag + "_" +
-                      std::to_string(::getpid()) + "_" +
-                      std::to_string(counter++)))
-                        .string();
-  fs::remove_all(dir);
-  return dir;
-}
-
 RecoveryOptions FastOptions(const std::string& dir = "") {
   RecoveryOptions options;
   options.checkpoint_dir = dir;
   options.retry.initial_backoff_millis = 1;
   options.retry.max_backoff_millis = 2;
   return options;
-}
-
-void ExpectSameResult(const ExecutionResult& a, const ExecutionResult& b) {
-  ASSERT_EQ(a.target_data.size(), b.target_data.size());
-  for (const auto& [name, rows] : a.target_data) {
-    auto it = b.target_data.find(name);
-    ASSERT_NE(it, b.target_data.end()) << "missing target " << name;
-    ASSERT_EQ(rows.size(), it->second.size()) << "target " << name;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(rows[i], it->second[i])
-          << "target " << name << " row " << i;
-    }
-  }
-  EXPECT_EQ(a.rows_out, b.rows_out);
 }
 
 FaultSpec MakeSpec(FaultSite site, uint64_t hit, FaultKind kind) {
@@ -102,15 +76,15 @@ TEST(RecoveryTest, MatchesPlainExecutorWithoutFaults) {
   RecoveryStats stats;
   auto r = no_ckpt.Execute(s->workflow, input, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ExpectSameResult(*plain, *r);
+  EXPECT_TRUE(SameRun(*plain, r));
   EXPECT_EQ(stats.retries, 0u);
   EXPECT_FALSE(stats.resumed);
 
-  std::string dir = UniqueDir("plain");
+  std::string dir = ScratchDir("recovery_plain");
   RecoverableExecutor with_ckpt(FastOptions(dir));
   auto r2 = with_ckpt.Execute(s->workflow, input, &stats);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-  ExpectSameResult(*plain, *r2);
+  EXPECT_TRUE(SameRun(*plain, r2));
   EXPECT_GT(stats.checkpoints_written, 0u);
   fs::remove_all(dir);
 }
@@ -132,7 +106,7 @@ TEST(RecoveryTest, RetryMasksTransientFaults) {
   RecoveryStats stats;
   auto r = exec.Execute(s->workflow, input, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ExpectSameResult(*plain, *r);
+  EXPECT_TRUE(SameRun(*plain, r));
   EXPECT_GE(stats.retries, 2u);
 }
 
@@ -241,7 +215,7 @@ TEST(RecoveryTest, CrashThenResumeIsByteIdentical) {
   auto plain = ExecuteWorkflow(s->workflow, input);
   ASSERT_TRUE(plain.ok());
 
-  std::string dir = UniqueDir("resume");
+  std::string dir = ScratchDir("recovery_resume");
   RecoveryOptions options = FastOptions(dir);
   options.checkpoint_policy = CheckpointPolicy::kAllNodes;
   RecoverableExecutor exec(options);
@@ -263,7 +237,7 @@ TEST(RecoveryTest, CrashThenResumeIsByteIdentical) {
   EXPECT_TRUE(stats.resumed);
   EXPECT_GT(stats.checkpoints_loaded, 0u);
   EXPECT_GT(stats.nodes_skipped, 0u);
-  ExpectSameResult(*plain, *resumed);
+  EXPECT_TRUE(SameRun(*plain, resumed));
   // Successful run cleaned its recovery points.
   EXPECT_FALSE(fs::exists(dir) && !fs::is_empty(dir));
   fs::remove_all(dir);
@@ -277,7 +251,7 @@ TEST(RecoveryTest, CheckpointsFromDifferentInputAreNotResumed) {
   ASSERT_NE(ExecutionInputFingerprint(input_a),
             ExecutionInputFingerprint(input_b));
 
-  std::string dir = UniqueDir("stale");
+  std::string dir = ScratchDir("recovery_stale");
   RecoveryOptions options = FastOptions(dir);
   options.remove_checkpoints_on_success = false;
   RecoverableExecutor exec(options);
@@ -289,7 +263,7 @@ TEST(RecoveryTest, CheckpointsFromDifferentInputAreNotResumed) {
   auto r = exec.Execute(s->workflow, input_b, &stats);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_FALSE(stats.resumed);
-  ExpectSameResult(*plain_b, *r);
+  EXPECT_TRUE(SameRun(*plain_b, r));
   fs::remove_all(dir);
 }
 
@@ -300,7 +274,7 @@ TEST(RecoveryTest, CorruptCheckpointFilesAreRejectedAndRecomputed) {
   auto plain = ExecuteWorkflow(s->workflow, input);
   ASSERT_TRUE(plain.ok());
 
-  std::string dir = UniqueDir("corrupt");
+  std::string dir = ScratchDir("recovery_corrupt");
   RecoveryOptions options = FastOptions(dir);
   options.remove_checkpoints_on_success = false;
   RecoverableExecutor exec(options);
@@ -332,7 +306,7 @@ TEST(RecoveryTest, CorruptCheckpointFilesAreRejectedAndRecomputed) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(stats.checkpoints_rejected, corrupted);
   EXPECT_FALSE(stats.resumed);
-  ExpectSameResult(*plain, *r);
+  EXPECT_TRUE(SameRun(*plain, r));
   fs::remove_all(dir);
 }
 

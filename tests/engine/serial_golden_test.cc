@@ -23,10 +23,9 @@
 #include <string>
 #include <vector>
 
-#include "common/string_util.h"
+#include "contract/contract.h"
 #include "engine/executor.h"
 #include "optimizer/search.h"
-#include "records/record_io.h"
 #include "workload/generator.h"
 
 namespace etlopt {
@@ -52,24 +51,6 @@ SearchOptions HsBudget() {
   return o;
 }
 
-// Digest of a run's targets (name, row count, rows) and rows_out.
-uint64_t Digest(const ExecutionResult& r) {
-  uint64_t h = kFnv1aBasis;
-  std::string buf;
-  for (const auto& [name, rows] : r.target_data) {
-    PutU32(buf, static_cast<uint32_t>(name.size()));
-    buf += name;
-    PutRecords(buf, rows);
-    h = Fnv1a64(buf, h);
-    buf.clear();
-  }
-  for (const auto& [node, count] : r.rows_out) {
-    PutU32(buf, static_cast<uint32_t>(node));
-    PutU64(buf, count);
-  }
-  return Fnv1a64(buf, h);
-}
-
 // One golden line: "<category> <seed> <plan> <digest> <sum of rows_out>".
 std::string GoldenLine(WorkloadCategory category, uint64_t seed,
                        const char* plan, const ExecutionResult& r) {
@@ -78,7 +59,7 @@ std::string GoldenLine(WorkloadCategory category, uint64_t seed,
   char buf[160];
   std::snprintf(buf, sizeof(buf), "%s %" PRIu64 " %s %016" PRIx64 " %zu",
                 std::string(WorkloadCategoryToString(category)).c_str(), seed,
-                plan, Digest(r), rows_out);
+                plan, RunDigest(r), rows_out);
   return buf;
 }
 

@@ -8,6 +8,7 @@
 
 #include "common/macros.h"
 #include "common/random.h"
+#include "contract/contract.h"
 #include "engine/executor.h"
 #include "engine/vectorized.h"
 #include "optimizer/search.h"
@@ -137,46 +138,22 @@ TEST_P(TransitionPropertyTest, SignatureIdentifiesStatesUniquely) {
   }
 }
 
-// N-version check: the materializing and vectorized engines must agree
-// byte for byte on targets and per-node cardinalities. The vectorized
-// engine is checked at one worker and at several.
-void ExpectAllEnginesAgree(const Workflow& w, const ExecutionInput& input,
-                           const char* what) {
-  auto batch = ExecuteWorkflow(w, input);
-  ASSERT_TRUE(batch.ok()) << what << ": " << batch.status().ToString();
-  for (size_t threads : {1u, 4u}) {
-    VectorizedOptions voptions;
-    voptions.num_threads = threads;
-    voptions.batch_size = 64;
-    auto vec = ExecuteVectorized(w, input, voptions);
-    ASSERT_TRUE(vec.ok()) << what << ": " << vec.status().ToString();
-    ASSERT_EQ(batch->target_data.size(), vec->target_data.size()) << what;
-    for (const auto& [name, rows] : batch->target_data) {
-      // The vectorized engine promises byte-identical output, not just
-      // the same multiset.
-      EXPECT_EQ(rows, vec->target_data.at(name))
-          << what << " vectorized(" << threads << ") target " << name;
-    }
-    EXPECT_EQ(batch->rows_out, vec->rows_out)
-        << what << " vectorized(" << threads << ")";
-  }
-}
-
 TEST_P(TransitionPropertyTest, AllEnginesAgreePreAndPostOptimization) {
-  // Every seeded scenario: materializing == vectorized (1 and N workers),
-  // on the initial state, on a transition successor, and on the
-  // heuristically optimized state.
+  // N-version check on every seeded scenario: the vectorized engine, at
+  // one worker and at several, loads the serial engine's bytes
+  // (contract.h) on the initial state, on a transition successor, and on
+  // the heuristically optimized state.
   GeneratedWorkflow g = Generate();
   ExecutionInput input = GenerateInputFor(g.workflow, GetParam().seed + 9, 50);
-  ExpectAllEnginesAgree(g.workflow, input, "initial state");
+  std::vector<std::pair<const char*, Workflow>> states = {
+      {"initial state", g.workflow}};
 
   auto st = MakeState(g.workflow, model_);
   ASSERT_TRUE(st.ok());
   auto succ = EnumerateSuccessors(*st, model_);
   ASSERT_TRUE(succ.ok());
   if (!succ->empty()) {
-    ExpectAllEnginesAgree(succ->front().first.workflow, input,
-                          "transition successor");
+    states.emplace_back("transition successor", succ->front().first.workflow);
   }
 
   SearchOptions fast;
@@ -184,7 +161,19 @@ TEST_P(TransitionPropertyTest, AllEnginesAgreePreAndPostOptimization) {
   fast.max_millis = 10000;
   auto hsg = HeuristicSearchGreedy(g.workflow, model_, fast);
   ASSERT_TRUE(hsg.ok());
-  ExpectAllEnginesAgree(hsg->best.workflow, input, "optimized state");
+  states.emplace_back("optimized state", hsg->best.workflow);
+
+  for (const auto& [what, w] : states) {
+    auto serial = ExecuteWorkflow(w, input);
+    ASSERT_TRUE(serial.ok()) << what << ": " << serial.status().ToString();
+    for (size_t threads : {1u, 4u}) {
+      VectorizedOptions voptions;
+      voptions.num_threads = threads;
+      voptions.batch_size = 64;
+      EXPECT_TRUE(SameRun(*serial, ExecuteVectorized(w, input, voptions)))
+          << what << " vectorized(" << threads << ")";
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

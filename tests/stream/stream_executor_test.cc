@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +13,7 @@
 #include <vector>
 
 #include "activity/templates.h"
+#include "contract/contract.h"
 #include "engine/executor.h"
 #include "fault/fault_injector.h"
 #include "graph/workflow.h"
@@ -25,45 +24,6 @@ namespace etlopt {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string UniqueDir(const char* tag) {
-  static int counter = 0;
-  std::string dir = (fs::temp_directory_path() /
-                     (std::string("etlopt_stream_") + tag + "_" +
-                      std::to_string(::getpid()) + "_" +
-                      std::to_string(counter++)))
-                        .string();
-  fs::remove_all(dir);
-  return dir;
-}
-
-// Exact equality: targets row for row, plus the rows_out bookkeeping.
-void ExpectExactResult(const ExecutionResult& want,
-                       const ExecutionResult& got) {
-  ASSERT_EQ(want.target_data.size(), got.target_data.size());
-  for (const auto& [name, rows] : want.target_data) {
-    auto it = got.target_data.find(name);
-    ASSERT_NE(it, got.target_data.end()) << "missing target " << name;
-    ASSERT_EQ(rows.size(), it->second.size()) << "target " << name;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      ASSERT_EQ(rows[i], it->second[i]) << "target " << name << " row " << i;
-    }
-  }
-  EXPECT_EQ(want.rows_out, got.rows_out);
-}
-
-// Multiset equality per target (the headline property: per-batch
-// interleaving may reorder union flows) plus exact rows_out.
-void ExpectSameMultiset(const ExecutionResult& want,
-                        const ExecutionResult& got) {
-  ASSERT_EQ(want.target_data.size(), got.target_data.size());
-  for (const auto& [name, rows] : want.target_data) {
-    auto it = got.target_data.find(name);
-    ASSERT_NE(it, got.target_data.end()) << "missing target " << name;
-    EXPECT_TRUE(SameRecordMultiset(rows, it->second)) << "target " << name;
-  }
-  EXPECT_EQ(want.rows_out, got.rows_out);
-}
 
 Record Row2(int64_t k, const char* s) {
   Record r;
@@ -124,7 +84,7 @@ TEST(StreamExecutorTest, JoinStreamsIncrementally) {
   StreamStats stats;
   auto streamed = StreamExecutor(options).Run(s.workflow, s.input, &stats);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  ExpectSameMultiset(*baseline, *streamed);
+  EXPECT_TRUE(SameRun(*baseline, streamed, Order::kMultiset));
   EXPECT_EQ(stats.batches_run, 7u);
   EXPECT_EQ(stats.delta_nodes, 1u);  // the join runs in delta mode
   EXPECT_EQ(stats.refresh_nodes, 0u);
@@ -157,7 +117,7 @@ TEST(StreamExecutorTest, PrimaryKeyDedupsAcrossBatchBoundaries) {
   auto streamed = StreamExecutor(options).Run(w, input);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   // First occurrences arrive in capture order: exact, not just multiset.
-  ExpectExactResult(*baseline, *streamed);
+  EXPECT_TRUE(SameRun(*baseline, streamed));
 }
 
 TEST(StreamExecutorTest, AggregationRefreshMatchesBatch) {
@@ -202,7 +162,7 @@ TEST(StreamExecutorTest, AggregationRefreshMatchesBatch) {
     ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
     // Refresh output: bit-exact including float sums (same per-group
     // addition order as the batch run).
-    ExpectExactResult(*baseline, *streamed);
+    EXPECT_TRUE(SameRun(*baseline, streamed));
     EXPECT_EQ(stats.refresh_nodes, 1u);
   }
 }
@@ -234,7 +194,7 @@ TEST(StreamExecutorTest, BagOperatorsRefreshCorrectly) {
     options.num_batches = 5;
     auto streamed = StreamExecutor(options).Run(w, input);
     ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-    ExpectSameMultiset(*baseline, *streamed);
+    EXPECT_TRUE(SameRun(*baseline, streamed, Order::kMultiset));
   }
 }
 
@@ -250,7 +210,7 @@ TEST(StreamExecutorTest, Fig1StreamsAcrossBatchCounts) {
     auto streamed = StreamExecutor(options).Run(s->workflow, input);
     ASSERT_TRUE(streamed.ok())
         << "N=" << n << ": " << streamed.status().ToString();
-    ExpectSameMultiset(*baseline, *streamed);
+    EXPECT_TRUE(SameRun(*baseline, streamed, Order::kMultiset));
   }
 }
 
@@ -270,7 +230,7 @@ TEST(StreamExecutorTest, CheckpointPersistsAndResumes) {
   ExecutionInput input = MakeFig1Input(/*seed=*/7, /*rows_per_source=*/80);
   auto baseline = ExecuteWorkflow(s->workflow, input);
   ASSERT_TRUE(baseline.ok());
-  const std::string dir = UniqueDir("resume");
+  const std::string dir = ScratchDir("stream_resume");
   StreamOptions options;
   options.num_batches = 6;
   options.checkpoint_dir = dir;
@@ -281,7 +241,7 @@ TEST(StreamExecutorTest, CheckpointPersistsAndResumes) {
   StreamStats first;
   auto run1 = exec.Run(s->workflow, input, &first);
   ASSERT_TRUE(run1.ok()) << run1.status().ToString();
-  ExpectSameMultiset(*baseline, *run1);
+  EXPECT_TRUE(SameRun(*baseline, run1, Order::kMultiset));
   EXPECT_EQ(first.batches_run, 6u);
   EXPECT_FALSE(first.resumed);
   EXPECT_GT(first.checkpoints_written, 0u);
@@ -292,7 +252,7 @@ TEST(StreamExecutorTest, CheckpointPersistsAndResumes) {
   StreamStats second;
   auto run2 = exec.Run(s->workflow, input, &second);
   ASSERT_TRUE(run2.ok()) << run2.status().ToString();
-  ExpectSameMultiset(*baseline, *run2);
+  EXPECT_TRUE(SameRun(*baseline, run2, Order::kMultiset));
   EXPECT_TRUE(second.resumed);
   EXPECT_EQ(second.batches_run, 0u);
   EXPECT_EQ(second.batches_skipped, 6u);
@@ -313,7 +273,7 @@ TEST(StreamExecutorTest, CorruptCheckpointIsRejectedNotTrusted) {
   ExecutionInput input = MakeFig1Input(/*seed=*/9, /*rows_per_source=*/60);
   auto baseline = ExecuteWorkflow(s->workflow, input);
   ASSERT_TRUE(baseline.ok());
-  const std::string dir = UniqueDir("corrupt");
+  const std::string dir = ScratchDir("stream_corrupt");
   StreamOptions options;
   options.num_batches = 4;
   options.checkpoint_dir = dir;
@@ -333,7 +293,7 @@ TEST(StreamExecutorTest, CorruptCheckpointIsRejectedNotTrusted) {
   EXPECT_FALSE(stats.resumed);
   EXPECT_GE(stats.checkpoints_rejected, 1u);
   EXPECT_EQ(stats.batches_run, 4u);
-  ExpectSameMultiset(*baseline, *rerun);
+  EXPECT_TRUE(SameRun(*baseline, rerun, Order::kMultiset));
   fs::remove_all(dir);
 }
 
@@ -341,7 +301,7 @@ TEST(StreamExecutorTest, DifferentBatchingDoesNotCrossResume) {
   auto s = BuildFig1Scenario();
   ASSERT_TRUE(s.ok());
   ExecutionInput input = MakeFig1Input(/*seed=*/11, /*rows_per_source=*/50);
-  const std::string dir = UniqueDir("keyed");
+  const std::string dir = ScratchDir("stream_keyed");
   StreamOptions options;
   options.num_batches = 4;
   options.checkpoint_dir = dir;
@@ -377,7 +337,7 @@ TEST(StreamExecutorTest, EventTimeModeStreamsGeneratedWorkflows) {
   StreamStats stats;
   auto streamed = StreamExecutor(options).Run(g->workflow, input, &stats);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  ExpectSameMultiset(*baseline, *streamed);
+  EXPECT_TRUE(SameRun(*baseline, streamed, Order::kMultiset));
   EXPECT_GT(stats.batches_run, 1u) << "windowing produced a single batch";
 }
 
@@ -476,7 +436,7 @@ void ExpectEveryPrefixExact(const Workflow& w, const ExecutionInput& input,
       ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
       SCOPED_TRACE("prefix " + std::to_string(n) + ", " +
                    std::to_string(batches) + " batches");
-      ExpectExactResult(*baseline, *streamed);
+      EXPECT_TRUE(SameRun(*baseline, streamed));
       EXPECT_EQ(stats.keyed_nodes, keyed_nodes);
     }
   }
@@ -615,7 +575,7 @@ TEST(StreamExecutorTest, AggregationIntoBinaryNodeKeepsFullRefresh) {
     StreamStats stats;
     auto streamed = StreamExecutor(options).Run(w, input, &stats);
     ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-    ExpectExactResult(*baseline, *streamed);
+    EXPECT_TRUE(SameRun(*baseline, streamed));
     // agg, the binary node and the filter below it all refresh; none is
     // keyed.
     EXPECT_EQ(stats.refresh_nodes, 3u) << (join ? "join" : "union");
@@ -648,7 +608,7 @@ TEST(StreamExecutorTest, KeyedBatchRetriedAfterTransientFaultBelowAggregation) {
     auto streamed = StreamExecutor(options).Run(w, input, &stats);
     ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
     EXPECT_EQ(stats.retries, 1u) << "hit " << hit;
-    ExpectExactResult(*baseline, *streamed);
+    EXPECT_TRUE(SameRun(*baseline, streamed));
   }
 }
 
@@ -659,7 +619,7 @@ TEST(StreamExecutorTest, KeyedTablesRebuiltAfterCrashAndResume) {
   ASSERT_TRUE(baseline.ok());
   const size_t batches = input.source_data.at("S").size();
   for (uint64_t hit = 1; hit < batches; ++hit) {
-    const std::string dir = UniqueDir("keyed_resume");
+    const std::string dir = ScratchDir("stream_keyed_resume");
     StreamOptions options;
     options.num_batches = static_cast<int64_t>(batches);
     options.checkpoint_dir = dir;
@@ -680,7 +640,7 @@ TEST(StreamExecutorTest, KeyedTablesRebuiltAfterCrashAndResume) {
     auto resumed = StreamExecutor(options).Run(w, input, &stats);
     ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
     EXPECT_EQ(stats.resumed, hit >= 2) << "crash at batch " << hit;
-    ExpectExactResult(*baseline, *resumed);
+    EXPECT_TRUE(SameRun(*baseline, resumed));
     fs::remove_all(dir);
   }
 }

@@ -19,8 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -33,9 +31,9 @@
 
 #include "activity/templates.h"
 #include "common/string_util.h"
+#include "contract/contract.h"
 #include "engine/executor.h"
 #include "fault/fault_injector.h"
-#include "records/record_io.h"
 #include "stream/stream_executor.h"
 #include "workload/generator.h"
 
@@ -52,35 +50,6 @@ struct Case {
   ExecutionInput input;
   StreamOptions options;
 };
-
-std::string UniqueDir(const std::string& tag) {
-  static int counter = 0;
-  std::string dir = (fs::temp_directory_path() /
-                     ("etlopt_strgold_" + tag + "_" +
-                      std::to_string(::getpid()) + "_" +
-                      std::to_string(counter++)))
-                        .string();
-  fs::remove_all(dir);
-  return dir;
-}
-
-// Digest of a run's targets (name, rows in emitted order) and rows_out.
-uint64_t ResultDigest(const ExecutionResult& r) {
-  uint64_t h = kFnv1aBasis;
-  std::string buf;
-  for (const auto& [name, rows] : r.target_data) {
-    PutU32(buf, static_cast<uint32_t>(name.size()));
-    buf += name;
-    PutRecords(buf, rows);
-    h = Fnv1a64(buf, h);
-    buf.clear();
-  }
-  for (const auto& [node, count] : r.rows_out) {
-    PutU32(buf, static_cast<uint32_t>(node));
-    PutU64(buf, count);
-  }
-  return Fnv1a64(buf, h);
-}
 
 // "<digest> <bytes>" of the one checkpoint file in `dir`, or "none".
 std::string CheckpointDigest(const std::string& dir) {
@@ -108,7 +77,7 @@ std::vector<std::string> Lines(const Case& c) {
   options.remove_checkpoints_on_success = false;
 
   // The completed run: its result and the file it leaves.
-  const std::string dir = UniqueDir(c.name);
+  const std::string dir = ScratchDir("strgold_" + c.name);
   options.checkpoint_dir = dir;
   StreamStats stats;
   auto run = StreamExecutor(options).Run(c.workflow, c.input, &stats);
@@ -118,7 +87,7 @@ std::vector<std::string> Lines(const Case& c) {
   for (const auto& [node, count] : run->rows_out) rows_out += count;
   char buf[160];
   std::snprintf(buf, sizeof(buf), "%s result %016" PRIx64 " %zu",
-                c.name.c_str(), ResultDigest(*run), rows_out);
+                c.name.c_str(), RunDigest(*run), rows_out);
   lines.push_back(buf);
   const std::string final_digest = CheckpointDigest(dir);
   fs::remove_all(dir);

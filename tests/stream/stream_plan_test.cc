@@ -8,12 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "contract/contract.h"
 #include "cost/cost_model.h"
 #include "cost/state_cost.h"
 #include "engine/executor.h"
@@ -24,31 +23,6 @@ namespace etlopt {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string UniqueDir(const char* tag) {
-  static int counter = 0;
-  std::string dir = (fs::temp_directory_path() /
-                     (std::string("etlopt_streamplan_") + tag + "_" +
-                      std::to_string(::getpid()) + "_" +
-                      std::to_string(counter++)))
-                        .string();
-  fs::remove_all(dir);
-  return dir;
-}
-
-void ExpectExactResult(const ExecutionResult& want,
-                       const ExecutionResult& got) {
-  ASSERT_EQ(want.target_data.size(), got.target_data.size());
-  for (const auto& [name, rows] : want.target_data) {
-    auto it = got.target_data.find(name);
-    ASSERT_NE(it, got.target_data.end()) << "missing target " << name;
-    ASSERT_EQ(rows.size(), it->second.size()) << "target " << name;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      ASSERT_EQ(rows[i], it->second[i]) << "target " << name << " row " << i;
-    }
-  }
-  EXPECT_EQ(want.rows_out, got.rows_out);
-}
 
 class StreamPlanTest : public ::testing::Test {
  protected:
@@ -82,7 +56,7 @@ class StreamPlanTest : public ::testing::Test {
 };
 
 TEST_F(StreamPlanTest, UsesThePlannedYoungInterval) {
-  StreamOptions options = PlanOptions(UniqueDir("interval"));
+  StreamOptions options = PlanOptions(ScratchDir("streamplan_interval"));
   options.checkpoint_every_batches = 3;  // must be overridden by the plan
   StreamExecutor exec(options);
   StreamStats stats;
@@ -95,7 +69,7 @@ TEST_F(StreamPlanTest, UsesThePlannedYoungInterval) {
 }
 
 TEST_F(StreamPlanTest, DisabledPlanKeepsTheKnobCadence) {
-  StreamOptions options = PlanOptions(UniqueDir("knob"));
+  StreamOptions options = PlanOptions(ScratchDir("streamplan_knob"));
   options.recovery_plan = RecoveryPointPlan{};
   options.checkpoint_every_batches = 3;
   StreamExecutor exec(options);
@@ -109,18 +83,18 @@ TEST_F(StreamPlanTest, DisabledPlanKeepsTheKnobCadence) {
 TEST_F(StreamPlanTest, PlanDrivenStreamMatchesOneShotExecution) {
   auto plain = ExecuteWorkflow(workflow_, input_);
   ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-  StreamOptions options = PlanOptions(UniqueDir("exact"));
+  StreamOptions options = PlanOptions(ScratchDir("streamplan_exact"));
   StreamExecutor exec(options);
   auto r = exec.Run(workflow_, input_);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ExpectExactResult(*plain, *r);
+  EXPECT_TRUE(SameRun(*plain, r));
   fs::remove_all(options.checkpoint_dir);
 }
 
 TEST_F(StreamPlanTest, CrashAtPlannedCheckpointThenResumeIsExact) {
   auto plain = ExecuteWorkflow(workflow_, input_);
   ASSERT_TRUE(plain.ok());
-  const std::string dir = UniqueDir("crash");
+  const std::string dir = ScratchDir("streamplan_crash");
   StreamOptions options = PlanOptions(dir);
   StreamExecutor exec(options);
   FaultSchedule schedule;
@@ -142,12 +116,12 @@ TEST_F(StreamPlanTest, CrashAtPlannedCheckpointThenResumeIsExact) {
   StreamStats stats;
   auto resumed = exec.Run(workflow_, input_, &stats);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ExpectExactResult(*plain, *resumed);
+  EXPECT_TRUE(SameRun(*plain, resumed));
   fs::remove_all(dir);
 }
 
 TEST_F(StreamPlanTest, StaleStreamCheckpointsAreGarbageCollected) {
-  const std::string dir = UniqueDir("gc");
+  const std::string dir = ScratchDir("streamplan_gc");
   fs::create_directories(dir);
   for (int i = 0; i < 4; ++i) {
     std::ofstream(dir + "/stream_000000000000000" + std::to_string(i) +
