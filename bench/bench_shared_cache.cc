@@ -23,6 +23,10 @@
 // case (the deadlock-free lease protocol refuses to wait while holding
 // a lease, so racing tenants degrade to recomputation), and the bench
 // reports how much sharing survives it rather than gating on timing.
+// A third, timed pass reports the median wall time of one round of all
+// K tenants in arrival order, against a fresh cache and uncached, the
+// two legs interleaved (informational: work alone hid a cached round
+// that took longer than an uncached one).
 // Emits BENCH_shared_cache.json.
 
 #include <atomic>
@@ -95,6 +99,8 @@ struct OverlapFigures {
   size_t cache_bytes = 0;
   uint64_t concurrent_coalesced = 0;
   uint64_t concurrent_busy = 0;
+  double cached_round_ms = 0;    // median, fresh cache per round
+  double uncached_round_ms = 0;  // median
   bool byte_identical = true;
 };
 
@@ -104,7 +110,8 @@ double Ratio(size_t uncached, size_t cached) {
                            static_cast<double>(cached);
 }
 
-OverlapFigures RunOverlap(double overlap, size_t rows_per_source) {
+OverlapFigures RunOverlap(double overlap, size_t rows_per_source,
+                          int timed_rounds) {
   std::vector<Tenant> tenants = MakeTenants(overlap, rows_per_source);
 
   OverlapFigures figures;
@@ -180,6 +187,36 @@ OverlapFigures RunOverlap(double overlap, size_t rows_per_source) {
   }
   figures.concurrent_ratio =
       Ratio(figures.uncached_work, figures.concurrent_work);
+
+  // Timed pass: leg 0 is a cached round (a fresh cache, so every round
+  // pays tenant 0's misses), leg 1 an uncached round.
+  {
+    std::vector<ExecutionResult> results(kTenants);
+    const std::vector<double> medians = InterleavedMedianMillis(
+        2, timed_rounds,
+        [&](size_t leg) {
+          SharedResultCache cache;
+          CacheOptions copts;
+          copts.cache = &cache;
+          for (size_t t = 0; t < kTenants; ++t) {
+            auto r = leg == 0 ? ExecuteWorkflow(tenants[t].workflow,
+                                                tenants[t].input, copts)
+                              : ExecuteWorkflow(tenants[t].workflow,
+                                                tenants[t].input);
+            ETLOPT_CHECK_OK(r.status());
+            results[t] = std::move(r).value();
+          }
+        },
+        [&](size_t) {
+          for (size_t t = 0; t < kTenants; ++t) {
+            if (!SameResult(results[t], tenants[t].uncached)) {
+              figures.byte_identical = false;
+            }
+          }
+        });
+    figures.cached_round_ms = medians[0];
+    figures.uncached_round_ms = medians[1];
+  }
   return figures;
 }
 
@@ -189,6 +226,7 @@ int Run() {
     return q != nullptr && q[0] == '1';
   }();
   const size_t rows_per_source = quick ? 200 : 2000;
+  const int timed_rounds = quick ? 3 : 9;
 
   JsonReport report("shared_cache");
   report.Add("config.tenants", static_cast<double>(kTenants), "tenants");
@@ -198,15 +236,17 @@ int Run() {
   double gate_ratio = 0.0;
   bool all_identical = true;
   for (double overlap : {0.0, 0.5, 1.0}) {
-    OverlapFigures f = RunOverlap(overlap, rows_per_source);
+    OverlapFigures f = RunOverlap(overlap, rows_per_source, timed_rounds);
     std::printf(
         "overlap=%.1f  work uncached=%10zu cached=%10zu ratio=%6.2fx  "
         "hit=%5.1f%% bytes=%zu  concurrent=%6.2fx "
-        "(coalesced=%llu busy=%llu) %s\n",
+        "(coalesced=%llu busy=%llu)  round ms cached=%.1f uncached=%.1f "
+        "%s\n",
         overlap, f.uncached_work, f.cached_work, f.work_ratio,
         f.hit_rate_pct, f.cache_bytes, f.concurrent_ratio,
         static_cast<unsigned long long>(f.concurrent_coalesced),
         static_cast<unsigned long long>(f.concurrent_busy),
+        f.cached_round_ms, f.uncached_round_ms,
         f.byte_identical ? "" : "OUTPUT-MISMATCH");
     const std::string prefix = StrFormat("overlap_%.0f", overlap * 100.0);
     report.Add(prefix + ".uncached_work",
@@ -222,6 +262,8 @@ int Run() {
                static_cast<double>(f.concurrent_coalesced), "flights");
     report.Add(prefix + ".concurrent_busy",
                static_cast<double>(f.concurrent_busy), "flights");
+    report.Add(prefix + ".cached_round_ms", f.cached_round_ms, "ms");
+    report.Add(prefix + ".uncached_round_ms", f.uncached_round_ms, "ms");
     if (overlap == 1.0) gate_ratio = f.work_ratio;
     all_identical = all_identical && f.byte_identical;
   }

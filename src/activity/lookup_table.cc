@@ -1,5 +1,10 @@
 #include "activity/lookup_table.h"
 
+#include <string>
+
+#include "common/string_util.h"
+#include "records/record_io.h"
+
 namespace etlopt {
 
 LookupIndex::LookupIndex(const Map& entries) {
@@ -27,6 +32,31 @@ const LookupIndex& LookupTable::Index() const {
   return *storage_->index;
 }
 
+uint64_t LookupTable::Fingerprint() const {
+  return storage_->fingerprints.Content([this] {
+    uint64_t h = Fnv1a64U64(entries().size(), kFnv1aBasis);
+    for (const auto& [key, value] : entries()) {
+      h = Fnv1a64U64(key.size(), h);
+      for (const Value& v : key) h = Fnv1a64U64(v.Hash(), h);
+      h = Fnv1a64U64(value.Hash(), h);
+    }
+    return h;
+  });
+}
+
+uint64_t LookupTable::FingerprintSegment(uint64_t before) const {
+  return storage_->fingerprints.Segment(before, [this](uint64_t h) {
+    std::string buf;
+    for (const auto& [key, value] : entries()) {
+      PutValues(buf, key);
+      PutValue(buf, value);
+      h = Fnv1a64(buf, h);
+      buf.clear();
+    }
+    return h;
+  });
+}
+
 LookupTable::Map& LookupTable::Detach() {
   if (storage_.use_count() > 1) {
     auto copy = std::make_shared<Storage>();
@@ -34,6 +64,7 @@ LookupTable::Map& LookupTable::Detach() {
     storage_ = std::move(copy);
   } else {
     storage_->index.reset();
+    storage_->fingerprints.Clear();
   }
   return storage_->entries;
 }

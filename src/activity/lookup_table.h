@@ -2,20 +2,21 @@
 // surrogate id), and the hashed index the SurrogateKey kernels probe.
 //
 // The ordered map is the source of truth. Checkpoint and cache keys
-// (ExecutionInputFingerprint, LookupFingerprint) walk it in key order,
-// so its order is part of their bytes. The kernels never search it: they
+// (ExecutionInputFingerprint, Fingerprint) walk it in key order, so its
+// order is part of their bytes. The kernels never search it: they
 // probe a LookupIndex, a flat open-addressing table of (key hash, entry
 // pointer) built over the map's nodes at most once per table, by the
 // first thread that asks for it.
 //
 // A LookupTable is a handle on shared storage. Copying one — and with
 // it an ExecutionContext or an ExecutionInput — shares the entries and
-// the index instead of copying them. Every mutator (emplace, operator[],
-// clear) first detaches this handle: storage that another copy also
-// holds is copied, and storage held alone drops its index. So no copy
-// sees another copy's change, and no index ever answers for entries it
-// was not built over. Write through a reference or iterator a mutator
-// returns only until this table is next copied or mutated.
+// the index and the fingerprints instead of copying them. Every mutator
+// (emplace, operator[], clear) first detaches this handle: storage that
+// another copy also holds is copied, and storage held alone drops its
+// index and its fingerprints. So no copy sees another copy's change, and
+// no index or fingerprint ever answers for entries it was not built
+// over. Write through a reference or iterator a mutator returns only
+// until this table is next copied, mutated, probed or fingerprinted.
 
 #ifndef ETLOPT_ACTIVITY_LOOKUP_TABLE_H_
 #define ETLOPT_ACTIVITY_LOOKUP_TABLE_H_
@@ -27,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "records/source_table.h"
 #include "schema/value.h"
 
 namespace etlopt {
@@ -120,14 +122,26 @@ class LookupTable {
   /// kernel calls it once per bind, not per row.
   const LookupIndex& Index() const;
 
+  /// Fold of every key cell's and surrogate's Value::Hash in key order:
+  /// the content fingerprint the shared result cache's subgraph
+  /// signatures read. Computed once per storage.
+  uint64_t Fingerprint() const;
+
+  /// The FNV state after the entries' record_io bytes, continuing from
+  /// `before`: this table's part of ExecutionInputFingerprint after its
+  /// name and entry count. Kept for the last `before` asked.
+  uint64_t FingerprintSegment(uint64_t before) const;
+
  private:
   struct Storage {
     Map entries;
     std::mutex index_mu;
     std::unique_ptr<const LookupIndex> index;  // guarded by index_mu
+    InputFingerprints fingerprints;
   };
 
-  /// The entries, on storage no other handle holds and without an index.
+  /// The entries, on storage no other handle holds and without an index
+  /// or fingerprints.
   Map& Detach();
 
   std::shared_ptr<Storage> storage_;

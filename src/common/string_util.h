@@ -18,6 +18,15 @@ inline constexpr uint64_t kFnv1aBasis = 14695981039346656037ull;
 /// files, recovery checkpoints) and request-context hashing.
 uint64_t Fnv1a64(std::string_view bytes, uint64_t seed = kFnv1aBasis);
 
+/// Fnv1a64 over the eight bytes of `v`, least significant first.
+inline uint64_t Fnv1a64U64(uint64_t v, uint64_t seed) {
+  for (int i = 0; i < 8; ++i) {
+    seed = (seed ^ static_cast<unsigned char>(v >> (8 * i))) *
+           1099511628211ull;
+  }
+  return seed;
+}
+
 /// Joins `parts` with `sep` ("a", "b" -> "a,b").
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 

@@ -14,15 +14,18 @@
 
 #include "graph/workflow.h"
 #include "records/recordset.h"
+#include "records/source_table.h"
 
 namespace etlopt {
 
 class SharedResultCache;
 
 /// Everything a run needs besides the workflow itself: source contents
-/// (keyed by recordset name) and the surrogate-key lookup tables.
+/// (keyed by recordset name) and the surrogate-key lookup tables. Copying
+/// an input shares its sources' and tables' storage and fingerprints
+/// (see SourceTable and LookupTable).
 struct ExecutionInput {
-  std::map<std::string, std::vector<Record>> source_data;
+  std::map<std::string, SourceTable> source_data;
   ExecutionContext context;
 };
 

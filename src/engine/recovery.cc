@@ -82,30 +82,22 @@ Status ValidateRecoveryOptions(const RecoveryOptions& options) {
 uint64_t ExecutionInputFingerprint(const ExecutionInput& input) {
   uint64_t h = kFnv1aBasis;
   std::string buf;
-  auto mix = [&h, &buf]() {
+  // Each input's header (name, size) is hashed here; its rows or entries
+  // are a segment the input keeps cached.
+  auto header = [&h, &buf](const std::string& name, size_t size) {
+    PutU32(buf, static_cast<uint32_t>(name.size()));
+    buf += name;
+    PutU64(buf, size);
     h = Fnv1a64(buf, h);
     buf.clear();
   };
   for (const auto& [name, rows] : input.source_data) {
-    PutU32(buf, static_cast<uint32_t>(name.size()));
-    buf += name;
-    PutU64(buf, rows.size());
-    mix();
-    for (const Record& r : rows) {
-      PutRecord(buf, r);
-      mix();
-    }
+    header(name, rows.size());
+    h = rows.FingerprintSegment(h);
   }
   for (const auto& [name, table] : input.context.lookups) {
-    PutU32(buf, static_cast<uint32_t>(name.size()));
-    buf += name;
-    PutU64(buf, table.size());
-    mix();
-    for (const auto& [key, value] : table) {
-      PutValues(buf, key);
-      PutValue(buf, value);
-      mix();
-    }
+    header(name, table.size());
+    h = table.FingerprintSegment(h);
   }
   return h;
 }

@@ -122,7 +122,9 @@ struct Checkpoint {
 
 /// Fingerprint of an execution input (source data + lookup tables):
 /// equal inputs yield equal fingerprints, so checkpoints from a run over
-/// different data are never resumed from.
+/// different data are never resumed from. Each source and table hashes
+/// its rows once and keeps the result (FingerprintSegment), so a call on
+/// an input fingerprinted before costs one step per name.
 uint64_t ExecutionInputFingerprint(const ExecutionInput& input);
 
 /// Checksummed binary encoding ("ETLCKPT1" magic, length-prefixed rows,

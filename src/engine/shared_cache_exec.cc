@@ -10,39 +10,6 @@ namespace etlopt {
 
 namespace {
 
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-inline uint64_t FoldU64(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ static_cast<unsigned char>(v >> (8 * i))) * kFnvPrime;
-  }
-  return h;
-}
-
-// Order-sensitive content fold of a row list. Process-stable is enough:
-// the shared cache lives and dies with the process.
-uint64_t RowsFingerprint(const std::vector<Record>& rows) {
-  uint64_t h = kFnv1aBasis;
-  h = FoldU64(h, rows.size());
-  for (const Record& r : rows) {
-    h = FoldU64(h, r.size());
-    for (const Value& v : r.values()) h = FoldU64(h, v.Hash());
-  }
-  return h;
-}
-
-uint64_t LookupFingerprint(
-    const std::map<std::vector<Value>, Value>& lookup) {
-  uint64_t h = kFnv1aBasis;
-  h = FoldU64(h, lookup.size());
-  for (const auto& [key, value] : lookup) {
-    h = FoldU64(h, key.size());
-    for (const Value& v : key) h = FoldU64(h, v.Hash());
-    h = FoldU64(h, value.Hash());
-  }
-  return h;
-}
-
 bool HasBlockingMember(const ActivityChain& chain) {
   for (const ActivityChain::Member& m : chain.members()) {
     switch (m.activity.kind()) {
@@ -87,12 +54,12 @@ CachePlan::CachePlan(const Workflow& workflow, const ExecutionInput& input,
     // A missing binding fails execution later anyway; fold a distinct
     // constant so it can never alias a bound source.
     if (it == input.source_data.end()) return 0x6d697373696e6721ull;
-    return RowsFingerprint(it->second);
+    return it->second.Fingerprint();
   };
   sig_in.lookup_fingerprint = [&input](const std::string& name) -> uint64_t {
     auto it = input.context.lookups.find(name);
     if (it == input.context.lookups.end()) return 0x6d697373696e6721ull;
-    return LookupFingerprint(it->second.entries());
+    return it->second.Fingerprint();
   };
   signatures_ = AllSubgraphResultSignatures(workflow_, sig_in);
 

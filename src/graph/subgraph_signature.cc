@@ -1,6 +1,9 @@
 #include "graph/subgraph_signature.h"
 
 #include <algorithm>
+#include <functional>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "activity/activity.h"
@@ -15,12 +18,7 @@ namespace {
 // persisted/cross-version signatures can never alias fresh ones.
 constexpr uint64_t kSubgraphSigSalt = 0x5347534947763101ull;  // "SGSIGv1" ~
 
-inline uint64_t FoldU64(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ static_cast<unsigned char>(v >> (8 * i))) * 1099511628211ull;
-  }
-  return h;
-}
+inline uint64_t FoldU64(uint64_t h, uint64_t v) { return Fnv1a64U64(v, h); }
 
 inline uint64_t FoldByte(uint64_t h, unsigned char b) {
   return (h ^ b) * 1099511628211ull;
@@ -60,6 +58,37 @@ std::vector<std::vector<NodeId>> BuildProviderIndex(const Workflow& w) {
   return out;
 }
 
+// The bound inputs' fingerprints by name, each asked of its callback at
+// most once per signature call: a source or lookup table lies in the cone
+// of every node below it, and a callback may hash every row it names.
+class FingerprintMemo {
+ public:
+  explicit FingerprintMemo(const SubgraphSignatureInputs& inputs)
+      : inputs_(inputs) {}
+
+  uint64_t Source(const std::string& name) {
+    return Get(sources_, inputs_.source_fingerprint, name);
+  }
+  uint64_t Lookup(const std::string& name) {
+    return Get(lookups_, inputs_.lookup_fingerprint, name);
+  }
+
+ private:
+  using Callback = std::function<uint64_t(const std::string&)>;
+
+  // A null callback folds the name itself.
+  static uint64_t Get(std::unordered_map<std::string, uint64_t>& memo,
+                      const Callback& callback, const std::string& name) {
+    auto [it, inserted] = memo.try_emplace(name, 0);
+    if (inserted) it->second = callback ? callback(name) : Fnv1a64(name);
+    return it->second;
+  }
+
+  const SubgraphSignatureInputs& inputs_;
+  std::unordered_map<std::string, uint64_t> sources_;
+  std::unordered_map<std::string, uint64_t> lookups_;
+};
+
 // One root's DFS: threads the running hash through a canonical pre-order
 // walk, folding structure (first-visit indices, back-references, port
 // order) and per-node content. `order`, when non-null, collects the
@@ -67,7 +96,7 @@ std::vector<std::vector<NodeId>> BuildProviderIndex(const Workflow& w) {
 struct SignatureWalker {
   const Workflow& w;
   const std::vector<std::vector<NodeId>>& providers;
-  const SubgraphSignatureInputs& inputs;
+  FingerprintMemo& fingerprints;
   std::vector<int> index;  // NodeId -> first-visit index, -1 = unvisited
   int next_index = 0;
   std::vector<NodeId>* order = nullptr;
@@ -88,9 +117,7 @@ struct SignatureWalker {
       if (provs.empty()) {
         h = FoldByte(h, 'S');
         h = FoldSchema(h, def.schema);
-        h = FoldU64(h, inputs.source_fingerprint
-                           ? inputs.source_fingerprint(def.name)
-                           : Fnv1a64(def.name));
+        h = FoldU64(h, fingerprints.Source(def.name));
       } else {
         h = FoldByte(h, 'G');  // staging: realigns to the declared schema
         h = FoldSchema(h, def.schema);
@@ -103,9 +130,7 @@ struct SignatureWalker {
         h = FoldString(h, m.activity.SemanticsString());
         if (m.activity.kind() == ActivityKind::kSurrogateKey) {
           const auto& p = m.activity.params_as<SurrogateKeyParams>();
-          h = FoldU64(h, inputs.lookup_fingerprint
-                             ? inputs.lookup_fingerprint(p.lookup_name)
-                             : Fnv1a64(p.lookup_name));
+          h = FoldU64(h, fingerprints.Lookup(p.lookup_name));
         }
       }
       h = FoldSchema(h, w.OutputSchema(id));
@@ -121,7 +146,8 @@ uint64_t SubgraphResultSignature(const Workflow& workflow, NodeId root,
   ETLOPT_CHECK(workflow.fresh());
   ETLOPT_CHECK(workflow.Exists(root));
   auto providers = BuildProviderIndex(workflow);
-  SignatureWalker walker{workflow, providers, inputs};
+  FingerprintMemo fingerprints(inputs);
+  SignatureWalker walker{workflow, providers, fingerprints};
   walker.index.assign(providers.size(), -1);
   return walker.Visit(kSubgraphSigSalt, root);
 }
@@ -130,9 +156,10 @@ std::vector<uint64_t> AllSubgraphResultSignatures(
     const Workflow& workflow, const SubgraphSignatureInputs& inputs) {
   ETLOPT_CHECK(workflow.fresh());
   auto providers = BuildProviderIndex(workflow);
+  FingerprintMemo fingerprints(inputs);
   std::vector<uint64_t> out(providers.size(), 0);
   for (NodeId id : workflow.NodeIds()) {
-    SignatureWalker walker{workflow, providers, inputs};
+    SignatureWalker walker{workflow, providers, fingerprints};
     walker.index.assign(providers.size(), -1);
     out[id] = walker.Visit(kSubgraphSigSalt, id);
   }
@@ -144,7 +171,8 @@ std::vector<NodeId> SubtreeNodes(const Workflow& workflow, NodeId root) {
   ETLOPT_CHECK(workflow.Exists(root));
   auto providers = BuildProviderIndex(workflow);
   SubgraphSignatureInputs no_inputs;
-  SignatureWalker walker{workflow, providers, no_inputs};
+  FingerprintMemo fingerprints(no_inputs);
+  SignatureWalker walker{workflow, providers, fingerprints};
   walker.index.assign(providers.size(), -1);
   std::vector<NodeId> order;
   walker.order = &order;

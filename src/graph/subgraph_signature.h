@@ -43,6 +43,7 @@ namespace etlopt {
 /// callback folds the name itself instead — a weaker, input-agnostic
 /// identity usable when no concrete run input exists (tests, tooling);
 /// cache keys for real executions must always bind real fingerprints.
+/// One signature call asks each callback at most once per distinct name.
 struct SubgraphSignatureInputs {
   std::function<uint64_t(const std::string&)> source_fingerprint;
   std::function<uint64_t(const std::string&)> lookup_fingerprint;

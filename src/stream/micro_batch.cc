@@ -14,26 +14,10 @@ namespace etlopt {
 
 namespace {
 
-// Contiguous near-equal row slices: slice i of R rows is
-// [floor(i*R/B), floor((i+1)*R/B)), so the slices concatenate back to
-// the original rows exactly and differ in size by at most one row.
-std::vector<std::vector<Record>> SliceRows(const std::vector<Record>& rows,
-                                           size_t num_batches) {
-  std::vector<std::vector<Record>> slices(num_batches);
-  const size_t n = rows.size();
-  for (size_t i = 0; i < num_batches; ++i) {
-    const size_t lo = i * n / num_batches;
-    const size_t hi = (i + 1) * n / num_batches;
-    slices[i].assign(rows.begin() + static_cast<ptrdiff_t>(lo),
-                     rows.begin() + static_cast<ptrdiff_t>(hi));
-  }
-  return slices;
-}
-
 // One source recordset's capture, bound and validated.
 struct BoundSource {
   std::string name;
-  const std::vector<Record>* rows = nullptr;
+  const SourceTable* rows = nullptr;
   size_t ts_index = 0;  // event mode only
 };
 
@@ -159,14 +143,15 @@ StatusOr<MicroBatchSource> MicroBatchSource::Make(
     std::vector<bool> seen(source.batch_count_, false);
     // Stable partition: window order across batches, capture order within.
     for (const BoundSource& b : layout.sources) {
-      auto& slices = source.slices_[b.name];
-      slices.assign(source.batch_count_, {});
-      for (const auto& r : *b.rows) {
-        int64_t ts = r.value(b.ts_index).int_value();
+      SourceBatches& batches = source.sources_[b.name];
+      batches.rows = *b.rows;
+      batches.batch_rows.assign(source.batch_count_, {});
+      for (size_t i = 0; i < b.rows->size(); ++i) {
+        int64_t ts = (*b.rows)[i].value(b.ts_index).int_value();
         size_t w = static_cast<size_t>(
             static_cast<uint64_t>(ts - layout.min_ts) /
             static_cast<uint64_t>(options.window_millis));
-        slices[w].push_back(r);
+        batches.batch_rows[w].push_back(i);
         if (!seen[w] || ts < source.batch_min_ts_[w]) {
           source.batch_min_ts_[w] = ts;
         }
@@ -178,7 +163,7 @@ StatusOr<MicroBatchSource> MicroBatchSource::Make(
     }
   } else {
     for (const BoundSource& b : layout.sources) {
-      source.slices_[b.name] = SliceRows(*b.rows, source.batch_count_);
+      source.sources_[b.name].rows = *b.rows;
     }
   }
 
@@ -233,8 +218,21 @@ StatusOr<MicroBatch> MicroBatchSource::Next() {
   }
   MicroBatch batch;
   batch.index = b;
-  for (const auto& [name, slices] : slices_) {
-    batch.source_rows.emplace(name, slices[b]);
+  for (const auto& [name, batches] : sources_) {
+    const std::vector<Record>& rows = batches.rows;
+    std::vector<Record>& out = batch.source_rows[name];
+    if (event_mode_) {
+      out.reserve(batches.batch_rows[b].size());
+      for (size_t i : batches.batch_rows[b]) out.push_back(rows[i]);
+    } else {
+      // Contiguous near-equal slices: slice b of R rows is
+      // [floor(b*R/B), floor((b+1)*R/B)), so the slices concatenate back
+      // to the capture exactly and differ in size by at most one row.
+      const size_t n = rows.size();
+      out.assign(rows.begin() + static_cast<ptrdiff_t>(b * n / batch_count_),
+                 rows.begin() +
+                     static_cast<ptrdiff_t>((b + 1) * n / batch_count_));
+    }
   }
   if (event_mode_) {
     batch.min_event_time = batch_min_ts_[b];

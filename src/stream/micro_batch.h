@@ -88,8 +88,15 @@ class MicroBatchSource {
   /// Wall-clock offset at which batch `b` is due (paced mode).
   std::chrono::microseconds DueOffset(size_t b) const;
 
-  // Per source: the row slices, batch-major.
-  std::map<std::string, std::vector<std::vector<Record>>> slices_;
+  // Per source: the capture's rows, shared with it rather than copied,
+  // and in event mode each batch's row indices in capture order. A
+  // row-slice batch is a contiguous range, computed in Next. No row is
+  // copied before Next.
+  struct SourceBatches {
+    SourceTable rows;
+    std::vector<std::vector<size_t>> batch_rows;  // event mode only
+  };
+  std::map<std::string, SourceBatches> sources_;
   // Per batch: min/max event timestamp (event mode only).
   std::vector<int64_t> batch_min_ts_;
   std::vector<int64_t> batch_max_ts_;

@@ -12,25 +12,50 @@ constexpr std::string_view kStreamMagic = "ETLSTRM1";
 
 }  // namespace
 
-std::string SerializeStreamCheckpoint(const StreamCheckpoint& checkpoint) {
+std::string SerializeStreamCheckpointParts(
+    uint64_t workflow_hash, uint64_t capture_fingerprint, uint64_t next_batch,
+    uint64_t batch_count, const std::map<NodeId, size_t>& rows_out,
+    const std::map<std::string, const std::vector<Record>*>& target_data,
+    const std::map<std::string, StateBlobWriter>& state_blobs) {
   std::string payload;
-  PutU64(payload, checkpoint.workflow_hash);
-  PutU64(payload, checkpoint.capture_fingerprint);
-  PutU64(payload, checkpoint.next_batch);
-  PutU64(payload, checkpoint.batch_count);
-  PutRowsOut(payload, checkpoint.rows_out);
-  PutU32(payload, static_cast<uint32_t>(checkpoint.target_data.size()));
-  for (const auto& [name, rows] : checkpoint.target_data) {
+  PutU64(payload, workflow_hash);
+  PutU64(payload, capture_fingerprint);
+  PutU64(payload, next_batch);
+  PutU64(payload, batch_count);
+  PutRowsOut(payload, rows_out);
+  PutU32(payload, static_cast<uint32_t>(target_data.size()));
+  for (const auto& [name, rows] : target_data) {
     PutString(payload, name);
-    PutRecords(payload, rows);
+    PutRecords(payload, *rows);
   }
-  PutU32(payload, static_cast<uint32_t>(checkpoint.state_blobs.size()));
-  for (const auto& [key, blob] : checkpoint.state_blobs) {
+  PutU32(payload, static_cast<uint32_t>(state_blobs.size()));
+  for (const auto& [key, write] : state_blobs) {
     PutString(payload, key);
-    PutString(payload, blob);
+    // PutString's framing, with the length filled in after the writer.
+    const size_t at = payload.size();
+    PutU32(payload, 0);
+    write(payload);
+    const auto size = static_cast<uint32_t>(payload.size() - at - 4);
+    for (int i = 0; i < 4; ++i) {
+      payload[at + i] = static_cast<char>(size >> (8 * i));
+    }
   }
-
   return SealPayload(kStreamMagic, payload);
+}
+
+std::string SerializeStreamCheckpoint(const StreamCheckpoint& checkpoint) {
+  std::map<std::string, const std::vector<Record>*> targets;
+  for (const auto& [name, rows] : checkpoint.target_data) {
+    targets.emplace(name, &rows);
+  }
+  std::map<std::string, StateBlobWriter> blobs;
+  for (const auto& [key, blob] : checkpoint.state_blobs) {
+    blobs.emplace(key, [&blob](std::string& out) { out += blob; });
+  }
+  return SerializeStreamCheckpointParts(
+      checkpoint.workflow_hash, checkpoint.capture_fingerprint,
+      checkpoint.next_batch, checkpoint.batch_count, checkpoint.rows_out,
+      targets, blobs);
 }
 
 StatusOr<StreamCheckpoint> ParseStreamCheckpoint(std::string_view bytes) {

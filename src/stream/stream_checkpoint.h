@@ -16,6 +16,7 @@
 #define ETLOPT_STREAM_STREAM_CHECKPOINT_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -42,6 +43,19 @@ struct StreamCheckpoint {
 };
 
 std::string SerializeStreamCheckpoint(const StreamCheckpoint& checkpoint);
+
+/// Appends one state blob's bytes to the payload.
+using StateBlobWriter = std::function<void(std::string& out)>;
+
+/// Same bytes as SerializeStreamCheckpoint, but from borrowed pieces: the
+/// running stream serializes its targets in place and writes each
+/// operator's state straight into the payload instead of copying both
+/// into a StreamCheckpoint first.
+std::string SerializeStreamCheckpointParts(
+    uint64_t workflow_hash, uint64_t capture_fingerprint, uint64_t next_batch,
+    uint64_t batch_count, const std::map<NodeId, size_t>& rows_out,
+    const std::map<std::string, const std::vector<Record>*>& target_data,
+    const std::map<std::string, StateBlobWriter>& state_blobs);
 
 StatusOr<StreamCheckpoint> ParseStreamCheckpoint(std::string_view bytes);
 

@@ -301,13 +301,14 @@ Status ReadCounts(BinaryReader& reader, BagCounts* counts) {
   return Status::OK();
 }
 
-std::string SerializeNodeState(const NodePlan& plan, const NodeState& state) {
-  std::string out;
+// Appends the node's state blob to `out`.
+void SerializeNodeState(const NodePlan& plan, const NodeState& state,
+                        std::string& out) {
   if (plan.recompute) {
     out.push_back(static_cast<char>(kTagRecompute));
     PutU32(out, static_cast<uint32_t>(state.port_history.size()));
     for (const auto& rows : state.port_history) PutRecords(out, rows);
-    return out;
+    return;
   }
   PutU32(out, static_cast<uint32_t>(plan.members.size()));
   for (size_t m = 0; m < plan.members.size(); ++m) {
@@ -339,7 +340,6 @@ std::string SerializeNodeState(const NodePlan& plan, const NodeState& state) {
         break;
     }
   }
-  return out;
 }
 
 // Rebuilds a join index from a restored row history. Stored rows all
@@ -600,7 +600,9 @@ class StreamRun : public SerialStrategy {
       changes_.clear();
       // Only the batch rows: the lookup tables stay in ctx_.
       ExecutionInput input;
-      input.source_data = std::move(batch.source_rows);
+      for (auto& [name, rows] : batch.source_rows) {
+        input.source_data.emplace(name, std::move(rows));
+      }
       NodePolicy every_node;
       ETLOPT_ASSIGN_OR_RETURN(batch_result,
                               DriveNodes(workflow_, input, *this, every_node));
@@ -693,23 +695,29 @@ class StreamRun : public SerialStrategy {
     if (!is_last && next_batch % checkpoint_every_ != 0) {
       return Status::OK();
     }
-    StreamCheckpoint checkpoint;
-    checkpoint.workflow_hash = workflow_hash;
-    checkpoint.capture_fingerprint = fingerprint;
-    checkpoint.next_batch = next_batch;
-    checkpoint.batch_count = batch_count;
-    checkpoint.rows_out = result.rows_out;
-    checkpoint.target_data = result.target_data;
-    MaterializeKeyed(&checkpoint.target_data);
+    // The committed targets are borrowed, not copied; only the keyed
+    // ones are materialized from their tables.
+    std::map<std::string, std::vector<Record>> keyed;
+    MaterializeKeyed(&keyed);
+    std::map<std::string, const std::vector<Record>*> targets;
+    for (const auto& [name, rows] : result.target_data) {
+      targets.emplace(name, &rows);
+    }
+    for (const auto& [name, rows] : keyed) targets[name] = &rows;
+    std::map<std::string, StateBlobWriter> blobs;
     for (const auto& [id, plan] : plans_) {
       if (!NodeHasState(id)) continue;
-      checkpoint.state_blobs["n" + std::to_string(id)] =
-          SerializeNodeState(plan, states_.at(id));
+      blobs.emplace("n" + std::to_string(id),
+                    [&plan = plan, &state = states_.at(id)](std::string& out) {
+                      SerializeNodeState(plan, state, out);
+                    });
     }
     ETLOPT_ASSIGN_OR_RETURN(
         bool written,
         WriteCheckpointFile(checkpoint_path_,
-                            SerializeStreamCheckpoint(checkpoint),
+                            SerializeStreamCheckpointParts(
+                                workflow_hash, fingerprint, next_batch,
+                                batch_count, result.rows_out, targets, blobs),
                             FaultSite::kStreamStateCheckpoint,
                             options_.recovery_plan.enabled, options_.retry,
                             rng_, &stats->retries));

@@ -167,7 +167,7 @@ KernelFlow MakeKernelFlow(size_t rows, std::vector<size_t> bad_dates,
   auto listed = [](const std::vector<size_t>& v, size_t r) {
     return std::find(v.begin(), v.end(), r) != v.end();
   };
-  std::vector<Record>& data = f.input.source_data["S"];
+  auto& data = f.input.source_data["S"];
   for (size_t r = 0; r < rows; ++r) {
     const bool nulls = r % 5 == 0;
     Value day = listed(bad_dates, r)

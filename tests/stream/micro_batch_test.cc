@@ -43,7 +43,7 @@ Record Row(int64_t k, int64_t ts) {
 
 ExecutionInput MakeCapture(size_t rows) {
   ExecutionInput input;
-  std::vector<Record>& data = input.source_data["S"];
+  auto& data = input.source_data["S"];
   for (size_t i = 0; i < rows; ++i) {
     data.push_back(Row(static_cast<int64_t>(i), static_cast<int64_t>(i) * 7));
   }
